@@ -31,6 +31,7 @@ from .estimators import (
     robust_theta,
 )
 from .frame import (
+    FrameTemplate,
     ModelSpec,
     PopulationFrame,
     SufficientStats,
@@ -51,7 +52,6 @@ from .risk import (
 from .simulate import (
     Contamination,
     CovarianceProbe,
-    FrameTemplate,
     SimConfig,
     SimResult,
     covariance_probe,

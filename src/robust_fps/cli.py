@@ -18,12 +18,7 @@ import sys
 
 from . import dataio
 from .divergence import GaussianSpec, divergence, influence, symmetrized_divergence
-from .errors import (
-    DegenerateFrameError,
-    DivergenceUndefinedError,
-    EstimationError,
-    ModelValidationError,
-)
+from .errors import DegenerateFrameError, EstimationError, ModelValidationError
 from .estimators import RobustConfig, robust_estimate
 from .frame import classical_estimate
 from .risk import calibrate_c, mse_closed_form
@@ -64,23 +59,12 @@ def cmd_estimate(args) -> int:
         print("error: exactly one of --c and --max-excess is required", file=sys.stderr)
         return EXIT_FLAG_CONFLICT
     scaling = "paper_v" if args.scaling == "paper" else "chambers_sigma"
-    if args.max_excess is not None and scaling != "paper_v":
-        raise ModelValidationError("--max-excess calibration applies to the paper scaling only")
+    config = RobustConfig(c=args.c, max_excess=args.max_excess, scaling=scaling)
     frame = _load_frame(args)
-
-    if args.max_excess is not None:
-        if args.max_excess <= 0:
-            raise ModelValidationError("--max-excess must be > 0")
-        c = calibrate_c(frame, args.max_excess)
-    else:
-        if args.c < 0:
-            raise ModelValidationError("--c must be >= 0")
-        c = args.c
-
-    robust = robust_estimate(frame, RobustConfig(c=c, scaling=scaling))
+    robust = robust_estimate(frame, config)
+    c = robust.c_used
     classical = classical_estimate(frame)
     risk = None
-    diagnostics = []
     if scaling == "paper_v":
         try:
             risk = mse_closed_form(frame, c)
@@ -211,18 +195,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (dataio.CsvFormatError, dataio.ConfigSchemaError, json.JSONDecodeError) as exc:
+    # JSONDecodeError is a ValueError, so the parse clause must come first.
+    except (dataio.CsvFormatError, dataio.ConfigSchemaError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ModelValidationError, DegenerateFrameError, DivergenceUndefinedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (EstimationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 if __name__ == "__main__":

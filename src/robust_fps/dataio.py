@@ -20,9 +20,9 @@ import numpy as np
 from .divergence import InfluenceRecord
 from .errors import EstimationError, ModelValidationError
 from .estimators import RobustEstimate
-from .frame import ModelSpec, PopulationFrame, build_model
+from .frame import FrameTemplate, ModelSpec, PopulationFrame, build_model
 from .risk import RiskReport
-from .simulate import Contamination, FrameTemplate, SimConfig
+from .simulate import Contamination, SimConfig
 
 CLI_MODEL_NAMES = {"ratio": "ratio", "royall": "royall", "ht": "horvitz_thompson", "custom": "custom"}
 
@@ -70,6 +70,7 @@ def read_frame_csv(path, family: str, sigma: float = 1.0) -> PopulationFrame:
             raise CsvFormatError(f"row 1: header lacks column(s) {missing}")
 
         unit_id: list[str] = []
+        seen: set[str] = set()
         aux: dict[str, list[float]] = {c: [] for c in _FAMILY_COLUMNS[family]}
         sampled: list[bool] = []
         y_sampled: list[float] = []
@@ -79,8 +80,9 @@ def read_frame_csv(path, family: str, sigma: float = 1.0) -> PopulationFrame:
             uid = row["unit_id"].strip()
             if not uid:
                 raise CsvFormatError(f"row {row_num}, column 'unit_id': empty")
-            if uid in unit_id:
+            if uid in seen:
                 raise CsvFormatError(f"row {row_num}, column 'unit_id': duplicate {uid!r}")
+            seen.add(uid)
             unit_id.append(uid)
             for c in _FAMILY_COLUMNS[family]:
                 aux[c].append(_parse_cell(row[c].strip(), row_num, c))
@@ -93,16 +95,10 @@ def read_frame_csv(path, family: str, sigma: float = 1.0) -> PopulationFrame:
 
     if not unit_id:
         raise CsvFormatError("row 2: no data rows")
+    # The frame checks ids with a set of its own; do not hold both at once.
+    del seen
     spec = ModelSpec(family, sigma=sigma) if family == "ratio" else ModelSpec(family)
-    kwargs: dict[str, Any] = {}
-    if family in ("ratio", "royall"):
-        kwargs["x"] = aux["x"]
-    elif family == "horvitz_thompson":
-        kwargs["pi"] = aux["pi"]
-    else:
-        kwargs["a"] = aux["a"]
-        kwargs["sigma2"] = aux["sigma2"]
-    return build_model(unit_id, spec, sampled=sampled, y_sampled=y_sampled, **kwargs)
+    return build_model(unit_id, spec, sampled=sampled, y_sampled=y_sampled, **aux)
 
 
 def risk_to_dict(report: RiskReport) -> dict:
@@ -171,31 +167,23 @@ def write_report(report: dict, path) -> None:
         fh.write("\n")
 
 
+_KINDS = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    list: (list, "an array"),
+    dict: (dict, "an object"),
+    str: (str, "a string"),
+}
+
+
 def _require(obj: dict, key: str, kind, pointer: str):
     if key not in obj:
         raise ConfigSchemaError(f"{pointer}/{key}", "missing required field")
     val = obj[key]
-    if kind is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigSchemaError(f"{pointer}/{key}", f"expected a number, got {type(val).__name__}")
-        return float(val)
-    if kind is int:
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ConfigSchemaError(f"{pointer}/{key}", f"expected an integer, got {type(val).__name__}")
-        return val
-    if kind is list:
-        if not isinstance(val, list):
-            raise ConfigSchemaError(f"{pointer}/{key}", f"expected an array, got {type(val).__name__}")
-        return val
-    if kind is dict:
-        if not isinstance(val, dict):
-            raise ConfigSchemaError(f"{pointer}/{key}", f"expected an object, got {type(val).__name__}")
-        return val
-    if kind is str:
-        if not isinstance(val, str):
-            raise ConfigSchemaError(f"{pointer}/{key}", f"expected a string, got {type(val).__name__}")
-        return val
-    raise AssertionError(kind)
+    types, expected = _KINDS[kind]
+    if isinstance(val, bool) or not isinstance(val, types):
+        raise ConfigSchemaError(f"{pointer}/{key}", f"expected {expected}, got {type(val).__name__}")
+    return float(val) if kind is float else val
 
 
 def _number_array(values: list, pointer: str) -> list[float]:

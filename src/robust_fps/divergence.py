@@ -146,10 +146,6 @@ class MCDivergence:
     draws: int
     n_nonfinite: int = 0
 
-    @property
-    def failed(self) -> bool:
-        return self.n_nonfinite > 0
-
 
 def divergence_mc_oracle(
     f1: GaussianSpec, f2: GaussianSpec, lam: float, draws: int, seed: int

@@ -10,9 +10,9 @@ written as ybar_w minus the weighted overflow beyond the band,
 
     theta_R = ybar_w - sum_i w_i * v_i * (r_i - psi_c(r_i)),
 
-which is the form used in release mode; under ``__debug__`` both forms are
-evaluated and cross-checked.  The population-mean version plugs theta_R into
-the unsampled part of the frame.
+which is the form computed: it returns ybar_w exactly once no residual is
+clipped.  The population-mean version plugs theta_R into the unsampled part
+of the frame.
 
 A comparison variant rescales by sigma_i / a_i instead of v_i (the scaling
 used in earlier outlier-robust ratio estimation work); it has no associated
@@ -33,9 +33,6 @@ from .frame import PopulationFrame, SufficientStats, sufficient_stats
 
 class DegenerateFrameWarning(UserWarning):
     """Single-unit sample: no residuals, the robust estimate falls back to ybar_w."""
-
-
-_FORM_AGREEMENT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,15 +78,6 @@ def psi_clip(r, c: float):
     return np.clip(r, -c, c)
 
 
-def _resolve_c(stats_frame, config: RobustConfig) -> float:
-    if config.c is not None:
-        return float(config.c)
-    raise ModelValidationError(
-        "clipping constant unresolved: solve it from the excess budget first "
-        "(calibrate_c) or pass a fixed c"
-    )
-
-
 def robust_theta(stats: SufficientStats, config: RobustConfig | float) -> float:
     """Clipped location estimate from sufficient statistics.
 
@@ -98,25 +86,25 @@ def robust_theta(stats: SufficientStats, config: RobustConfig | float) -> float:
     """
     if not isinstance(config, RobustConfig):
         config = RobustConfig(c=float(config))
-    c = _resolve_c(stats, config)
+    if config.c is None:
+        raise ModelValidationError(
+            "clipping constant unresolved: solve it from the excess budget first "
+            "(calibrate_c) or pass a fixed c"
+        )
+    c = float(config.c)
     if stats.n < 2:
         warnings.warn("single-unit sample, returning ybar_w", DegenerateFrameWarning)
         return stats.ybar_w
     if config.scaling == "chambers_sigma":
         return chambers_variant_theta(stats, c)
+    overflow = stats.r - psi_clip(stats.r, c)
+    return stats.ybar_w - float((stats.w * stats.v) @ overflow)
 
-    wv = stats.w * stats.v
-    clipped = psi_clip(stats.r, c)
-    direct = stats.ybar_w + float(wv @ clipped)
-    overflow = stats.r - clipped
-    subtracted = stats.ybar_w - float(wv @ overflow)
-    if __debug__:
-        scale = max(abs(stats.ybar_w), float(wv @ np.abs(stats.r)), abs(direct), abs(subtracted))
-        if abs(direct - subtracted) > _FORM_AGREEMENT_RTOL * max(scale, 1e-300):
-            raise AssertionError(
-                f"clipped-estimator forms disagree: {direct!r} vs {subtracted!r}"
-            )
-    return subtracted
+
+def _chambers_residuals(stats: SufficientStats):
+    """Scale sigma_i / a_i and the residuals standardized by it."""
+    scale = np.sqrt(stats.sigma2) / stats.a
+    return scale, (stats.y / stats.a - stats.ybar_w) / scale
 
 
 def chambers_variant_theta(stats: SufficientStats, c: float) -> float:
@@ -127,9 +115,7 @@ def chambers_variant_theta(stats: SufficientStats, c: float) -> float:
     if stats.n < 2:
         warnings.warn("single-unit sample, returning ybar_w", DegenerateFrameWarning)
         return stats.ybar_w
-    scale = np.sqrt(stats.sigma2) / stats.a
-    resid = stats.y / stats.a - stats.ybar_w
-    r_tilde = resid / scale
+    scale, r_tilde = _chambers_residuals(stats)
     return stats.ybar_w + float((stats.w * scale) @ psi_clip(r_tilde, c))
 
 
@@ -146,27 +132,20 @@ def robust_estimate(frame: PopulationFrame, config: RobustConfig) -> RobustEstim
         config = RobustConfig(c=calibrate_c(frame, config.max_excess), scaling=config.scaling)
     c = float(config.c)
     stats = sufficient_stats(frame)
-
-    if stats.n < 2:
-        theta = robust_theta(stats, config)
-        contributions = np.zeros(1)
-        clipped_units: tuple = ()
-        degenerate = True
+    theta = robust_theta(stats, config)
+    degenerate = stats.n < 2
+    if degenerate:
+        contributions, clipped_units = np.zeros(1), ()
     else:
-        theta = robust_theta(stats, config)
         if config.scaling == "chambers_sigma":
-            scale = np.sqrt(stats.sigma2) / stats.a
-            resid_std = (stats.y / stats.a - stats.ybar_w) / scale
+            scale, resid_std = _chambers_residuals(stats)
         else:
-            scale = stats.v
-            resid_std = stats.r
+            scale, resid_std = stats.v, stats.r
         contributions = stats.w * scale * psi_clip(resid_std, c)
         mask = np.abs(resid_std) > c
         clipped_units = tuple(u for u, m in zip(stats.unit_id, mask) if m)
-        degenerate = False
 
-    s = frame.sampled
-    ybar_P_R = (frame.y[s].sum() + theta * frame.a[~s].sum()) / frame.n_units
+    ybar_P_R = (frame.y[frame.sampled].sum() + theta * frame.sum_u_a) / frame.n_units
     return RobustEstimate(
         theta_hat_R=theta,
         ybar_P_R=float(ybar_P_R),

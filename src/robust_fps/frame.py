@@ -27,51 +27,62 @@ HT_PI_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class PopulationFrame:
-    """All N units with auxiliaries, sample membership, and observed values.
+class FrameTemplate:
+    """Population layout: unit ids, auxiliaries and sample membership, no values.
 
-    ``y`` is a full-length array with NaN at unsampled positions; a value is
-    present exactly for sampled units.
+    This is the model design shared by estimation, risk, calibration and
+    simulation.  Everything that depends only on ``(a, sigma2, sampled)`` is
+    computed once here: ``S_aa``, the weights ``w`` and residual scales ``v``
+    of the sampled units (``v`` is zero when one unit is sampled), and the
+    unsampled sums ``sum_u_a`` and ``sum_u_sigma2``.  Observed values enter
+    only through ``residuals``.
     """
 
     unit_id: tuple
     a: np.ndarray
     sigma2: np.ndarray
     sampled: np.ndarray
-    y: np.ndarray
+    S_aa: float = field(init=False, repr=False, compare=False)
+    w: np.ndarray = field(init=False, repr=False, compare=False)
+    v: np.ndarray = field(init=False, repr=False, compare=False)
+    sum_u_a: float = field(init=False, repr=False, compare=False)
+    sum_u_sigma2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         sigma2 = np.asarray(self.sigma2, dtype=float)
-        sampled = np.asarray(self.sampled, dtype=bool)
-        y = np.asarray(self.y, dtype=float)
+        s = np.asarray(self.sampled, dtype=bool)
         object.__setattr__(self, "unit_id", tuple(self.unit_id))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "sigma2", sigma2)
-        object.__setattr__(self, "sampled", sampled)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "sampled", s)
 
         N = len(self.unit_id)
         if N < 2:
             raise ModelValidationError(f"need at least 2 units, got {N}")
         if len(set(self.unit_id)) != N:
             raise ModelValidationError("duplicate unit_id")
-        for name, arr in (("a", a), ("sigma2", sigma2), ("sampled", sampled), ("y", y)):
+        for name, arr in (("a", a), ("sigma2", sigma2), ("sampled", s)):
             if arr.shape != (N,):
                 raise ModelValidationError(f"field {name!r} has shape {arr.shape}, expected ({N},)")
         if not np.all(np.isfinite(a)) or np.any(a <= 0):
             raise ModelValidationError("a must be finite and > 0 for every unit")
         if not np.all(np.isfinite(sigma2)) or np.any(sigma2 <= 0):
             raise ModelValidationError("sigma2 must be finite and > 0 for every unit")
-        n = int(sampled.sum())
+        n = int(s.sum())
         if n < 1:
             raise DegenerateFrameError("no sampled units")
-        if not np.all(np.isfinite(y[sampled])):
-            bad = [self.unit_id[i] for i in np.flatnonzero(sampled & ~np.isfinite(y))]
-            raise ModelValidationError(f"missing y for sampled unit(s) {bad}")
-        if np.any(np.isfinite(y[~sampled])):
-            bad = [self.unit_id[i] for i in np.flatnonzero(~sampled & np.isfinite(y))]
-            raise ModelValidationError(f"y given for unsampled unit(s) {bad}")
+
+        a_s, sigma2_s = a[s], sigma2[s]
+        prec = a_s**2 / sigma2_s
+        S_aa = float(prec.sum())
+        # With one sampled unit v^2 is zero up to rounding; keep it exactly zero.
+        v = np.sqrt(sigma2_s / a_s**2 - 1.0 / S_aa) if n >= 2 else np.zeros(1)
+        object.__setattr__(self, "S_aa", S_aa)
+        object.__setattr__(self, "w", prec / S_aa)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "sum_u_a", float(a[~s].sum()))
+        object.__setattr__(self, "sum_u_sigma2", float(sigma2[~s].sum()))
 
     @property
     def n_units(self) -> int:
@@ -85,11 +96,51 @@ class PopulationFrame:
     def sampled_ids(self) -> tuple:
         return tuple(u for u, s in zip(self.unit_id, self.sampled) if s)
 
+    def residuals(self, ys: np.ndarray):
+        """Weighted average ``ybar_w`` and standardized residuals ``r`` of sampled values.
+
+        ``ys`` holds the sampled units' values in unit order, shape ``(n,)`` or
+        ``(reps, n)``; ``ybar_w`` has the leading shape.  Each row is reduced
+        on its own, so a stack gives bit for bit the values of its rows.
+        ``r`` is None when one unit is sampled.
+        """
+        s = self.sampled
+        a_s = self.a[s]
+        ybar_w = (a_s * ys / self.sigma2[s]).sum(axis=-1) / self.S_aa
+        if self.n_sampled < 2:
+            return ybar_w, None
+        return ybar_w, (ys / a_s - ybar_w[..., None]) / self.v
+
     def with_y(self, y_sampled: Sequence[float]) -> "PopulationFrame":
-        """Return a copy with new observed values on the sampled units (input order)."""
+        """A frame on this layout with observed values on the sampled units (unit order)."""
         y = np.full(self.n_units, np.nan)
         y[self.sampled] = np.asarray(y_sampled, dtype=float)
         return PopulationFrame(self.unit_id, self.a, self.sigma2, self.sampled, y)
+
+
+@dataclass(frozen=True)
+class PopulationFrame(FrameTemplate):
+    """A layout plus observed values.
+
+    ``y`` is a full-length array with NaN at unsampled positions; a value is
+    present exactly for sampled units.
+    """
+
+    y: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        y = np.asarray(self.y, dtype=float)
+        object.__setattr__(self, "y", y)
+        sampled = self.sampled
+        if y.shape != (self.n_units,):
+            raise ModelValidationError(f"field 'y' has shape {y.shape}, expected ({self.n_units},)")
+        if not np.all(np.isfinite(y[sampled])):
+            bad = [self.unit_id[i] for i in np.flatnonzero(sampled & ~np.isfinite(y))]
+            raise ModelValidationError(f"missing y for sampled unit(s) {bad}")
+        if np.any(np.isfinite(y[~sampled])):
+            bad = [self.unit_id[i] for i in np.flatnonzero(~sampled & np.isfinite(y))]
+            raise ModelValidationError(f"y given for unsampled unit(s) {bad}")
 
 
 @dataclass(frozen=True)
@@ -200,32 +251,18 @@ def sufficient_stats(frame: PopulationFrame) -> SufficientStats:
     residuals are reported only when two or more units are sampled.
     """
     s = frame.sampled
-    a = frame.a[s]
-    sigma2 = frame.sigma2[s]
-    y = frame.y[s]
-    prec = a**2 / sigma2
-    S_aa = float(prec.sum())
-    S_ay = float((a * y / sigma2).sum())
-    ybar_w = S_ay / S_aa
-    w = prec / S_aa
-    v2 = sigma2 / a**2 - 1.0 / S_aa
-    n = a.size
-    if n >= 2:
-        v = np.sqrt(v2)
-        r = (y / a - ybar_w) / v
-    else:
-        v = np.zeros(1)
-        r = None
+    a, sigma2, y = frame.a[s], frame.sigma2[s], frame.y[s]
+    ybar_w, r = frame.residuals(y)
     return SufficientStats(
         unit_id=frame.sampled_ids,
         a=a,
         sigma2=sigma2,
         y=y,
-        S_aa=S_aa,
-        S_ay=S_ay,
-        ybar_w=ybar_w,
-        w=w,
-        v=v,
+        S_aa=frame.S_aa,
+        S_ay=float((a * y / sigma2).sum()),
+        ybar_w=float(ybar_w),
+        w=frame.w,
+        v=frame.v,
         r=r,
     )
 
@@ -239,8 +276,8 @@ def classical_estimate(frame: PopulationFrame) -> float:
     s = frame.sampled
     if s.all():
         return float(frame.y.mean())
-    stats = sufficient_stats(frame)
-    return (frame.y[s].sum() + stats.ybar_w * frame.a[~s].sum()) / frame.n_units
+    ybar_w, _ = frame.residuals(frame.y[s])
+    return (frame.y[s].sum() + ybar_w * frame.sum_u_a) / frame.n_units
 
 
 def posterior_predictive(frame: PopulationFrame):
@@ -253,8 +290,7 @@ def posterior_predictive(frame: PopulationFrame):
     u = ~frame.sampled
     if not u.any():
         raise DegenerateFrameError("census frame has no unsampled units to predict")
-    stats = sufficient_stats(frame)
+    ybar_w, _ = frame.residuals(frame.y[frame.sampled])
     a_u = frame.a[u]
-    mu = stats.ybar_w * a_u
-    cov = np.diag(frame.sigma2[u]) + np.outer(a_u, a_u) / stats.S_aa
-    return GaussianSpec(mu, cov)
+    cov = np.diag(frame.sigma2[u]) + np.outer(a_u, a_u) / frame.S_aa
+    return GaussianSpec(ybar_w * a_u, cov)

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .errors import DegenerateFrameError
-from .frame import PopulationFrame, sufficient_stats
+from .frame import FrameTemplate
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -80,26 +80,26 @@ class RiskReport:
         return (self.unseen_variance, self.estimation_variance, self.clipping_penalty)
 
 
-def _risk_parts(frame: PopulationFrame):
-    stats = sufficient_stats(frame)
-    if stats.n < 2:
+def _clipping_weight(layout: FrameTemplate) -> float:
+    """``sum_s w_i^2 v_i^2`` after checking the layout has what the formulas need."""
+    if layout.n_sampled < 2:
         raise DegenerateFrameError("risk formulas need at least 2 sampled units")
-    u = ~frame.sampled
-    if not u.any():
+    if layout.sampled.all():
         raise DegenerateFrameError("risk formulas need at least 1 unsampled unit")
-    N = frame.n_units
-    sum_au = float(frame.a[u].sum())
-    sum_sigma2_u = float(frame.sigma2[u].sum())
-    sum_w2v2 = float((stats.w**2 * stats.v**2).sum())
-    return stats, N, sum_au, sum_sigma2_u, sum_w2v2
+    return float((layout.w**2 * layout.v**2).sum())
 
 
-def mse_closed_form(frame: PopulationFrame, c: float) -> RiskReport:
-    """Exact model-true MSE of the robust estimate, split into its three parts."""
-    stats, N, sum_au, sum_sigma2_u, sum_w2v2 = _risk_parts(frame)
+def mse_closed_form(layout: FrameTemplate, c: float) -> RiskReport:
+    """Exact model-true MSE of the robust estimate, split into its three parts.
+
+    Depends only on the layout, so a ``FrameTemplate`` and a ``PopulationFrame``
+    on it give the same report.
+    """
+    sum_w2v2 = _clipping_weight(layout)
+    N, sum_au = layout.n_units, layout.sum_u_a
     g = g_clip(c)
-    unseen = sum_sigma2_u / N**2
-    estimation = (sum_au**2 / stats.S_aa) / N**2
+    unseen = layout.sum_u_sigma2 / N**2
+    estimation = (sum_au**2 / layout.S_aa) / N**2
     penalty = sum_w2v2 * g * sum_au**2 / N**2
     baseline = unseen + estimation
     return RiskReport(
@@ -114,17 +114,17 @@ def mse_closed_form(frame: PopulationFrame, c: float) -> RiskReport:
     )
 
 
-def excess_risk(frame: PopulationFrame, c: float) -> float:
+def excess_risk(layout: FrameTemplate, c: float) -> float:
     """Excess MSE of the robust estimate over the unclipped baseline."""
-    return mse_closed_form(frame, c).excess
+    return mse_closed_form(layout, c).excess
 
 
-def max_excess_risk(frame: PopulationFrame) -> float:
+def max_excess_risk(layout: FrameTemplate) -> float:
     """Excess risk at c = 0, the largest value the excess can take."""
-    return excess_risk(frame, 0.0)
+    return excess_risk(layout, 0.0)
 
 
-def calibrate_c(frame: PopulationFrame, max_excess: float) -> float:
+def calibrate_c(layout: FrameTemplate, max_excess: float) -> float:
     """Smallest clipping constant whose excess risk stays within the budget.
 
     The excess is strictly decreasing in c, so the solution is the unique
@@ -136,8 +136,7 @@ def calibrate_c(frame: PopulationFrame, max_excess: float) -> float:
     """
     if not (np.isfinite(max_excess) and max_excess > 0):
         raise ValueError("max_excess must be finite and > 0")
-    stats, N, sum_au, _, sum_w2v2 = _risk_parts(frame)
-    excess0 = sum_w2v2 * sum_au**2 / N**2
+    excess0 = _clipping_weight(layout) * layout.sum_u_a**2 / layout.n_units**2
 
     def excess_at(c: float) -> float:
         return excess0 * g_clip(c)

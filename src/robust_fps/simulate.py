@@ -19,14 +19,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Literal
 
 import numpy as np
 from scipy.special import ndtri
 
 from .errors import ModelValidationError
-from .frame import PopulationFrame, sufficient_stats
+from .frame import FrameTemplate
 from .risk import g_clip, mse_closed_form
 from .streams import batch_rep_uniforms, rep_uniforms
 
@@ -44,53 +44,6 @@ CSV_COLUMNS = (
     "classical_mse",
     "se_classical",
 )
-
-
-@dataclass(frozen=True)
-class FrameTemplate:
-    """Population layout for simulation: auxiliaries and sample membership, no values."""
-
-    unit_id: tuple
-    a: np.ndarray
-    sigma2: np.ndarray
-    sampled: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        sigma2 = np.asarray(self.sigma2, dtype=float)
-        sampled = np.asarray(self.sampled, dtype=bool)
-        object.__setattr__(self, "unit_id", tuple(self.unit_id))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "sigma2", sigma2)
-        object.__setattr__(self, "sampled", sampled)
-        N = len(self.unit_id)
-        if N < 2 or len(set(self.unit_id)) != N:
-            raise ModelValidationError("need >= 2 distinct unit ids")
-        for name, arr in (("a", a), ("sigma2", sigma2), ("sampled", sampled)):
-            if arr.shape != (N,):
-                raise ModelValidationError(f"field {name!r} must have one entry per unit")
-        if not np.all(np.isfinite(a)) or np.any(a <= 0):
-            raise ModelValidationError("a must be finite and > 0")
-        if not np.all(np.isfinite(sigma2)) or np.any(sigma2 <= 0):
-            raise ModelValidationError("sigma2 must be finite and > 0")
-        n = int(sampled.sum())
-        if n < 2:
-            raise ModelValidationError("simulation needs at least 2 sampled units")
-        if n == N:
-            raise ModelValidationError("simulation needs at least 1 unsampled unit")
-
-    @property
-    def n_units(self) -> int:
-        return len(self.unit_id)
-
-    @property
-    def n_sampled(self) -> int:
-        return int(self.sampled.sum())
-
-    def as_frame(self, y_sampled: Sequence[float]) -> PopulationFrame:
-        y = np.full(self.n_units, np.nan)
-        y[self.sampled] = np.asarray(y_sampled, dtype=float)
-        return PopulationFrame(self.unit_id, self.a, self.sigma2, self.sampled, y)
 
 
 @dataclass(frozen=True)
@@ -134,6 +87,10 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "c_grid", tuple(float(c) for c in self.c_grid))
+        if self.template.n_sampled < 2:
+            raise ModelValidationError("simulation needs at least 2 sampled units")
+        if self.template.sampled.all():
+            raise ModelValidationError("simulation needs at least 1 unsampled unit")
         if not np.isfinite(self.theta_true):
             raise ModelValidationError("theta_true must be finite")
         if not self.c_grid or any(c < 0 or not np.isfinite(c) for c in self.c_grid):
@@ -142,9 +99,7 @@ class SimConfig:
             raise ModelValidationError("reps must be an integer >= 2")
         if not (-(2**63) <= int(self.seed) < 2**64):
             raise ModelValidationError("seed must fit in 64 bits")
-        sampled_ids = set(
-            u for u, s in zip(self.template.unit_id, self.template.sampled) if s
-        )
+        sampled_ids = set(self.template.sampled_ids)
         stray = [u for u in self.contamination.units if u not in sampled_ids]
         if stray:
             raise ModelValidationError(f"contamination targets unsampled/unknown units {stray}")
@@ -166,9 +121,6 @@ class SimulatedPopulation:
     @property
     def realized_mean(self) -> float:
         return float(self.y.mean())
-
-    def frame(self) -> PopulationFrame:
-        return self.config.template.as_frame(self.y[self.config.template.sampled])
 
 
 def _apply_contamination(config: SimConfig, y: np.ndarray) -> np.ndarray:
@@ -267,45 +219,37 @@ def empirical_risk(config: SimConfig, *, keep_samples: bool = False) -> SimResul
     if reps_used < 2:
         raise ModelValidationError("fewer than 2 finite replications")
 
-    s = t.sampled
-    a_s, sigma2_s = t.a[s], t.sigma2[s]
-    prec = a_s**2 / sigma2_s
-    S_aa = prec.sum()
-    w = prec / S_aa
-    v = np.sqrt(sigma2_s / a_s**2 - 1.0 / S_aa)
-    wv = w * v
+    wv = t.w * t.v
     wv2 = wv**2
-    sum_au = t.a[~s].sum()
     N = t.n_units
 
-    Ys = Y[:, s]
-    ybar_w = Ys @ (a_s / sigma2_s) / S_aa
-    resid = Ys / a_s - ybar_w[:, None]
-    r = resid / v
+    Ys = Y[:, t.sampled]
+    ybar_w, r = t.residuals(Ys)
     sum_ys = Ys.sum(axis=1)
     ybar_pop = Y.mean(axis=1)
-    classical = (sum_ys + ybar_w * sum_au) / N
+    classical = (sum_ys + ybar_w * t.sum_u_a) / N
     sq_classical = (classical - ybar_pop) ** 2
-
-    risk_frame = t.as_frame(np.zeros(t.n_sampled))
+    cls_mean, se_cls = _mean_se(sq_classical)
 
     rows = []
     kept_theta, kept_pop, kept_cross = [], [], []
+    # One (reps, n) buffer for every c: fresh temporaries of this size per c
+    # leave freed blocks in the heap under the next allocation peak.
+    overflow = np.empty_like(r)
     for c in config.c_grid:
-        overflow = r - np.clip(r, -c, c)
+        np.subtract(r, np.clip(r, -c, c, out=overflow), out=overflow)
         T = overflow @ wv
         theta_R = ybar_w - T
-        ybar_R = (sum_ys + theta_R * sum_au) / N
+        ybar_R = (sum_ys + theta_R * t.sum_u_a) / N
         sq_theta = (theta_R - theta) ** 2
         sq_pop = (ybar_R - ybar_pop) ** 2
-        cross = T**2 - (overflow**2) @ wv2
+        cross = T**2 - np.square(overflow, out=overflow) @ wv2
 
         emp_theta, se_theta = _mean_se(sq_theta)
         emp_pop, se_pop = _mean_se(sq_pop)
         cross_mean, se_cross = _mean_se(cross)
-        cls_mean, se_cls = _mean_se(sq_classical)
-        report = mse_closed_form(risk_frame, c)
-        theo_theta = 1.0 / S_aa + float(wv2.sum()) * g_clip(c)
+        report = mse_closed_form(t, c)
+        theo_theta = 1.0 / t.S_aa + float(wv2.sum()) * g_clip(c)
         rows.append(
             SimRow(
                 c=float(c),
@@ -360,32 +304,22 @@ def covariance_probe(config: SimConfig) -> CovarianceProbe:
     correlation equals -(1/S_aa) / (v_i v_k) for i != k.
     """
     t = config.template
-    Y = _generate_batch(config)
-    s = t.sampled
-    a_s, sigma2_s = t.a[s], t.sigma2[s]
-    prec = a_s**2 / sigma2_s
-    S_aa = prec.sum()
-    v = np.sqrt(sigma2_s / a_s**2 - 1.0 / S_aa)
-
-    Ys = Y[:, s]
-    ybar_w = Ys @ (a_s / sigma2_s) / S_aa
-    resid = Ys / a_s - ybar_w[:, None]
-    r = resid / v
+    ybar_w, r = t.residuals(_generate_batch(config)[:, t.sampled])
+    resid = r * t.v
 
     y_c = ybar_w - ybar_w.mean()
     res_c = resid - resid.mean(axis=0)
     prod = res_c * y_c[:, None]
-    reps = Y.shape[0]
+    reps = r.shape[0]
     cov = prod.mean(axis=0)
     cov_se = prod.std(axis=0, ddof=1) / math.sqrt(reps)
 
     corr_emp = np.corrcoef(r, rowvar=False)
-    n = r.shape[1]
-    corr_ana = -(1.0 / S_aa) / np.outer(v, v)
+    corr_ana = -(1.0 / t.S_aa) / np.outer(t.v, t.v)
     np.fill_diagonal(corr_ana, 1.0)
     corr_se = (1.0 - corr_emp**2) / math.sqrt(reps)
     return CovarianceProbe(
-        unit_id=tuple(u for u, flag in zip(t.unit_id, t.sampled) if flag),
+        unit_id=t.sampled_ids,
         cov_resid_ybar=cov,
         cov_resid_ybar_se=cov_se,
         corr_empirical=corr_emp,
@@ -396,16 +330,11 @@ def covariance_probe(config: SimConfig) -> CovarianceProbe:
 
 
 def result_to_dict(result: SimResult) -> dict:
-    rows = []
-    for row in result.rows:
-        rows.append({col: getattr(row, col) for col in CSV_COLUMNS} | {
-            "theo_mse_theta": row.theo_mse_theta,
-        })
     return {
         "reps": result.reps,
         "seed": result.seed,
         "failures": result.failures,
-        "rows": rows,
+        "rows": [asdict(row) for row in result.rows],
     }
 
 

@@ -87,17 +87,15 @@ class TestRobustTheta:
             theta = robust_theta(stats, RobustConfig(c=0.0))
             assert theta == pytest.approx(stats.ybar_w, rel=1e-12, abs=1e-12)
 
-    def test_both_forms_agree_on_random_frames(self):
-        rng = np.random.default_rng(42)
-        for _ in range(300):
-            stats = sufficient_stats(random_frame(rng))
-            c = float(rng.uniform(0, 3))
-            wv = stats.w * stats.v
-            direct = stats.ybar_w + float(wv @ np.clip(stats.r, -c, c))
-            subtract = stats.ybar_w - float(wv @ (stats.r - np.clip(stats.r, -c, c)))
-            scale = max(abs(direct), abs(subtract), float(wv @ np.abs(stats.r)), 1e-30)
-            assert abs(direct - subtract) <= 1e-12 * scale
-            assert robust_theta(stats, RobustConfig(c=c)) == pytest.approx(direct, rel=1e-12, abs=1e-13)
+    @settings(max_examples=200, deadline=None)
+    @given(frames(), st.floats(0, 3, allow_nan=False))
+    def test_both_forms_agree_on_random_frames(self, fr, c):
+        stats = sufficient_stats(fr)
+        wv = stats.w * stats.v
+        direct = stats.ybar_w + float(wv @ np.clip(stats.r, -c, c))
+        theta = robust_theta(stats, RobustConfig(c=c))
+        scale = max(abs(stats.ybar_w), abs(direct), abs(theta), float(wv @ np.abs(stats.r)), 1e-300)
+        assert abs(direct - theta) <= 1e-12 * scale
 
     def test_single_unit_sample_warns_and_falls_back(self):
         fr = build_model(

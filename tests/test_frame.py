@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from robust_fps import (
     DegenerateFrameError,
+    FrameTemplate,
     ModelSpec,
     ModelValidationError,
     PopulationFrame,
@@ -148,6 +149,22 @@ class TestSufficientStats:
         scale = float((st_.w * st_.v * np.abs(st_.r)).sum())
         total = float((st_.w * st_.v * st_.r).sum())
         assert abs(total) <= 1e-10 * max(scale, 1e-300)
+
+
+class TestFrameTemplate:
+    def test_residuals_of_a_stack_equal_its_rows_bitwise(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 7, 9, 100, 300):
+            N = n + 5
+            sampled = np.zeros(N, dtype=bool)
+            sampled[rng.permutation(N)[:n]] = True
+            t = FrameTemplate(tuple(range(N)), rng.uniform(0.2, 5, N), rng.uniform(0.1, 4, N), sampled)
+            Ys = rng.normal(0, 3, (50, n))
+            ybar_w, r = t.residuals(Ys)
+            for k in range(Ys.shape[0]):
+                ybar_k, r_k = t.residuals(Ys[k])
+                assert ybar_w[k] == ybar_k
+                assert np.array_equal(r[k], r_k)
 
 
 class TestClassicalEstimate:

@@ -121,8 +121,11 @@ class TestSimulateOnce:
             make_config(reps=1)
 
     def test_census_template_rejected(self):
-        with pytest.raises(ModelValidationError):
-            make_template(N=4, n=4)
+        # Census and single-unit layouts are valid templates; simulation rejects them.
+        for n in (4, 1):
+            template = make_template(N=4, n=n)
+            with pytest.raises(ModelValidationError):
+                make_config(template=template)
 
 
 class TestEmpiricalRisk:
@@ -132,7 +135,7 @@ class TestEmpiricalRisk:
         row = res.rows[0]
         from robust_fps import mse_closed_form
 
-        baseline = mse_closed_form(config.template.as_frame(np.zeros(3)), 8.0).mse_baseline
+        baseline = mse_closed_form(config.template, 8.0).mse_baseline
         assert abs(row.emp_mse_pop - baseline) <= 3 * row.se_pop
         # location level: with nothing clipped the MSE is the variance 1/S_aa
         t = config.template
