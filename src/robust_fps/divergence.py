@@ -12,28 +12,52 @@ densities the defining expectation has the closed form
                         * |cov1|^(-lam/2) |cov2|^((lam+1)/2) |S|^(-1/2),
 
 with ``S = (1+lam)*cov2 - lam*cov1`` required positive definite (the same
-condition that makes the expectation finite).  All determinant work happens
-in log space via Cholesky factors.
+condition that makes the expectation finite).  ``divergence`` evaluates it
+for any pair, with all determinant work in log space via Cholesky factors.
+Where the expectation overflows float64 it raises rather than return inf.
 
 A Monte Carlo evaluation of the defining expectation is provided as an
-independent check of the closed form, and the delete-one influence of each
-sampled unit is measured as the divergence between the predictive
-distributions of the unsampled values with and without that unit.
+independent check of the closed form.
+
+The delete-one influence of each sampled unit k is the divergence between
+the predictive normals of the M unsampled values with and without that unit.
+Both covariances are ``D_u + a_u a_u'/S`` with ``D_u = diag(sigma2_u)``, for
+``S = S_aa`` and ``S = S_aa - h_k`` (``h_k = a_k^2/sigma2_k``), and the means
+differ by ``delta_k * a_u``.  After whitening by ``D_u^(-1/2)`` the two
+normals agree except along ``D_u^(-1/2) a_u``, so with
+``q = sum_u a_j^2/sigma2_j`` the pair reduces exactly (matrix determinant
+lemma and Sherman-Morrison) to the scalar normals
+
+    N(m1, v1) and N(m2, v2),  v1 = 1 + q/S_aa,  v2 = 1 + q/(S_aa - h_k),
+    (m1 - m2)^2 = q * delta_k^2.
+
+``influence`` evaluates that scalar form for every k at once, relative to
+v1: with ``x = (v2 - v1)/v1`` the ``log v1`` terms cancel and
+
+    log E = lam(lam+1)/2 * q delta_k^2 / (v1 (1 + (1+lam) x))
+            + (lam+1)/2 * log1p(x) - 1/2 * log1p((1+lam) x),
+
+positive definite exactly when ``1 + (1+lam) x > 0``.  The cost is
+O(n + M) instead of two M x M factorisations per unit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
 from .errors import DegenerateFrameError, DivergenceUndefinedError
-from .frame import PopulationFrame, posterior_predictive, sufficient_stats
+from .frame import PopulationFrame
 from .streams import std_normals
 
 LOG_2PI = math.log(2.0 * math.pi)
+#: Largest ``log E`` whose ``exp`` is finite in float64.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_ATANH_TERMS = 18
 
 
 def _chol_lower(mat: np.ndarray, name: str) -> np.ndarray:
@@ -104,12 +128,17 @@ def _kl(f1: GaussianSpec, f2: GaussianSpec) -> float:
     return 0.5 * (trace + maha - f1.dim + f2.log_det - f1.log_det)
 
 
-def divergence(f1: GaussianSpec, f2: GaussianSpec, lam: float) -> float:
-    """Closed-form D_lam(f1, f2); lam 0 and -1 route to the KL limits."""
-    _check_dims(f1, f2)
+def _check_order(lam) -> float:
     lam = float(lam)
     if not math.isfinite(lam):
         raise DivergenceUndefinedError("lam", "order must be finite")
+    return lam
+
+
+def divergence(f1: GaussianSpec, f2: GaussianSpec, lam: float) -> float:
+    """Closed-form D_lam(f1, f2); lam 0 and -1 route to the KL limits."""
+    _check_dims(f1, f2)
+    lam = _check_order(lam)
     if np.array_equal(f1.mu, f2.mu) and np.array_equal(f1.cov, f2.cov):
         return 0.0
     if lam == 0.0:
@@ -129,7 +158,13 @@ def divergence(f1: GaussianSpec, f2: GaussianSpec, lam: float) -> float:
         + 0.5 * (lam + 1.0) * f2.log_det
         - 0.5 * log_det_mix
     )
-    return math.expm1(log_expectation) / coef
+    # Compared first: math.expm1 raises OverflowError past _LOG_FLOAT_MAX.
+    value = math.expm1(log_expectation) / coef if log_expectation <= _LOG_FLOAT_MAX else math.inf
+    if not math.isfinite(value):
+        raise DivergenceUndefinedError(
+            "lam", f"D_lam overflows float64 (log E = {log_expectation!r})"
+        )
+    return value
 
 
 def symmetrized_divergence(f1: GaussianSpec, f2: GaussianSpec, lam: float) -> float:
@@ -188,34 +223,81 @@ class InfluenceRecord:
     divergence_k: float
 
 
+def _log1p_minus(z: np.ndarray) -> np.ndarray:
+    """``log1p(z) - z`` for z > -1, to a few ulp also where it is O(z^2).
+
+    With ``u = z/(2+z)``, ``log1p(z) = 2 atanh(u)`` and ``z = 2u/(1-u)``, so
+    ``log1p(z) - z = 2 (u^3/3 + u^5/5 + ...) - u z`` with no cancellation.  The
+    series runs for -1/2 <= z <= 1 (|u| <= 1/3, 18 terms); outside, the direct
+    difference loses less than one digit.
+    """
+    u = z / (2.0 + z)
+    u2 = u * u
+    series = np.zeros_like(z)
+    for k in range(_ATANH_TERMS - 1, -1, -1):
+        series = series * u2 + 1.0 / (2 * k + 3)
+    small = 2.0 * u * u2 * series - u * z
+    return np.where((z >= -0.5) & (z <= 1.0), small, np.log1p(z) - z)
+
+
+def _require(ok: np.ndarray, unit_ids: tuple, matrix_name: str, detail: str):
+    """Raise ``DivergenceUndefinedError`` naming the first unit where ``ok`` fails."""
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise DivergenceUndefinedError(matrix_name, f"{detail} for unit {unit_ids[k]!r}")
+
+
 def influence(frame: PopulationFrame, lam: float = -0.5) -> list[InfluenceRecord]:
     """Delete-one predictive influence of every sampled unit.
 
     ``delta_k`` is the shift of the weighted average when unit k is removed;
     ``divergence_k`` compares the full-sample predictive distribution of the
-    unsampled values against the one computed without unit k.
+    unsampled values against the one computed without unit k, through the
+    exact scalar reduction in the module docstring.  Needs at least 2 sampled
+    and 1 unsampled unit (``DegenerateFrameError``); raises
+    ``DivergenceUndefinedError`` where a delete-one predictive is undefined
+    (``S_aa - h_k <= 0``), the mixture is not positive definite, or a value is
+    not finite, so no NaN or inf is returned.
     """
-    stats = sufficient_stats(frame)
-    if stats.n < 2:
+    s = frame.sampled
+    if frame.n_sampled < 2:
         raise DegenerateFrameError("delete-one influence needs at least 2 sampled units")
-    full = posterior_predictive(frame)
-    a_u = frame.a[~frame.sampled]
-    sigma2_u = np.diag(frame.sigma2[~frame.sampled])
-    records = []
-    for k in range(stats.n):
-        h_k = stats.a[k] ** 2 / stats.sigma2[k]
-        S_aa_k = stats.S_aa - h_k
-        resid = stats.y[k] / stats.a[k] - stats.ybar_w
-        delta_k = resid * h_k / S_aa_k
-        ybar_w_k = (stats.S_ay - stats.a[k] * stats.y[k] / stats.sigma2[k]) / S_aa_k
-        reduced = GaussianSpec(ybar_w_k * a_u, sigma2_u + np.outer(a_u, a_u) / S_aa_k)
-        records.append(
-            InfluenceRecord(
-                unit_id=stats.unit_id[k],
-                delta_k=float(delta_k),
-                r_k=float(stats.r[k]),
-                v_k=float(stats.v[k]),
-                divergence_k=divergence(full, reduced, lam),
-            )
+    if s.all():
+        raise DegenerateFrameError("census frame has no unsampled units to predict")
+    lam = _check_order(lam)
+    ids = frame.sampled_ids
+    a, sigma2, y = frame.a[s], frame.sigma2[s], frame.y[s]
+    S_aa = frame.S_aa
+    # Over- and underflow become nonfinite values, which the checks below reject.
+    with np.errstate(all="ignore"):
+        h = a**2 / sigma2
+        S_aa_k = S_aa - h
+        _require(S_aa_k > 0, ids, "cov", "S_aa - h_k <= 0")
+        ybar_w, r = frame.residuals(y)
+        delta = (y / a - ybar_w) * h / S_aa_k
+        q = float((frame.a[~s] ** 2 / frame.sigma2[~s]).sum())
+        v1 = 1.0 + q / S_aa
+        x = q / S_aa_k * (h / S_aa) / v1
+        qd2 = q * delta**2
+        finite = np.isfinite(r) & np.isfinite(delta) & np.isfinite(x) & np.isfinite(qd2)
+        _require(finite & np.isfinite(v1), ids, "cov", "delete-one predictive is not finite")
+        if lam == 0.0:
+            div = 0.5 * (qd2 / (v1 * (1.0 + x)) + x * x / (1.0 + x) + _log1p_minus(x))
+        elif lam == -1.0:
+            div = 0.5 * (qd2 / v1 - _log1p_minus(x))
+        else:
+            coef = lam * (lam + 1.0)
+            b = 1.0 + lam
+            t = 1.0 + b * x
+            _require(t > 0, ids, "(1+lam)*cov2 - lam*cov1", f"1 + (1+lam)*x <= 0 at lam={lam!r}")
+            # (lam+1)/2 log1p(x) - 1/2 log1p(b x), with the O(x) terms cancelled exactly.
+            log_e = 0.5 * coef * qd2 / (v1 * t) + 0.5 * (b * _log1p_minus(x) - _log1p_minus(b * x))
+            _require(log_e <= _LOG_FLOAT_MAX, ids, "lam", "D_lam overflows float64")
+            div = np.expm1(log_e) / coef
+        _require(np.isfinite(div), ids, "lam", "D_lam is not finite")
+    return [
+        InfluenceRecord(unit_id=u, delta_k=d, r_k=rk, v_k=vk, divergence_k=dk)
+        for u, d, rk, vk, dk in zip(
+            ids, delta.tolist(), r.tolist(), frame.v.tolist(), div.tolist()
         )
-    return records
+    ]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .errors import DegenerateFrameError
+from .errors import DegenerateFrameError, ModelValidationError
 from .frame import FrameTemplate
 
 _SQRT2 = math.sqrt(2.0)
@@ -36,7 +36,11 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 #: Upper end of the search bracket for calibrate_c; g there is below 1e-24.
 C_BRACKET_HIGH = 10.0
+#: Largest float c with g_clip(c) > 0 (erfc underflows just beyond it).
+C_MAX = 37.67712072049519
 _MAX_BISECT_ITER = 200
+_G_TAIL_FROM = 2.0
+_G_RATIO_TERMS = 120
 
 
 def _phi(c: float) -> float:
@@ -49,10 +53,25 @@ def _Phi_neg(c: float) -> float:
 
 
 def g_clip(c: float) -> float:
-    """Second moment of a standard normal's overflow beyond the band [-c, c]."""
+    """Second moment of a standard normal's overflow beyond the band [-c, c].
+
+    Nonnegative for every c >= 0.  Below ``_G_TAIL_FROM`` the closed form is
+    accurate to about 1e-14.  From there on it cancels, so g is written as
+    ``4 i^2erfc(z) = 4 erfc(z) r_1 r_2`` with ``z = c/sqrt(2)`` and the ratios
+    ``r_n = i^n erfc(z) / i^(n-1) erfc(z)`` of repeated erfc integrals, taken
+    from the recurrence ``r_(n-1) = 1 / (2z + 2n r_n)`` run backward from
+    ``r_N = 0``; the relative error is then about ``c^2 * 1e-16``, the cost of
+    rounding ``z`` alone.
+    """
     if not (np.isfinite(c) and c >= 0):
         raise ValueError("clipping constant must be finite and >= 0")
-    return float(2.0 * ((c * c + 1.0) * _Phi_neg(c) - c * _phi(c)))
+    if c < _G_TAIL_FROM:
+        return float(2.0 * ((c * c + 1.0) * _Phi_neg(c) - c * _phi(c)))
+    z = c / _SQRT2
+    r2 = r1 = 0.0
+    for n in range(_G_RATIO_TERMS, 1, -1):
+        r2, r1 = r1, 1.0 / (2.0 * z + 2.0 * n * r1)
+    return float(4.0 * erfc(z) * (r1 * r2))
 
 
 def g_clip_deriv(c: float) -> float:
@@ -129,10 +148,12 @@ def calibrate_c(layout: FrameTemplate, max_excess: float) -> float:
 
     The excess is strictly decreasing in c, so the solution is the unique
     root of ``excess(c) = max_excess`` when the budget is attainable, found
-    by bisection on [0, C_BRACKET_HIGH]; a budget at or above the c = 0
+    by bisection on [0, C_BRACKET_HIGH], or on [C_BRACKET_HIGH, C_MAX] for a
+    budget below the excess at C_BRACKET_HIGH; a budget at or above the c = 0
     excess is satisfied by every c and returns 0.  Bisection runs until the
     bracket reaches float resolution (at most 200 iterations) so round-trips
-    through the excess stay accurate for small budgets.
+    through the excess stay accurate for small budgets.  A budget below the
+    excess at C_MAX, the last c with g > 0, raises ``ModelValidationError``.
     """
     if not (np.isfinite(max_excess) and max_excess > 0):
         raise ValueError("max_excess must be finite and > 0")
@@ -145,7 +166,12 @@ def calibrate_c(layout: FrameTemplate, max_excess: float) -> float:
         return 0.0
     lo, hi = 0.0, C_BRACKET_HIGH
     if excess_at(hi) > max_excess:
-        return hi
+        if excess_at(C_MAX) > max_excess:
+            raise ModelValidationError(
+                f"max_excess {max_excess!r} is below the smallest attainable excess "
+                f"{excess_at(C_MAX)!r} (at c = {C_MAX!r})"
+            )
+        lo, hi = C_BRACKET_HIGH, C_MAX
     for _ in range(_MAX_BISECT_ITER):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:

@@ -225,6 +225,23 @@ class TestDiagnose:
         assert all(d["divergence_k"] >= 0 for d in doc["diagnostics"])
         assert all(d["flagged"] is None for d in doc["diagnostics"])
 
+    def test_dominated_precision_exit_3(self, tmp_path, capsys):
+        # deleting unit 1 leaves S_aa - h_k = 0: a typed error, not NaN in a report
+        path = tmp_path / "frame.csv"
+        path.write_text("unit_id,a,sigma2,y\n1,1e8,1,1e8\n2,1,1,1\n3,1,1,\n")
+        assert main(["diagnose", "--frame", str(path), "--model", "custom"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "S_aa - h_k <= 0" in captured.err
+
+    def test_overflow_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "frame.csv"
+        path.write_text("unit_id,a,sigma2,y\n1,1,1,0\n2,1,1,1\n3,1,1,2000\n4,1,1,\n5,1,1,\n")
+        assert main([
+            "diagnose", "--frame", str(path), "--model", "custom", "--lambda", "2",
+        ]) == 3
+        assert "overflows" in capsys.readouterr().err
+
     def test_delta_matches_direct_recomputation(self, frame_csv, tmp_path):
         out = tmp_path / "diag.json"
         main([
@@ -326,6 +343,13 @@ class TestDivergenceCommand:
         ])
         assert code == 3
         assert "cov" in capsys.readouterr().err
+
+    def test_overflow_exit_3(self, capsys):
+        assert main([
+            "divergence", "--mu1", "0", "--cov1", "1", "--mu2", "30", "--cov2", "1",
+            "--lambda", "2",
+        ]) == 3
+        assert "overflows" in capsys.readouterr().err
 
     def test_symmetrized_flag(self, capsys):
         assert main([

@@ -1,16 +1,20 @@
 """Closed-form divergence versus oracles, and delete-one influence."""
 
 import math
+import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robust_fps import (
+    DegenerateFrameError,
     DivergenceUndefinedError,
     GaussianSpec,
     ModelSpec,
+    PopulationFrame,
     build_model,
     divergence,
     divergence_mc_oracle,
@@ -115,6 +119,14 @@ class TestClosedForm:
         f1, f2 = _spec(0, 4), _spec(0, 1)
         with pytest.raises(DivergenceUndefinedError, match="lam"):
             divergence(f1, f2, 5.0)  # 6*1 - 5*4 < 0
+
+    def test_overflow_raises_typed_error(self):
+        # log E = 3 * 30^2 = 2700: exp overflows float64
+        with pytest.raises(DivergenceUndefinedError, match="overflows"):
+            divergence(_spec(0, 1), _spec(30, 1), 2.0)
+        # log E is finite but expm1(log E) / (lam (lam + 1)) is not
+        with pytest.raises(DivergenceUndefinedError, match="overflows"):
+            divergence(_spec(0, 1), _spec(math.sqrt(709.5 / 0.15625), 1), 0.25)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DivergenceUndefinedError):
@@ -275,3 +287,158 @@ class TestInfluence:
             gap = reduced_cov - full.cov
             want = (1.0 / st2.S_aa - 1.0 / stats.S_aa) * np.outer(a_u, a_u)
             assert np.allclose(gap, want, atol=1e-12)
+
+
+LAMBDAS = (-0.5, 0.0, -1.0, 0.7, -1.6)
+
+
+def _mp_influence(fr, lam):
+    """Delete-one divergences from the dense M-dimensional closed form at 60 digits.
+
+    Returns one ``(value, cond)`` per sampled unit, or None when some mixture
+    ``(1+lam) cov2 - lam cov1`` is not positive definite.  ``cond`` is
+    ``|log E| * |(1+lam) x| / t`` with ``t = 1 + (1+lam) x``: near the
+    positive-definite boundary a relative error e in x moves log E by about
+    ``cond * e``, so float64 cannot do better than a few ulp of x times cond.
+    """
+    with mp.workdps(60):
+        s = fr.sampled
+        a, s2, y = ([mp.mpf(float(v)) for v in arr[s]] for arr in (fr.a, fr.sigma2, fr.y))
+        a_u = mp.matrix([mp.mpf(float(v)) for v in fr.a[~s]])
+        D = mp.diag([mp.mpf(float(v)) for v in fr.sigma2[~s]])
+        M = a_u.rows
+        S = mp.fsum(ai**2 / si for ai, si in zip(a, s2))
+        S_ay = mp.fsum(ai * yi / si for ai, si, yi in zip(a, s2, y))
+        q = mp.fsum(a_u[j] ** 2 / D[j, j] for j in range(M))
+        cov1 = D + a_u * a_u.T / S
+        lam_ = mp.mpf(lam)
+        out = []
+        for k in range(len(a)):
+            S_k = S - a[k] ** 2 / s2[k]
+            d = (S_ay / S - (S_ay - a[k] * y[k] / s2[k]) / S_k) * a_u
+            cov2 = D + a_u * a_u.T / S_k
+            if lam in (0.0, -1.0):
+                f1, f2 = (cov1, cov2) if lam == 0.0 else (cov2, cov1)
+                trace = mp.fsum((mp.lu_solve(f2, f1[:, j]))[j] for j in range(M))
+                maha = (d.T * mp.lu_solve(f2, d))[0]
+                out.append(((trace + maha - M + mp.log(mp.det(f2) / mp.det(f1))) / 2, 0))
+                continue
+            mix = (1 + lam_) * cov2 - lam_ * cov1
+            if mp.det(mix) <= 0:
+                return None
+            coef = lam_ * (lam_ + 1)
+            log_e = (coef / 2 * (d.T * mp.lu_solve(mix, d))[0] - lam_ / 2 * mp.log(mp.det(cov1))
+                     + (lam_ + 1) / 2 * mp.log(mp.det(cov2)) - mp.log(mp.det(mix)) / 2)
+            bx = (1 + lam_) * q * (1 / S_k - 1 / S) / (1 + q / S)
+            out.append((mp.expm1(log_e) / coef, abs(log_e) * abs(bx) / (1 + bx)))
+        return out
+
+
+def _dense_influence(fr, lam):
+    """Delete-one divergences through ``divergence`` on M x M predictive normals."""
+    stats = sufficient_stats(fr)
+    full = posterior_predictive(fr)
+    a_u = fr.a[~fr.sampled]
+    out = []
+    for k in range(stats.n):
+        S_aa_k = stats.S_aa - stats.a[k] ** 2 / stats.sigma2[k]
+        ybar_w_k = (stats.S_ay - stats.a[k] * stats.y[k] / stats.sigma2[k]) / S_aa_k
+        cov = np.diag(fr.sigma2[~fr.sampled]) + np.outer(a_u, a_u) / S_aa_k
+        out.append(divergence(full, GaussianSpec(ybar_w_k * a_u, cov), lam))
+    return out
+
+
+class TestInfluenceOracles:
+    def test_mpmath_oracle(self):
+        rng = np.random.default_rng(2024)
+        undefined = 0
+        for _ in range(40):
+            fr = random_frame(rng, n_max=6, extra_max=4)
+            for lam in LAMBDAS:
+                want = _mp_influence(fr, lam)
+                if want is None:
+                    undefined += 1
+                    with pytest.raises(DivergenceUndefinedError, match="lam"):
+                        influence(fr, lam)
+                    continue
+                for rec, (w, cond) in zip(influence(fr, lam), want):
+                    rel = float(abs(rec.divergence_k - w) / abs(w))
+                    assert rel <= 1e-12 + 1e-15 * float(cond), (lam, rec.unit_id)
+        assert undefined > 0
+
+    def test_dense_oracle(self):
+        rng = np.random.default_rng(77)
+        for _ in range(60):
+            fr = random_frame(rng, n_max=8, extra_max=12)
+            for lam in LAMBDAS + (2.0,):
+                try:
+                    want = _dense_influence(fr, lam)
+                except DivergenceUndefinedError:
+                    with pytest.raises(DivergenceUndefinedError):
+                        influence(fr, lam)
+                    continue
+                got = [rec.divergence_k for rec in influence(fr, lam)]
+                assert np.allclose(got, want, rtol=1e-6, atol=1e-11)
+
+    def test_non_pd_mixture_raises_like_dense_path(self):
+        # x = q h_k / (S_aa S_aa_k v1) = 300 / 302 for both units, so
+        # 1 + (1 + lam) x < 0 at lam = -3
+        fr = build_model(
+            ["1", "2", "3", "4", "5"], ModelSpec("custom"),
+            a=[1, 1, 1, 1, 1], sigma2=[1, 1, 0.01, 0.01, 0.01],
+            sampled=[True, True, False, False, False], y_sampled=[0.0, 1.0],
+        )
+        with pytest.raises(DivergenceUndefinedError, match=r"\(1\+lam\)\*cov2 - lam\*cov1"):
+            _dense_influence(fr, -3.0)
+        with pytest.raises(DivergenceUndefinedError, match=r"\(1\+lam\)\*cov2 - lam\*cov1"):
+            influence(fr, -3.0)
+        assert len(influence(fr, -1.6)) == 2
+
+    def test_degenerate_frames_rejected(self):
+        single = build_model(
+            ["1", "2"], ModelSpec("custom"), a=[1, 1], sigma2=[1, 1],
+            sampled=[True, False], y_sampled=[1.0],
+        )
+        census = build_model(
+            ["1", "2"], ModelSpec("custom"), a=[1, 1], sigma2=[1, 1],
+            sampled=[True, True], y_sampled=[1.0, 2.0],
+        )
+        with pytest.raises(DegenerateFrameError, match="at least 2 sampled"):
+            influence(single)
+        with pytest.raises(DegenerateFrameError, match="census frame has no unsampled units"):
+            influence(census)
+
+    def test_dominated_precision_raises(self):
+        # S_aa = 1e16 + 1 rounds to 1e16, so deleting unit 1 leaves S_aa - h_k = 0
+        fr = build_model(
+            ["1", "2", "3"], ModelSpec("custom"), a=[1e8, 1, 1], sigma2=[1, 1, 1],
+            sampled=[True, True, False], y_sampled=[1e8, 1.0],
+        )
+        with pytest.raises(DivergenceUndefinedError, match="S_aa - h_k <= 0 for unit '1'"):
+            influence(fr)
+
+    def test_overflow_raises(self):
+        fr = build_model(
+            ["1", "2", "3", "4", "5"], ModelSpec("custom"), a=[1] * 5, sigma2=[1] * 5,
+            sampled=[True, True, True, False, False], y_sampled=[0.0, 1.0, 2000.0],
+        )
+        assert all(math.isfinite(r.divergence_k) for r in influence(fr, -0.5))
+        with pytest.raises(DivergenceUndefinedError, match="overflows"):
+            influence(fr, 2.0)
+
+    def test_large_frame_is_finite_and_fast(self):
+        rng = np.random.default_rng(5)
+        N, n = 100_000, 40_000
+        sampled = np.zeros(N, dtype=bool)
+        sampled[rng.permutation(N)[:n]] = True
+        a = rng.uniform(0.2, 5.0, N)
+        sigma2 = rng.uniform(0.1, 4.0, N)
+        y = np.where(sampled, 2.0 * a + np.sqrt(sigma2) * rng.standard_normal(N), np.nan)
+        fr = PopulationFrame(tuple(range(N)), a, sigma2, sampled, y)
+        for lam in LAMBDAS:
+            t0 = time.perf_counter()
+            recs = influence(fr, lam)
+            elapsed = time.perf_counter() - t0
+            assert len(recs) == n
+            assert all(math.isfinite(r.divergence_k) and r.divergence_k >= 0 for r in recs)
+            assert elapsed < 1.0

@@ -4,13 +4,19 @@ Each case runs ``robust_fps.cli.main`` on a frame under ``data/golden`` and
 compares what it writes (the report file for ``estimate``, stdout otherwise)
 with the stored ``<case>.out``.  After an intentional output change, rerun
 this file as a script to recapture: ``PYTHONPATH=src python tests/test_golden.py``.
+It prints, per case, which JSON paths moved (list indices as ``*``) with the
+largest ulp and relative distance, then rewrites the ``.out`` files.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
+import math
 import pathlib
+import re
+import struct
 import sys
 import tempfile
 
@@ -63,8 +69,53 @@ def test_output_matches_golden(name, tmp_path):
     assert run_case(name, tmp_path) == (DATA / f"{name}.out").read_bytes()
 
 
+def moved_values(old, new, path=""):
+    """Yield ``(path, old, new)`` for every leaf that differs between two JSON values."""
+    if isinstance(old, dict) and isinstance(new, dict) and list(old) == list(new):
+        for key in old:
+            yield from moved_values(old[key], new[key], f"{path}/{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (o, n) in enumerate(zip(old, new)):
+            yield from moved_values(o, n, f"{path}/{i}")
+    elif old != new or type(old) is not type(new):
+        yield path, old, new
+
+
+def ulp_distance(a: float, b: float) -> int:
+    """Number of doubles between ``a`` and ``b``, counting across zero."""
+    def key(x):
+        bits = struct.unpack("<q", struct.pack("<d", x))[0]
+        return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+    return abs(key(a) - key(b))
+
+
+def describe_moves(old_bytes: bytes, new_bytes: bytes) -> list[str]:
+    """One line per moved JSON path pattern: count, largest ulp and relative distance."""
+    if old_bytes == new_bytes:
+        return []
+    groups: dict[str, list] = {}
+    for path, o, n in moved_values(json.loads(old_bytes), json.loads(new_bytes)):
+        groups.setdefault(re.sub(r"/\d+(?=/|$)", "/*", path) or "/", []).append((o, n))
+    if not groups:
+        return ["bytes differ, values equal"]
+    lines = []
+    for pattern, pairs in groups.items():
+        if all(isinstance(v, float) and math.isfinite(v) for pair in pairs for v in pair):
+            ulp = max(ulp_distance(o, n) for o, n in pairs)
+            rel = max(abs(n - o) / max(abs(o), abs(n)) for o, n in pairs)
+            lines.append(f"{pattern}: {len(pairs)} values, max {ulp} ulp, max rel {rel:.2e}")
+        else:
+            lines.append(f"{pattern}: {len(pairs)} values changed, e.g. {pairs[0][0]!r} -> {pairs[0][1]!r}")
+    return lines
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
-            (DATA / f"{case}.out").write_bytes(run_case(case, pathlib.Path(tmp)))
-            print(f"captured {case}", file=sys.stderr)
+            path = DATA / f"{case}.out"
+            new = run_case(case, pathlib.Path(tmp))
+            moves = describe_moves(path.read_bytes(), new) if path.exists() else ["new case"]
+            print(f"{case}: {'moved' if moves else 'unchanged'}")
+            for line in moves:
+                print(f"  {line}")
+            path.write_bytes(new)

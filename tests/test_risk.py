@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -9,6 +10,7 @@ from scipy import integrate
 from robust_fps import (
     DegenerateFrameError,
     ModelSpec,
+    ModelValidationError,
     build_model,
     calibrate_c,
     excess_risk,
@@ -17,6 +19,8 @@ from robust_fps import (
     max_excess_risk,
     mse_closed_form,
 )
+
+from robust_fps.risk import C_BRACKET_HIGH, C_MAX
 
 from conftest import random_frame
 
@@ -61,6 +65,25 @@ class TestGClip:
         assert vals[0] == pytest.approx(1.0)
         assert np.all(vals <= 1.0)
         assert np.all(np.diff(vals) < 0)
+
+    def test_mpmath_oracle_through_the_tail(self):
+        # 1e-12 is above what rounding z = c/sqrt(2) allows (about c^2 * 1.1e-16)
+        grid = np.concatenate([np.linspace(0.0, 37.5, 1501), np.linspace(1.99, 2.01, 41)])
+        with mp.workdps(60):
+            for c in map(float, grid):
+                cm = mp.mpf(c)
+                want = 2 * ((cm * cm + 1) * mp.ncdf(-cm) - cm * mp.npdf(cm))
+                assert float(abs(g_clip(c) - want) / want) <= 1e-12, c
+
+    def test_nonnegative_and_nonincreasing_for_every_c(self):
+        grid = [float(c) for c in np.linspace(0.0, 40.0, 4001)] + [C_MAX, 100.0, 1e300]
+        vals = np.array([g_clip(c) for c in sorted(grid)])
+        assert np.all(vals >= 0)
+        assert np.all(np.diff(vals) <= 0)
+
+    def test_c_max_is_last_positive(self):
+        assert g_clip(C_MAX) > 0
+        assert g_clip(math.nextafter(C_MAX, math.inf)) == 0.0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -183,6 +206,28 @@ class TestCalibrateC:
         budgets = np.geomspace(1e-5, 0.99, 25) * e0
         cs = [calibrate_c(frame, float(m)) for m in budgets]
         assert all(c1 >= c2 for c1, c2 in zip(cs, cs[1:]))
+
+    def test_budget_below_the_first_bracket(self):
+        # 3 of 6 equal units: excess0 = 1/18; the excess at c = 10 is 1.6e-26
+        frame = build_model(
+            [str(i) for i in range(6)], ModelSpec("custom"), a=[1.0] * 6, sigma2=[1.0] * 6,
+            sampled=[True] * 3 + [False] * 3, y_sampled=[0.0, 1.0, 2.0],
+        )
+        budget = 5.6e-32
+        assert excess_risk(frame, C_BRACKET_HIGH) > budget
+        c = calibrate_c(frame, budget)
+        assert C_BRACKET_HIGH < c < C_MAX
+        assert excess_risk(frame, c) == pytest.approx(budget, rel=1e-12)
+
+    def test_unattainable_budget_raises(self):
+        # a huge excess0 keeps excess0 * g(C_MAX) above a tiny budget
+        frame = build_model(
+            [str(i) for i in range(6)], ModelSpec("custom"), a=[1.0] * 6, sigma2=[1e300] * 6,
+            sampled=[True] * 3 + [False] * 3, y_sampled=[0.0, 1.0, 2.0],
+        )
+        assert excess_risk(frame, C_MAX) > 1e-300
+        with pytest.raises(ModelValidationError, match="smallest attainable excess"):
+            calibrate_c(frame, 1e-300)
 
     def test_invalid_budget_rejected(self):
         frame = _five_unit_frame()
