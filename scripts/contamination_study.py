@@ -7,7 +7,6 @@ clipped estimator at several c values against the classical estimator.
 """
 
 import argparse
-import math
 
 import numpy as np
 
@@ -30,10 +29,7 @@ def main() -> None:
     sigma2 = rng.uniform(0.5, 2.0, args.N)
     sampled = np.array([True] * args.n + [False] * (args.N - args.n))
     template = FrameTemplate(tuple(f"u{i}" for i in range(args.N)), a, sigma2, sampled)
-
-    prec = a[sampled] ** 2 / sigma2[sampled]
-    S_aa = prec.sum()
-    v0 = math.sqrt(sigma2[0] / a[0] ** 2 - 1.0 / S_aa)
+    v0 = template.v[0]  # residual scale of u0, the first sampled unit
     theta = 1.0
 
     print(f"{'outlier (v units)':>18} {'classical':>12} " +

@@ -13,6 +13,7 @@ from .divergence import (
     divergence,
     divergence_mc_oracle,
     influence,
+    posterior_predictive,
     symmetrized_divergence,
 )
 from .errors import (
@@ -37,7 +38,6 @@ from .frame import (
     SufficientStats,
     build_model,
     classical_estimate,
-    posterior_predictive,
     sufficient_stats,
 )
 from .risk import (

@@ -18,7 +18,7 @@ import sys
 
 from . import dataio
 from .divergence import GaussianSpec, divergence, influence, symmetrized_divergence
-from .errors import DegenerateFrameError, EstimationError, ModelValidationError
+from .errors import DegenerateFrameError, EstimationError
 from .estimators import RobustConfig, robust_estimate
 from .frame import classical_estimate
 from .risk import calibrate_c, mse_closed_form
@@ -88,10 +88,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    if args.max_excess <= 0:
-        raise ModelValidationError("--max-excess must be > 0")
-    frame = _load_frame(args)
-    c = calibrate_c(frame, args.max_excess)
+    config = RobustConfig(max_excess=args.max_excess)
+    c = calibrate_c(_load_frame(args), config.max_excess)
     print(f"{c:.12g}")
     return EXIT_OK
 

@@ -18,20 +18,13 @@ from typing import Any
 import numpy as np
 
 from .divergence import InfluenceRecord
-from .errors import EstimationError, ModelValidationError
+from .errors import EstimationError
 from .estimators import RobustEstimate
-from .frame import FrameTemplate, ModelSpec, PopulationFrame, build_model
+from .frame import FAMILY_COLUMNS, FrameTemplate, ModelSpec, PopulationFrame, build_model
 from .risk import RiskReport
 from .simulate import Contamination, SimConfig
 
 CLI_MODEL_NAMES = {"ratio": "ratio", "royall": "royall", "ht": "horvitz_thompson", "custom": "custom"}
-
-_FAMILY_COLUMNS = {
-    "ratio": ("x",),
-    "royall": ("x",),
-    "horvitz_thompson": ("pi",),
-    "custom": ("a", "sigma2"),
-}
 
 
 class CsvFormatError(EstimationError):
@@ -57,9 +50,8 @@ def _parse_cell(raw: str, row_num: int, column: str) -> float:
 
 def read_frame_csv(path, family: str, sigma: float = 1.0) -> PopulationFrame:
     """Load a frame CSV and map its auxiliaries through the given model family."""
-    if family not in _FAMILY_COLUMNS:
-        raise ModelValidationError(f"unknown model family {family!r}")
-    needed = ("unit_id",) + _FAMILY_COLUMNS[family] + ("y",)
+    spec = ModelSpec(family, sigma=sigma)
+    needed = ("unit_id",) + FAMILY_COLUMNS[family] + ("y",)
 
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -71,7 +63,7 @@ def read_frame_csv(path, family: str, sigma: float = 1.0) -> PopulationFrame:
 
         unit_id: list[str] = []
         seen: set[str] = set()
-        aux: dict[str, list[float]] = {c: [] for c in _FAMILY_COLUMNS[family]}
+        aux: dict[str, list[float]] = {c: [] for c in FAMILY_COLUMNS[family]}
         sampled: list[bool] = []
         y_sampled: list[float] = []
         for row_num, row in enumerate(reader, start=2):
@@ -84,7 +76,7 @@ def read_frame_csv(path, family: str, sigma: float = 1.0) -> PopulationFrame:
                 raise CsvFormatError(f"row {row_num}, column 'unit_id': duplicate {uid!r}")
             seen.add(uid)
             unit_id.append(uid)
-            for c in _FAMILY_COLUMNS[family]:
+            for c in FAMILY_COLUMNS[family]:
                 aux[c].append(_parse_cell(row[c].strip(), row_num, c))
             y_raw = row["y"].strip()
             if y_raw == "" or y_raw.upper() == "NA":
@@ -97,27 +89,18 @@ def read_frame_csv(path, family: str, sigma: float = 1.0) -> PopulationFrame:
         raise CsvFormatError("row 2: no data rows")
     # The frame checks ids with a set of its own; do not hold both at once.
     del seen
-    spec = ModelSpec(family, sigma=sigma) if family == "ratio" else ModelSpec(family)
     return build_model(unit_id, spec, sampled=sampled, y_sampled=y_sampled, **aux)
 
 
 def risk_to_dict(report: RiskReport) -> dict:
-    return {
-        "mse_robust": report.mse_robust,
-        "mse_baseline": report.mse_baseline,
-        "excess": report.excess,
-        "g_of_c": report.g_of_c,
-        "c": report.c,
-        "components": {
-            "unseen_variance": report.unseen_variance,
-            "estimation_variance": report.estimation_variance,
-            "clipping_penalty": report.clipping_penalty,
-        },
-    }
+    out = dict(vars(report))
+    parts = ("unseen_variance", "estimation_variance", "clipping_penalty")
+    out["components"] = {k: out.pop(k) for k in parts}
+    return out
 
 
 def influence_to_dict(rec: InfluenceRecord, clip_c: float | None) -> dict:
-    out = {
+    return {
         "unit_id": rec.unit_id,
         "delta_k": rec.delta_k,
         "r_k": rec.r_k,
@@ -125,7 +108,6 @@ def influence_to_dict(rec: InfluenceRecord, clip_c: float | None) -> dict:
         "divergence_k": rec.divergence_k,
         "flagged": None if clip_c is None else bool(abs(rec.r_k) > clip_c),
     }
-    return out
 
 
 def build_report(
@@ -187,12 +169,17 @@ def _require(obj: dict, key: str, kind, pointer: str):
 
 
 def _number_array(values: list, pointer: str) -> list[float]:
-    out = []
     for i, v in enumerate(values):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigSchemaError(f"{pointer}/{i}", f"expected a number, got {type(v).__name__}")
-        out.append(float(v))
-    return out
+    return [float(v) for v in values]
+
+
+def _id_array(values: list, pointer: str) -> list[str]:
+    for i, u in enumerate(values):
+        if isinstance(u, bool) or not isinstance(u, (str, int)):
+            raise ConfigSchemaError(f"{pointer}/{i}", "expected a string or integer id")
+    return [str(u) for u in values]
 
 
 def sim_config_from_dict(doc: dict, seed_override: int | None = None) -> SimConfig:
@@ -201,20 +188,13 @@ def sim_config_from_dict(doc: dict, seed_override: int | None = None) -> SimConf
     if not isinstance(doc, dict):
         raise ConfigSchemaError("", "top level must be an object")
     frame_doc = _require(doc, "frame", dict, "")
-    unit_id = _require(frame_doc, "unit_id", list, "/frame")
-    ids = []
-    for i, u in enumerate(unit_id):
-        if not isinstance(u, (str, int)):
-            raise ConfigSchemaError(f"/frame/unit_id/{i}", "expected a string or integer id")
-        ids.append(str(u))
+    ids = _id_array(_require(frame_doc, "unit_id", list, "/frame"), "/frame/unit_id")
     a = _number_array(_require(frame_doc, "a", list, "/frame"), "/frame/a")
     sigma2 = _number_array(_require(frame_doc, "sigma2", list, "/frame"), "/frame/sigma2")
-    sampled_raw = _require(frame_doc, "sampled", list, "/frame")
-    sampled = []
-    for i, flag in enumerate(sampled_raw):
+    sampled = _require(frame_doc, "sampled", list, "/frame")
+    for i, flag in enumerate(sampled):
         if not isinstance(flag, bool):
             raise ConfigSchemaError(f"/frame/sampled/{i}", "expected true or false")
-        sampled.append(flag)
     if not (len(a) == len(sigma2) == len(sampled) == len(ids)):
         raise ConfigSchemaError("/frame", "unit_id, a, sigma2, sampled must have equal length")
 
@@ -229,12 +209,8 @@ def sim_config_from_dict(doc: dict, seed_override: int | None = None) -> SimConf
     if kind == "none":
         contamination = Contamination()
     else:
-        units_raw = _require(cont_doc, "units", list, "/contamination")
-        units = []
-        for i, u in enumerate(units_raw):
-            if not isinstance(u, (str, int)):
-                raise ConfigSchemaError(f"/contamination/units/{i}", "expected a string or integer id")
-            units.append(str(u))
+        units = _id_array(_require(cont_doc, "units", list, "/contamination"),
+                          "/contamination/units")
         params = {}
         if kind == "shift":
             params["delta"] = _require(cont_doc, "delta", float, "/contamination")
@@ -244,7 +220,7 @@ def sim_config_from_dict(doc: dict, seed_override: int | None = None) -> SimConf
             params["value"] = _require(cont_doc, "value", float, "/contamination")
         else:
             raise ConfigSchemaError("/contamination/kind", f"unknown kind {kind!r}")
-        contamination = Contamination(kind=kind, units=tuple(units), **params)
+        contamination = Contamination(kind=kind, units=units, **params)
 
     if seed_override is not None:
         seed = int(seed_override)
@@ -274,12 +250,15 @@ def read_sim_config(path, seed_override: int | None = None) -> SimConfig:
     return sim_config_from_dict(doc, seed_override)
 
 
+def _json_file(path) -> np.ndarray:
+    with open(path, encoding="utf-8") as fh:
+        return np.asarray(json.load(fh), dtype=float)
+
+
 def parse_vector(text: str) -> np.ndarray:
     """Inline mean vector: comma-separated numbers, or @FILE with a JSON array."""
     if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as fh:
-            data = json.load(fh)
-        return np.asarray(data, dtype=float)
+        return _json_file(text[1:])
     try:
         return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
     except ValueError:
@@ -289,9 +268,7 @@ def parse_vector(text: str) -> np.ndarray:
 def parse_matrix(text: str) -> np.ndarray:
     """Inline covariance: rows split by ';', entries by ','; or @FILE JSON."""
     if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as fh:
-            data = json.load(fh)
-        return np.asarray(data, dtype=float)
+        return _json_file(text[1:])
     try:
         rows = [
             [float(tok) for tok in row.split(",") if tok.strip() != ""]

@@ -113,6 +113,20 @@ class GaussianSpec:
         return self.mu + z @ self._chol.T
 
 
+def posterior_predictive(frame: PopulationFrame) -> GaussianSpec:
+    """Predictive distribution of the unsampled values given the sampled ones.
+
+    Mean ``ybar_w * a_u``; covariance ``diag(sigma2_u) + a_u a_u^T / S_aa``.
+    """
+    u = ~frame.sampled
+    if not u.any():
+        raise DegenerateFrameError("census frame has no unsampled units to predict")
+    ybar_w, _ = frame.residuals(frame.y[frame.sampled])
+    a_u = frame.a[u]
+    cov = np.diag(frame.sigma2[u]) + np.outer(a_u, a_u) / frame.S_aa
+    return GaussianSpec(ybar_w * a_u, cov)
+
+
 def _check_dims(f1: GaussianSpec, f2: GaussianSpec):
     if f1.dim != f2.dim:
         raise DivergenceUndefinedError("cov2", f"dimension mismatch {f1.dim} vs {f2.dim}")
@@ -266,16 +280,14 @@ def influence(frame: PopulationFrame, lam: float = -0.5) -> list[InfluenceRecord
         raise DegenerateFrameError("census frame has no unsampled units to predict")
     lam = _check_order(lam)
     ids = frame.sampled_ids
-    a, sigma2, y = frame.a[s], frame.sigma2[s], frame.y[s]
-    S_aa = frame.S_aa
+    y, h, q, S_aa = frame.y[s], frame.h, frame.q, frame.S_aa
     # Over- and underflow become nonfinite values, which the checks below reject.
     with np.errstate(all="ignore"):
-        h = a**2 / sigma2
+        # The template checks v^2 > 0; S_aa - h_k can round differently.
         S_aa_k = S_aa - h
         _require(S_aa_k > 0, ids, "cov", "S_aa - h_k <= 0")
         ybar_w, r = frame.residuals(y)
-        delta = (y / a - ybar_w) * h / S_aa_k
-        q = float((frame.a[~s] ** 2 / frame.sigma2[~s]).sum())
+        delta = (y / frame.a[s] - ybar_w) * h / S_aa_k
         v1 = 1.0 + q / S_aa
         x = q / S_aa_k * (h / S_aa) / v1
         qd2 = q * delta**2

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import ModelValidationError
 from .frame import PopulationFrame, SufficientStats, sufficient_stats
+from .risk import calibrate_c
 
 
 class DegenerateFrameWarning(UserWarning):
@@ -78,6 +79,28 @@ def psi_clip(r, c: float):
     return np.clip(r, -c, c)
 
 
+def _clip(stats: SufficientStats, config: RobustConfig):
+    """One clipping pass: ``theta_R``, the weighted scales, the residuals and ``psi``.
+
+    The scale is ``v_i`` (``paper_v``) or ``sigma_i / a_i`` (``chambers_sigma``),
+    the residuals are standardized by it, and ``psi = psi_c`` of them.  The
+    ``paper_v`` theta subtracts the weighted overflow; the ``chambers_sigma``
+    theta adds the clipped residuals directly.
+    """
+    if config.scaling == "chambers_sigma":
+        scale = np.sqrt(stats.sigma2) / stats.a
+        resid = (stats.y / stats.a - stats.ybar_w) / scale
+    else:
+        scale, resid = stats.v, stats.r
+    w_scale = stats.w * scale
+    psi = psi_clip(resid, float(config.c))
+    if config.scaling == "chambers_sigma":
+        theta = stats.ybar_w + float(w_scale @ psi)
+    else:
+        theta = stats.ybar_w - float(w_scale @ (resid - psi))
+    return theta, w_scale, resid, psi
+
+
 def robust_theta(stats: SufficientStats, config: RobustConfig | float) -> float:
     """Clipped location estimate from sufficient statistics.
 
@@ -91,20 +114,10 @@ def robust_theta(stats: SufficientStats, config: RobustConfig | float) -> float:
             "clipping constant unresolved: solve it from the excess budget first "
             "(calibrate_c) or pass a fixed c"
         )
-    c = float(config.c)
     if stats.n < 2:
         warnings.warn("single-unit sample, returning ybar_w", DegenerateFrameWarning)
         return stats.ybar_w
-    if config.scaling == "chambers_sigma":
-        return chambers_variant_theta(stats, c)
-    overflow = stats.r - psi_clip(stats.r, c)
-    return stats.ybar_w - float((stats.w * stats.v) @ overflow)
-
-
-def _chambers_residuals(stats: SufficientStats):
-    """Scale sigma_i / a_i and the residuals standardized by it."""
-    scale = np.sqrt(stats.sigma2) / stats.a
-    return scale, (stats.y / stats.a - stats.ybar_w) / scale
+    return _clip(stats, config)[0]
 
 
 def chambers_variant_theta(stats: SufficientStats, c: float) -> float:
@@ -112,11 +125,7 @@ def chambers_variant_theta(stats: SufficientStats, c: float) -> float:
 
     Provided for comparison studies only; no risk formula applies to it.
     """
-    if stats.n < 2:
-        warnings.warn("single-unit sample, returning ybar_w", DegenerateFrameWarning)
-        return stats.ybar_w
-    scale, r_tilde = _chambers_residuals(stats)
-    return stats.ybar_w + float((stats.w * scale) @ psi_clip(r_tilde, c))
+    return robust_theta(stats, RobustConfig(c=c, scaling="chambers_sigma"))
 
 
 def robust_estimate(frame: PopulationFrame, config: RobustConfig) -> RobustEstimate:
@@ -127,28 +136,19 @@ def robust_estimate(frame: PopulationFrame, config: RobustConfig) -> RobustEstim
     A census frame returns the exact mean.
     """
     if config.c is None:
-        from .risk import calibrate_c
-
         config = RobustConfig(c=calibrate_c(frame, config.max_excess), scaling=config.scaling)
     c = float(config.c)
     stats = sufficient_stats(frame)
-    theta = robust_theta(stats, config)
     degenerate = stats.n < 2
     if degenerate:
-        contributions, clipped_units = np.zeros(1), ()
+        theta, contributions, clipped_units = robust_theta(stats, config), np.zeros(1), ()
     else:
-        if config.scaling == "chambers_sigma":
-            scale, resid_std = _chambers_residuals(stats)
-        else:
-            scale, resid_std = stats.v, stats.r
-        contributions = stats.w * scale * psi_clip(resid_std, c)
-        mask = np.abs(resid_std) > c
-        clipped_units = tuple(u for u, m in zip(stats.unit_id, mask) if m)
-
-    ybar_P_R = (frame.y[frame.sampled].sum() + theta * frame.sum_u_a) / frame.n_units
+        theta, w_scale, resid, psi = _clip(stats, config)
+        contributions = w_scale * psi
+        clipped_units = tuple(u for u, m in zip(stats.unit_id, np.abs(resid) > c) if m)
     return RobustEstimate(
         theta_hat_R=theta,
-        ybar_P_R=float(ybar_P_R),
+        ybar_P_R=float(frame.fill_in(frame.y[frame.sampled].sum(), theta)),
         clipped_units=clipped_units,
         c_used=c,
         contributions=contributions,

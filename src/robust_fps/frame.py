@@ -25,28 +25,45 @@ from .errors import DegenerateFrameError, ModelValidationError
 
 HT_PI_SUM_TOL = 1e-9
 
+#: Auxiliary columns each model family reads, in frame CSV order.
+FAMILY_COLUMNS = {
+    "ratio": ("x",),
+    "royall": ("x",),
+    "horvitz_thompson": ("pi",),
+    "custom": ("a", "sigma2"),
+}
+
 
 @dataclass(frozen=True)
 class FrameTemplate:
     """Population layout: unit ids, auxiliaries and sample membership, no values.
 
-    This is the model design shared by estimation, risk, calibration and
-    simulation.  Everything that depends only on ``(a, sigma2, sampled)`` is
-    computed once here: ``S_aa``, the weights ``w`` and residual scales ``v``
-    of the sampled units (``v`` is zero when one unit is sampled), and the
-    unsampled sums ``sum_u_a`` and ``sum_u_sigma2``.  Observed values enter
-    only through ``residuals``.
+    This is the model design shared by estimation, risk, calibration,
+    influence and simulation.  Everything that depends only on
+    ``(a, sigma2, sampled)`` is computed once here: the precisions
+    ``h = a^2/sigma2`` of the sampled units, their sum ``S_aa``, the weights
+    ``w`` and residual scales ``v`` (``v`` is zero when one unit is sampled),
+    the clipping weight ``sum_w2v2 = sum_s w^2 v^2``, and the unsampled sums
+    ``sum_u_a``, ``sum_u_sigma2`` and ``q = sum_u a^2/sigma2``.  Observed
+    values enter only through ``residuals`` and ``fill_in``.
+
+    With two or more sampled units every ``v^2 = sigma2/a^2 - 1/S_aa`` must
+    be positive; where one unit holds all of ``S_aa`` up to rounding it is
+    not, and ``DegenerateFrameError`` names that unit.
     """
 
     unit_id: tuple
     a: np.ndarray
     sigma2: np.ndarray
     sampled: np.ndarray
+    h: np.ndarray = field(init=False, repr=False, compare=False)
     S_aa: float = field(init=False, repr=False, compare=False)
     w: np.ndarray = field(init=False, repr=False, compare=False)
     v: np.ndarray = field(init=False, repr=False, compare=False)
+    sum_w2v2: float = field(init=False, repr=False, compare=False)
     sum_u_a: float = field(init=False, repr=False, compare=False)
     sum_u_sigma2: float = field(init=False, repr=False, compare=False)
+    q: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -74,15 +91,27 @@ class FrameTemplate:
             raise DegenerateFrameError("no sampled units")
 
         a_s, sigma2_s = a[s], sigma2[s]
-        prec = a_s**2 / sigma2_s
-        S_aa = float(prec.sum())
+        h = a_s**2 / sigma2_s
+        S_aa = float(h.sum())
+        w = h / S_aa
+        v2 = sigma2_s / a_s**2 - 1.0 / S_aa
+        if n >= 2 and not np.all(v2 > 0):
+            unit = self.sampled_ids[int(np.argmin(v2 > 0))]
+            raise DegenerateFrameError(f"S_aa - h_k <= 0 for unit {unit!r}: its precision "
+                                       "holds all of S_aa up to rounding, so its v is 0")
         # With one sampled unit v^2 is zero up to rounding; keep it exactly zero.
-        v = np.sqrt(sigma2_s / a_s**2 - 1.0 / S_aa) if n >= 2 else np.zeros(1)
+        v = np.sqrt(v2) if n >= 2 else np.zeros(1)
+        # An overflowing q is left inf; influence rejects it.
+        with np.errstate(over="ignore"):
+            q = float((a[~s] ** 2 / sigma2[~s]).sum())
+        object.__setattr__(self, "h", h)
         object.__setattr__(self, "S_aa", S_aa)
-        object.__setattr__(self, "w", prec / S_aa)
+        object.__setattr__(self, "w", w)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "sum_w2v2", float((w**2 * v**2).sum()))
         object.__setattr__(self, "sum_u_a", float(a[~s].sum()))
         object.__setattr__(self, "sum_u_sigma2", float(sigma2[~s].sum()))
+        object.__setattr__(self, "q", q)
 
     @property
     def n_units(self) -> int:
@@ -110,6 +139,13 @@ class FrameTemplate:
         if self.n_sampled < 2:
             return ybar_w, None
         return ybar_w, (ys / a_s - ybar_w[..., None]) / self.v
+
+    def fill_in(self, sum_s_y, theta):
+        """Population mean from the sampled total and ``theta * a_j`` for each unsampled unit.
+
+        Takes scalars or arrays of one shape.
+        """
+        return (sum_s_y + theta * self.sum_u_a) / self.n_units
 
     def with_y(self, y_sampled: Sequence[float]) -> "PopulationFrame":
         """A frame on this layout with observed values on the sampled units (unit order)."""
@@ -151,7 +187,7 @@ class ModelSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.family not in ("ratio", "royall", "horvitz_thompson", "custom"):
+        if self.family not in FAMILY_COLUMNS:
             raise ModelValidationError(f"unknown family {self.family!r}")
         if self.family == "ratio" and not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ModelValidationError("ratio family needs sigma > 0")
@@ -233,7 +269,6 @@ class SufficientStats:
     sigma2: np.ndarray
     y: np.ndarray
     S_aa: float
-    S_ay: float
     ybar_w: float
     w: np.ndarray
     v: np.ndarray
@@ -259,7 +294,6 @@ def sufficient_stats(frame: PopulationFrame) -> SufficientStats:
         sigma2=sigma2,
         y=y,
         S_aa=frame.S_aa,
-        S_ay=float((a * y / sigma2).sum()),
         ybar_w=float(ybar_w),
         w=frame.w,
         v=frame.v,
@@ -277,20 +311,5 @@ def classical_estimate(frame: PopulationFrame) -> float:
     if s.all():
         return float(frame.y.mean())
     ybar_w, _ = frame.residuals(frame.y[s])
-    return (frame.y[s].sum() + ybar_w * frame.sum_u_a) / frame.n_units
+    return frame.fill_in(frame.y[s].sum(), ybar_w)
 
-
-def posterior_predictive(frame: PopulationFrame):
-    """Predictive distribution of the unsampled values given the sampled ones.
-
-    Mean ``ybar_w * a_u``; covariance ``diag(sigma2_u) + a_u a_u^T / S_aa``.
-    """
-    from .divergence import GaussianSpec
-
-    u = ~frame.sampled
-    if not u.any():
-        raise DegenerateFrameError("census frame has no unsampled units to predict")
-    ybar_w, _ = frame.residuals(frame.y[frame.sampled])
-    a_u = frame.a[u]
-    cov = np.diag(frame.sigma2[u]) + np.outer(a_u, a_u) / frame.S_aa
-    return GaussianSpec(ybar_w * a_u, cov)

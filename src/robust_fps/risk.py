@@ -34,8 +34,6 @@ from .frame import FrameTemplate
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-#: Upper end of the search bracket for calibrate_c; g there is below 1e-24.
-C_BRACKET_HIGH = 10.0
 #: Largest float c with g_clip(c) > 0 (erfc underflows just beyond it).
 C_MAX = 37.67712072049519
 _MAX_BISECT_ITER = 200
@@ -52,33 +50,48 @@ def _Phi_neg(c: float) -> float:
     return 0.5 * erfc(c / _SQRT2)
 
 
+def _ierfc_ratios(z: float) -> tuple[float, float]:
+    """``r_1`` and ``r_2`` of ``r_n = i^n erfc(z) / i^(n-1) erfc(z)``.
+
+    These are the ratios of repeated erfc integrals, taken from the
+    recurrence ``r_(n-1) = 1 / (2z + 2n r_n)`` run backward from ``r_N = 0``.
+    """
+    r2 = r1 = 0.0
+    for n in range(_G_RATIO_TERMS, 1, -1):
+        r2, r1 = r1, 1.0 / (2.0 * z + 2.0 * n * r1)
+    return r1, r2
+
+
 def g_clip(c: float) -> float:
     """Second moment of a standard normal's overflow beyond the band [-c, c].
 
     Nonnegative for every c >= 0.  Below ``_G_TAIL_FROM`` the closed form is
     accurate to about 1e-14.  From there on it cancels, so g is written as
-    ``4 i^2erfc(z) = 4 erfc(z) r_1 r_2`` with ``z = c/sqrt(2)`` and the ratios
-    ``r_n = i^n erfc(z) / i^(n-1) erfc(z)`` of repeated erfc integrals, taken
-    from the recurrence ``r_(n-1) = 1 / (2z + 2n r_n)`` run backward from
-    ``r_N = 0``; the relative error is then about ``c^2 * 1e-16``, the cost of
-    rounding ``z`` alone.
+    ``4 i^2erfc(z) = 4 erfc(z) r_1 r_2`` with ``z = c/sqrt(2)`` (see
+    ``_ierfc_ratios``); the relative error is then about ``c^2 * 1e-16``, the
+    cost of rounding ``z`` alone.
     """
     if not (np.isfinite(c) and c >= 0):
         raise ValueError("clipping constant must be finite and >= 0")
     if c < _G_TAIL_FROM:
         return float(2.0 * ((c * c + 1.0) * _Phi_neg(c) - c * _phi(c)))
     z = c / _SQRT2
-    r2 = r1 = 0.0
-    for n in range(_G_RATIO_TERMS, 1, -1):
-        r2, r1 = r1, 1.0 / (2.0 * z + 2.0 * n * r1)
+    r1, r2 = _ierfc_ratios(z)
     return float(4.0 * erfc(z) * (r1 * r2))
 
 
 def g_clip_deriv(c: float) -> float:
-    """Derivative of ``g_clip``; strictly negative for all c >= 0."""
+    """Derivative of ``g_clip``; strictly negative for all c >= 0.
+
+    ``4 (c Phi(-c) - phi(c))`` below ``_G_TAIL_FROM``; from there on, where
+    that form cancels, ``-4 i^1erfc(z) / sqrt(2) = -2 sqrt(2) erfc(z) r_1``.
+    """
     if not (np.isfinite(c) and c >= 0):
         raise ValueError("clipping constant must be finite and >= 0")
-    return float(4.0 * (c * _Phi_neg(c) - _phi(c)))
+    if c < _G_TAIL_FROM:
+        return float(4.0 * (c * _Phi_neg(c) - _phi(c)))
+    z = c / _SQRT2
+    return float(-2.0 * _SQRT2 * erfc(z) * _ierfc_ratios(z)[0])
 
 
 @dataclass(frozen=True)
@@ -105,7 +118,7 @@ def _clipping_weight(layout: FrameTemplate) -> float:
         raise DegenerateFrameError("risk formulas need at least 2 sampled units")
     if layout.sampled.all():
         raise DegenerateFrameError("risk formulas need at least 1 unsampled unit")
-    return float((layout.w**2 * layout.v**2).sum())
+    return layout.sum_w2v2
 
 
 def mse_closed_form(layout: FrameTemplate, c: float) -> RiskReport:
@@ -146,44 +159,37 @@ def max_excess_risk(layout: FrameTemplate) -> float:
 def calibrate_c(layout: FrameTemplate, max_excess: float) -> float:
     """Smallest clipping constant whose excess risk stays within the budget.
 
-    The excess is strictly decreasing in c, so the solution is the unique
-    root of ``excess(c) = max_excess`` when the budget is attainable, found
-    by bisection on [0, C_BRACKET_HIGH], or on [C_BRACKET_HIGH, C_MAX] for a
-    budget below the excess at C_BRACKET_HIGH; a budget at or above the c = 0
-    excess is satisfied by every c and returns 0.  Bisection runs until the
-    bracket reaches float resolution (at most 200 iterations) so round-trips
-    through the excess stay accurate for small budgets.  A budget below the
-    excess at C_MAX, the last c with g > 0, raises ``ModelValidationError``.
+    The excess is strictly decreasing in c.  A budget at or above the c = 0
+    excess is met by every c and returns 0; a budget below the excess at
+    C_MAX, the last c with g > 0, raises ``ModelValidationError``.  Otherwise
+    one bisection on [0, C_MAX] runs until the bracket reaches float
+    resolution (at most 200 iterations) and returns its upper end, so the
+    excess at the returned c, computed exactly as ``excess_risk`` computes
+    it, is never over the budget.
     """
     if not (np.isfinite(max_excess) and max_excess > 0):
         raise ValueError("max_excess must be finite and > 0")
-    excess0 = _clipping_weight(layout) * layout.sum_u_a**2 / layout.n_units**2
+    weight = _clipping_weight(layout)
+    N, sum_au = layout.n_units, layout.sum_u_a
 
     def excess_at(c: float) -> float:
-        return excess0 * g_clip(c)
+        return weight * g_clip(c) * sum_au**2 / N**2
 
-    if max_excess >= excess0:
+    if max_excess >= excess_at(0.0):
         return 0.0
-    lo, hi = 0.0, C_BRACKET_HIGH
-    if excess_at(hi) > max_excess:
-        if excess_at(C_MAX) > max_excess:
-            raise ModelValidationError(
-                f"max_excess {max_excess!r} is below the smallest attainable excess "
-                f"{excess_at(C_MAX)!r} (at c = {C_MAX!r})"
-            )
-        lo, hi = C_BRACKET_HIGH, C_MAX
+    if excess_at(C_MAX) > max_excess:
+        raise ModelValidationError(
+            f"max_excess {max_excess!r} is below the smallest attainable excess "
+            f"{excess_at(C_MAX)!r} (at c = {C_MAX!r})"
+        )
+    # Invariant: excess_at(lo) > max_excess >= excess_at(hi).
+    lo, hi = 0.0, C_MAX
     for _ in range(_MAX_BISECT_ITER):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        e = excess_at(mid)
-        if e == max_excess:
-            return mid
-        if e > max_excess:
+        if excess_at(mid) > max_excess:
             lo = mid
         else:
             hi = mid
-    # Bracket exhausted: return the endpoint closest to the budget.
-    if abs(excess_at(lo) - max_excess) <= abs(excess_at(hi) - max_excess):
-        return lo
     return hi

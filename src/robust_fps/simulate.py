@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Literal
 
 import numpy as np
@@ -31,19 +31,6 @@ from .risk import g_clip, mse_closed_form
 from .streams import batch_rep_uniforms, rep_uniforms
 
 DEFAULT_REPS = 100_000
-
-CSV_COLUMNS = (
-    "c",
-    "emp_mse_theta",
-    "se_theta",
-    "emp_mse_pop",
-    "se_pop",
-    "theo_mse",
-    "cross_term",
-    "se_cross",
-    "classical_mse",
-    "se_classical",
-)
 
 
 @dataclass(frozen=True)
@@ -140,22 +127,23 @@ def _apply_contamination(config: SimConfig, y: np.ndarray) -> np.ndarray:
     return y
 
 
+def _realize(config: SimConfig, u: np.ndarray) -> np.ndarray:
+    """Populations from uniforms of shape (N,) or (reps, N): model draw, then contamination."""
+    t = config.template
+    return _apply_contamination(config, config.theta_true * t.a + np.sqrt(t.sigma2) * ndtri(u))
+
+
 def simulate_once(config: SimConfig, rep_index: int) -> SimulatedPopulation:
     """Realize one population from the substream owned by ``rep_index``."""
     if not 0 <= rep_index:
         raise ModelValidationError("rep_index must be >= 0")
-    t = config.template
-    u = rep_uniforms(config.seed, rep_index, t.n_units)
-    y = config.theta_true * t.a + np.sqrt(t.sigma2) * ndtri(u)
-    return SimulatedPopulation(config, rep_index, _apply_contamination(config, y))
+    u = rep_uniforms(config.seed, rep_index, config.template.n_units)
+    return SimulatedPopulation(config, rep_index, _realize(config, u))
 
 
 def _generate_batch(config: SimConfig) -> np.ndarray:
     """(reps, N) matrix of realized populations, row r == simulate_once(config, r).y."""
-    t = config.template
-    u = batch_rep_uniforms(config.seed, config.reps, t.n_units)
-    y = config.theta_true * t.a + np.sqrt(t.sigma2) * ndtri(u)
-    return _apply_contamination(config, y)
+    return _realize(config, batch_rep_uniforms(config.seed, config.reps, config.template.n_units))
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -178,6 +166,10 @@ class SimRow:
     classical_mse: float
     se_classical: float
     theo_mse_theta: float
+
+
+#: Columns of the CSV output: every ``SimRow`` field but ``theo_mse_theta`` (JSON only).
+CSV_COLUMNS = tuple(f.name for f in fields(SimRow) if f.name != "theo_mse_theta")
 
 
 @dataclass(frozen=True)
@@ -215,19 +207,17 @@ def empirical_risk(config: SimConfig, *, keep_samples: bool = False) -> SimResul
     failures = int((~finite).sum())
     if failures:
         Y = Y[finite]
-    reps_used = Y.shape[0]
-    if reps_used < 2:
+    if Y.shape[0] < 2:
         raise ModelValidationError("fewer than 2 finite replications")
 
     wv = t.w * t.v
     wv2 = wv**2
-    N = t.n_units
 
     Ys = Y[:, t.sampled]
     ybar_w, r = t.residuals(Ys)
     sum_ys = Ys.sum(axis=1)
     ybar_pop = Y.mean(axis=1)
-    classical = (sum_ys + ybar_w * t.sum_u_a) / N
+    classical = t.fill_in(sum_ys, ybar_w)
     sq_classical = (classical - ybar_pop) ** 2
     cls_mean, se_cls = _mean_se(sq_classical)
 
@@ -240,7 +230,7 @@ def empirical_risk(config: SimConfig, *, keep_samples: bool = False) -> SimResul
         np.subtract(r, np.clip(r, -c, c, out=overflow), out=overflow)
         T = overflow @ wv
         theta_R = ybar_w - T
-        ybar_R = (sum_ys + theta_R * t.sum_u_a) / N
+        ybar_R = t.fill_in(sum_ys, theta_R)
         sq_theta = (theta_R - theta) ** 2
         sq_pop = (ybar_R - ybar_pop) ** 2
         cross = T**2 - np.square(overflow, out=overflow) @ wv2
@@ -249,7 +239,7 @@ def empirical_risk(config: SimConfig, *, keep_samples: bool = False) -> SimResul
         emp_pop, se_pop = _mean_se(sq_pop)
         cross_mean, se_cross = _mean_se(cross)
         report = mse_closed_form(t, c)
-        theo_theta = 1.0 / t.S_aa + float(wv2.sum()) * g_clip(c)
+        theo_theta = 1.0 / t.S_aa + t.sum_w2v2 * g_clip(c)
         rows.append(
             SimRow(
                 c=float(c),

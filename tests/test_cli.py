@@ -40,6 +40,10 @@ SIM_CONFIG = {
 }
 
 
+# Unit 1 holds all of S_aa = 1e16 + 1 up to rounding, so its v^2 is 0.
+DOMINATED_CSV = "unit_id,a,sigma2,y\n1,1e8,1,1e8\n2,1,1,1\n3,1,1,\n"
+
+
 @pytest.fixture
 def frame_csv(tmp_path):
     path = tmp_path / "frame.csv"
@@ -161,6 +165,16 @@ class TestEstimate:
         assert doc["risk"] is None
         assert doc["diagnostics"] == []
 
+    def test_dominated_precision_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "frame.csv"
+        path.write_text(DOMINATED_CSV)
+        out = tmp_path / "dominated.json"
+        assert main([
+            "estimate", "--frame", str(path), "--model", "custom", "--c", "1", "--out", str(out),
+        ]) == 3
+        assert "S_aa - h_k <= 0 for unit '1'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCalibrate:
     def test_generous_budget_prints_zero(self, frame_csv, capsys):
@@ -200,6 +214,23 @@ class TestCalibrate:
             "calibrate", "--frame", str(frame_csv), "--model", "ratio",
             "--max-excess", "-0.5",
         ]) == 3
+
+    def test_nan_budget_exit_3_before_reading_the_frame(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main([
+            "calibrate", "--frame", str(missing), "--model", "ratio", "--max-excess", "nan",
+        ]) == 3
+        assert "max_excess must be finite and > 0" in capsys.readouterr().err
+
+    def test_dominated_precision_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "frame.csv"
+        path.write_text(DOMINATED_CSV)
+        assert main([
+            "calibrate", "--frame", str(path), "--model", "custom", "--max-excess", "0.01",
+        ]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "S_aa - h_k <= 0 for unit '1'" in captured.err
 
 
 class TestDiagnose:
@@ -279,6 +310,21 @@ class TestSimulate:
         code = main(["simulate", "--config", str(cfg), "--out-prefix", str(tmp_path / "x")])
         assert code == 2
         assert "/reps" in capsys.readouterr().err
+
+    def test_boolean_unit_id_exit_2_with_pointer(self, tmp_path, capsys):
+        # JSON true is not an id; str(True) would make it the id 'True'
+        frame = dict(SIM_CONFIG["frame"], unit_id=["u0", True, "u2", "u3", "u4", "u5"])
+        cfg = self._write_config(tmp_path, frame=frame)
+        assert main(["simulate", "--config", str(cfg), "--out-prefix", str(tmp_path / "x")]) == 2
+        assert "/frame/unit_id/1" in capsys.readouterr().err
+
+    def test_dominated_precision_exit_3(self, tmp_path, capsys):
+        frame = {"unit_id": ["1", "2", "3"], "a": [1e8, 1, 1], "sigma2": [1, 1, 1],
+                 "sampled": [True, True, False]}
+        cfg = self._write_config(tmp_path, frame=frame)
+        assert main(["simulate", "--config", str(cfg), "--out-prefix", str(tmp_path / "s")]) == 3
+        assert "S_aa - h_k <= 0 for unit '1'" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
 
     def test_seed_env_override(self, tmp_path, monkeypatch):
         cfg = self._write_config(tmp_path)

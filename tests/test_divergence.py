@@ -339,10 +339,11 @@ def _dense_influence(fr, lam):
     stats = sufficient_stats(fr)
     full = posterior_predictive(fr)
     a_u = fr.a[~fr.sampled]
+    S_ay = float((stats.a * stats.y / stats.sigma2).sum())
     out = []
     for k in range(stats.n):
         S_aa_k = stats.S_aa - stats.a[k] ** 2 / stats.sigma2[k]
-        ybar_w_k = (stats.S_ay - stats.a[k] * stats.y[k] / stats.sigma2[k]) / S_aa_k
+        ybar_w_k = (S_ay - stats.a[k] * stats.y[k] / stats.sigma2[k]) / S_aa_k
         cov = np.diag(fr.sigma2[~fr.sampled]) + np.outer(a_u, a_u) / S_aa_k
         out.append(divergence(full, GaussianSpec(ybar_w_k * a_u, cov), lam))
     return out
@@ -410,12 +411,11 @@ class TestInfluenceOracles:
 
     def test_dominated_precision_raises(self):
         # S_aa = 1e16 + 1 rounds to 1e16, so deleting unit 1 leaves S_aa - h_k = 0
-        fr = build_model(
-            ["1", "2", "3"], ModelSpec("custom"), a=[1e8, 1, 1], sigma2=[1, 1, 1],
-            sampled=[True, True, False], y_sampled=[1e8, 1.0],
-        )
-        with pytest.raises(DivergenceUndefinedError, match="S_aa - h_k <= 0 for unit '1'"):
-            influence(fr)
+        with pytest.raises(DegenerateFrameError, match="S_aa - h_k <= 0 for unit '1'"):
+            build_model(
+                ["1", "2", "3"], ModelSpec("custom"), a=[1e8, 1, 1], sigma2=[1, 1, 1],
+                sampled=[True, True, False], y_sampled=[1e8, 1.0],
+            )
 
     def test_overflow_raises(self):
         fr = build_model(

@@ -20,7 +20,7 @@ from robust_fps import (
     mse_closed_form,
 )
 
-from robust_fps.risk import C_BRACKET_HIGH, C_MAX
+from robust_fps.risk import C_MAX
 
 from conftest import random_frame
 
@@ -128,6 +128,15 @@ class TestGClipDeriv:
         for c in np.arange(0.0, 6.01, 0.1):
             assert g_clip_deriv(float(c)) < 0
 
+    def test_mpmath_oracle_through_the_tail(self):
+        # g'(c) = 4 (c Phi(-c) - phi(c)); same grid and gate as the g_clip oracle
+        grid = np.concatenate([np.linspace(0.0, 37.5, 1501), np.linspace(1.99, 2.01, 41)])
+        with mp.workdps(60):
+            for c in map(float, grid):
+                cm = mp.mpf(c)
+                want = 4 * (cm * mp.ncdf(-cm) - mp.npdf(cm))
+                assert float(abs(g_clip_deriv(c) - want) / abs(want)) <= 1e-12, c
+
 
 class TestMseTheorem:
     def test_baseline_example(self):
@@ -214,9 +223,9 @@ class TestCalibrateC:
             sampled=[True] * 3 + [False] * 3, y_sampled=[0.0, 1.0, 2.0],
         )
         budget = 5.6e-32
-        assert excess_risk(frame, C_BRACKET_HIGH) > budget
+        assert excess_risk(frame, 10.0) > budget
         c = calibrate_c(frame, budget)
-        assert C_BRACKET_HIGH < c < C_MAX
+        assert 10.0 < c < C_MAX
         assert excess_risk(frame, c) == pytest.approx(budget, rel=1e-12)
 
     def test_unattainable_budget_raises(self):
@@ -234,6 +243,17 @@ class TestCalibrateC:
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 calibrate_c(frame, bad)
+
+    def test_never_over_budget(self):
+        # the returned c is the in-budget end of the bracket, checked through
+        # the excess exactly as excess_risk computes it
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            frame = random_frame(rng)
+            e0 = max_excess_risk(frame)
+            for m in np.geomspace(1e-30, 0.999, 40) * e0:
+                m = float(m)
+                assert excess_risk(frame, calibrate_c(frame, m)) <= m
 
     def test_round_trip_relative_accuracy(self):
         frame = _five_unit_frame()

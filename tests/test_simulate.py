@@ -7,6 +7,7 @@ import pytest
 
 from robust_fps import (
     Contamination,
+    DegenerateFrameError,
     FrameTemplate,
     ModelValidationError,
     SimConfig,
@@ -126,6 +127,11 @@ class TestSimulateOnce:
             template = make_template(N=4, n=n)
             with pytest.raises(ModelValidationError):
                 make_config(template=template)
+
+    def test_dominated_precision_rejected(self):
+        # S_aa = 1e16 + 1 rounds to 1e16: unit u0's v^2 is 0, so no SimConfig can be built
+        with pytest.raises(DegenerateFrameError, match="S_aa - h_k <= 0 for unit 'u0'"):
+            make_config(template=make_template(N=3, n=2, a=[1e8, 1, 1]))
 
 
 class TestEmpiricalRisk:
