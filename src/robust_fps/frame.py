@@ -119,7 +119,7 @@ class FrameTemplate:
 
     @property
     def n_sampled(self) -> int:
-        return int(self.sampled.sum())
+        return len(self.h)
 
     @property
     def sampled_ids(self) -> tuple:

@@ -116,7 +116,7 @@ def _clipping_weight(layout: FrameTemplate) -> float:
     """``sum_s w_i^2 v_i^2`` after checking the layout has what the formulas need."""
     if layout.n_sampled < 2:
         raise DegenerateFrameError("risk formulas need at least 2 sampled units")
-    if layout.sampled.all():
+    if layout.n_sampled == layout.n_units:
         raise DegenerateFrameError("risk formulas need at least 1 unsampled unit")
     return layout.sum_w2v2
 
@@ -163,32 +163,25 @@ def calibrate_c(layout: FrameTemplate, max_excess: float) -> float:
     excess is met by every c and returns 0; a budget below the excess at
     C_MAX, the last c with g > 0, raises ``ModelValidationError``.  Otherwise
     one bisection on [0, C_MAX] runs until the bracket reaches float
-    resolution (at most 200 iterations) and returns its upper end, so the
-    excess at the returned c, computed exactly as ``excess_risk`` computes
-    it, is never over the budget.
+    resolution (at most 200 iterations) and returns its upper end, so
+    ``excess_risk`` at the returned c is never over the budget.
     """
     if not (np.isfinite(max_excess) and max_excess > 0):
         raise ValueError("max_excess must be finite and > 0")
-    weight = _clipping_weight(layout)
-    N, sum_au = layout.n_units, layout.sum_u_a
-
-    def excess_at(c: float) -> float:
-        return weight * g_clip(c) * sum_au**2 / N**2
-
-    if max_excess >= excess_at(0.0):
+    if max_excess >= max_excess_risk(layout):
         return 0.0
-    if excess_at(C_MAX) > max_excess:
+    if excess_risk(layout, C_MAX) > max_excess:
         raise ModelValidationError(
             f"max_excess {max_excess!r} is below the smallest attainable excess "
-            f"{excess_at(C_MAX)!r} (at c = {C_MAX!r})"
+            f"{excess_risk(layout, C_MAX)!r} (at c = {C_MAX!r})"
         )
-    # Invariant: excess_at(lo) > max_excess >= excess_at(hi).
+    # Invariant: excess_risk(layout, lo) > max_excess >= excess_risk(layout, hi).
     lo, hi = 0.0, C_MAX
     for _ in range(_MAX_BISECT_ITER):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if excess_at(mid) > max_excess:
+        if excess_risk(layout, mid) > max_excess:
             lo = mid
         else:
             hi = mid
