@@ -22,7 +22,7 @@ from .errors import EstimationError
 from .estimators import RobustEstimate
 from .frame import FAMILY_COLUMNS, FrameTemplate, ModelSpec, PopulationFrame, build_model
 from .risk import RiskReport
-from .simulate import Contamination, SimConfig
+from .simulate import CONTAMINATION_PARAMS, Contamination, SimConfig
 
 CLI_MODEL_NAMES = {"ratio": "ratio", "royall": "royall", "ht": "horvitz_thompson", "custom": "custom"}
 
@@ -211,16 +211,11 @@ def sim_config_from_dict(doc: dict, seed_override: int | None = None) -> SimConf
     else:
         units = _id_array(_require(cont_doc, "units", list, "/contamination"),
                           "/contamination/units")
-        params = {}
-        if kind == "shift":
-            params["delta"] = _require(cont_doc, "delta", float, "/contamination")
-        elif kind == "variance_inflation":
-            params["factor"] = _require(cont_doc, "factor", float, "/contamination")
-        elif kind == "substitution":
-            params["value"] = _require(cont_doc, "value", float, "/contamination")
-        else:
+        if kind not in CONTAMINATION_PARAMS:
             raise ConfigSchemaError("/contamination/kind", f"unknown kind {kind!r}")
-        contamination = Contamination(kind=kind, units=units, **params)
+        param = CONTAMINATION_PARAMS[kind]
+        contamination = Contamination(kind=kind, units=units,
+                                      **{param: _require(cont_doc, param, float, "/contamination")})
 
     if seed_override is not None:
         seed = int(seed_override)

@@ -289,7 +289,7 @@ def influence(frame: PopulationFrame, lam: float = -0.5) -> list[InfluenceRecord
         ybar_w, r = frame.residuals(y)
         delta = (y / frame.a[s] - ybar_w) * h / S_aa_k
         v1 = 1.0 + q / S_aa
-        x = q / S_aa_k * (h / S_aa) / v1
+        x = q / S_aa_k * frame.w / v1
         qd2 = q * delta**2
         finite = np.isfinite(r) & np.isfinite(delta) & np.isfinite(x) & np.isfinite(qd2)
         _require(finite & np.isfinite(v1), ids, "cov", "delete-one predictive is not finite")

@@ -15,8 +15,9 @@ clipped.  The population-mean version plugs theta_R into the unsampled part
 of the frame.
 
 A comparison variant rescales by sigma_i / a_i instead of v_i (the scaling
-used in earlier outlier-robust ratio estimation work); it has no associated
-risk formula and only the direct clipped form is provided.
+used in earlier outlier-robust ratio estimation work).  Its weighted
+residuals ``sum_i w_i (y_i/a_i - ybar_w)`` sum to zero as well, so it
+subtracts the weighted overflow too; it has no associated risk formula.
 """
 
 from __future__ import annotations
@@ -83,9 +84,9 @@ def _clip(stats: SufficientStats, config: RobustConfig):
     """One clipping pass: ``theta_R``, the weighted scales, the residuals and ``psi``.
 
     The scale is ``v_i`` (``paper_v``) or ``sigma_i / a_i`` (``chambers_sigma``),
-    the residuals are standardized by it, and ``psi = psi_c`` of them.  The
-    ``paper_v`` theta subtracts the weighted overflow; the ``chambers_sigma``
-    theta adds the clipped residuals directly.
+    the residuals are standardized by it, and ``psi = psi_c`` of them.  Under
+    either scaling the weighted residuals sum to zero, so theta is ``ybar_w``
+    minus the weighted overflow, and ``ybar_w`` exactly once nothing is clipped.
     """
     if config.scaling == "chambers_sigma":
         scale = np.sqrt(stats.sigma2) / stats.a
@@ -94,10 +95,7 @@ def _clip(stats: SufficientStats, config: RobustConfig):
         scale, resid = stats.v, stats.r
     w_scale = stats.w * scale
     psi = psi_clip(resid, float(config.c))
-    if config.scaling == "chambers_sigma":
-        theta = stats.ybar_w + float(w_scale @ psi)
-    else:
-        theta = stats.ybar_w - float(w_scale @ (resid - psi))
+    theta = stats.ybar_w - float(w_scale @ (resid - psi))
     return theta, w_scale, resid, psi
 
 

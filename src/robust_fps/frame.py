@@ -47,9 +47,12 @@ class FrameTemplate:
     ``sum_u_a``, ``sum_u_sigma2`` and ``q = sum_u a^2/sigma2``.  Observed
     values enter only through ``residuals`` and ``fill_in``.
 
+    Every sampled unit's ``h`` and ``w`` must be finite positive floats and
+    its ``v^2`` finite; where ``a`` and ``sigma2`` are so extreme that one
+    over- or underflows, ``ModelValidationError`` names the first such unit.
     With two or more sampled units every ``v^2 = sigma2/a^2 - 1/S_aa`` must
-    be positive; where one unit holds all of ``S_aa`` up to rounding it is
-    not, and ``DegenerateFrameError`` names that unit.
+    also be positive; where one unit holds all of ``S_aa`` up to rounding it
+    is not, and ``DegenerateFrameError`` names that unit.
     """
 
     unit_id: tuple
@@ -91,10 +94,19 @@ class FrameTemplate:
             raise DegenerateFrameError("no sampled units")
 
         a_s, sigma2_s = a[s], sigma2[s]
-        h = a_s**2 / sigma2_s
-        S_aa = float(h.sum())
-        w = h / S_aa
-        v2 = sigma2_s / a_s**2 - 1.0 / S_aa
+        # Over- and underflow become values the check below rejects.  S_aa stays
+        # a numpy scalar here, so 1/S_aa is inf rather than a ZeroDivisionError;
+        # an S_aa of 0 or inf leaves every w at 0 or nan.
+        with np.errstate(all="ignore"):
+            h = a_s**2 / sigma2_s
+            S_aa = h.sum()
+            w = h / S_aa
+            v2 = sigma2_s / a_s**2 - 1.0 / S_aa
+        ok = np.isfinite(h) & (h > 0) & (w > 0) & np.isfinite(v2)
+        if not ok.all():
+            unit = self.sampled_ids[int(np.argmin(ok))]
+            raise ModelValidationError(f"sampled unit {unit!r} is out of float64 range: its "
+                                       "a^2/sigma2, w or v^2 is not a finite positive float")
         if n >= 2 and not np.all(v2 > 0):
             unit = self.sampled_ids[int(np.argmin(v2 > 0))]
             raise DegenerateFrameError(f"S_aa - h_k <= 0 for unit {unit!r}: its precision "
@@ -105,7 +117,7 @@ class FrameTemplate:
         with np.errstate(over="ignore"):
             q = float((a[~s] ** 2 / sigma2[~s]).sum())
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "S_aa", S_aa)
+        object.__setattr__(self, "S_aa", float(S_aa))
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "sum_w2v2", float((w**2 * v**2).sum()))
@@ -305,11 +317,10 @@ def classical_estimate(frame: PopulationFrame) -> float:
     """Baseline estimate of the finite population mean.
 
     Sampled values enter directly; each unsampled unit contributes its
-    predicted value ``ybar_w * a_j``.  A census frame returns the exact mean.
+    predicted value ``ybar_w * a_j``.  A census frame has ``sum_u a = 0`` and
+    returns the exact mean.
     """
-    s = frame.sampled
-    if s.all():
-        return float(frame.y.mean())
-    ybar_w, _ = frame.residuals(frame.y[s])
-    return frame.fill_in(frame.y[s].sum(), ybar_w)
+    y_s = frame.y[frame.sampled]
+    ybar_w, _ = frame.residuals(y_s)
+    return float(frame.fill_in(y_s.sum(), ybar_w))
 

@@ -107,10 +107,6 @@ class RiskReport:
     estimation_variance: float
     clipping_penalty: float
 
-    @property
-    def components(self) -> tuple[float, float, float]:
-        return (self.unseen_variance, self.estimation_variance, self.clipping_penalty)
-
 
 def _clipping_weight(layout: FrameTemplate) -> float:
     """``sum_s w_i^2 v_i^2`` after checking the layout has what the formulas need."""
@@ -125,7 +121,8 @@ def mse_closed_form(layout: FrameTemplate, c: float) -> RiskReport:
     """Exact model-true MSE of the robust estimate, split into its three parts.
 
     Depends only on the layout, so a ``FrameTemplate`` and a ``PopulationFrame``
-    on it give the same report.
+    on it give the same report.  Raises ``ModelValidationError`` when the MSE
+    overflows float64.
     """
     sum_w2v2 = _clipping_weight(layout)
     N, sum_au = layout.n_units, layout.sum_u_a
@@ -134,6 +131,8 @@ def mse_closed_form(layout: FrameTemplate, c: float) -> RiskReport:
     estimation = (sum_au**2 / layout.S_aa) / N**2
     penalty = sum_w2v2 * g * sum_au**2 / N**2
     baseline = unseen + estimation
+    if not math.isfinite(baseline + penalty):
+        raise ModelValidationError("the model MSE of this layout overflows float64")
     return RiskReport(
         mse_robust=baseline + penalty,
         mse_baseline=baseline,

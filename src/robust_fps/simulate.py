@@ -27,10 +27,13 @@ from scipy.special import ndtri
 
 from .errors import ModelValidationError
 from .frame import FrameTemplate
-from .risk import g_clip, mse_closed_form
+from .risk import mse_closed_form
 from .streams import batch_rep_uniforms, rep_uniforms
 
 DEFAULT_REPS = 100_000
+
+#: The parameter field each contamination kind reads, besides its target units.
+CONTAMINATION_PARAMS = {"shift": "delta", "variance_inflation": "factor", "substitution": "value"}
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,7 @@ class Contamination:
             if self.units:
                 raise ModelValidationError("contamination 'none' takes no units")
             return
-        if self.kind not in ("shift", "variance_inflation", "substitution"):
+        if self.kind not in CONTAMINATION_PARAMS:
             raise ModelValidationError(f"unknown contamination kind {self.kind!r}")
         if not self.units:
             raise ModelValidationError(f"contamination {self.kind!r} needs target units")
@@ -104,10 +107,6 @@ class SimulatedPopulation:
     config: SimConfig
     rep_index: int
     y: np.ndarray
-
-    @property
-    def realized_mean(self) -> float:
-        return float(self.y.mean())
 
 
 def _apply_contamination(config: SimConfig, y: np.ndarray) -> np.ndarray:
@@ -239,7 +238,7 @@ def empirical_risk(config: SimConfig, *, keep_samples: bool = False) -> SimResul
         emp_pop, se_pop = _mean_se(sq_pop)
         cross_mean, se_cross = _mean_se(cross)
         report = mse_closed_form(t, c)
-        theo_theta = 1.0 / t.S_aa + t.sum_w2v2 * g_clip(c)
+        theo_theta = 1.0 / t.S_aa + t.sum_w2v2 * report.g_of_c
         rows.append(
             SimRow(
                 c=float(c),

@@ -36,9 +36,9 @@ def _to_uniform(words: np.ndarray) -> np.ndarray:
     return ((words >> _U64_SHIFT).astype(np.float64) + 0.5) * _INV_2_53
 
 
-def uniforms(seed: int, n: int, *, start_block: int = 0) -> np.ndarray:
+def uniforms(seed: int, n: int) -> np.ndarray:
     """n uniforms in (0, 1) from the stream keyed by ``seed``."""
-    return _to_uniform(raw_words(seed, start_block, n))
+    return _to_uniform(raw_words(seed, 0, n))
 
 
 def rep_uniforms(seed: int, rep: int, n: int) -> np.ndarray:
@@ -54,7 +54,7 @@ def batch_rep_uniforms(seed: int, n_reps: int, n: int) -> np.ndarray:
     return _to_uniform(words[:, :n])
 
 
-def std_normals(seed: int, shape: tuple[int, ...], *, start_block: int = 0) -> np.ndarray:
+def std_normals(seed: int, shape: tuple[int, ...]) -> np.ndarray:
     """Standard normals via inverse-CDF transform of the uniform stream."""
     n = int(np.prod(shape))
-    return ndtri(uniforms(seed, n, start_block=start_block)).reshape(shape)
+    return ndtri(uniforms(seed, n)).reshape(shape)

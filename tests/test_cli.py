@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,14 @@ SIM_CONFIG = {
 
 # Unit 1 holds all of S_aa = 1e16 + 1 up to rounding, so its v^2 is 0.
 DOMINATED_CSV = "unit_id,a,sigma2,y\n1,1e8,1,1e8\n2,1,1,1\n3,1,1,\n"
+
+
+# a or sigma2 so extreme that a^2/sigma2 or its inverse leaves float64 at unit 1.
+EXTREME_CSVS = [
+    "unit_id,a,sigma2,y\n1,1e-170,1,1\n2,1e-170,1,1\n3,1,1,\n",
+    "unit_id,a,sigma2,y\n1,1e160,1,1\n2,1,1,1\n3,1,1,\n",
+    "unit_id,a,sigma2,y\n1,1e-170,1,1\n2,1,1,1\n3,1,1,\n",
+]
 
 
 @pytest.fixture
@@ -174,6 +183,24 @@ class TestEstimate:
         ]) == 3
         assert "S_aa - h_k <= 0 for unit '1'" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("text", EXTREME_CSVS)
+@pytest.mark.parametrize("command", [["calibrate", "--max-excess", "0.01"], ["estimate", "--c", "1"]])
+def test_extreme_layout_exit_3_names_the_unit(text, command, tmp_path, capsys):
+    path = tmp_path / "frame.csv"
+    path.write_text(text)
+    out = tmp_path / "out.json"
+    argv = command + ["--frame", str(path), "--model", "custom"]
+    if command[0] == "estimate":
+        argv += ["--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sampled unit '1' is out of float64 range" in captured.err
+    assert not out.exists()
 
 
 class TestCalibrate:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from robust_fps import (
     DegenerateFrameWarning,
+    FrameTemplate,
     ModelSpec,
     ModelValidationError,
     RobustConfig,
@@ -258,6 +259,23 @@ class TestRobustEstimate:
         est = robust_estimate(fr, RobustConfig(c=0.5))
         assert est.ybar_P_R == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("c", [1.0, 1.5, 2.0])
+    def test_one_gross_outlier_clips_every_unit(self, c):
+        # The band is centred on the contaminated ybar_w, so a single +1e4
+        # outlier pushes every residual out of it; theta_R then stays within
+        # c * sum_s w v of ybar_w, which the outlier has already moved.
+        rng = np.random.default_rng(8)
+        N, n = 40, 20
+        y = 500.0 + rng.normal(0.0, 1.0, n)
+        y[7] += 1e4
+        t = FrameTemplate(tuple(range(N)), np.ones(N), np.ones(N), np.arange(N) < n)
+        fr = t.with_y(y)
+        stats = sufficient_stats(fr)
+        est = robust_estimate(fr, RobustConfig(c=c))
+        assert est.clipped_units == t.sampled_ids
+        assert abs(est.theta_hat_R - stats.ybar_w) <= c * float(stats.w @ stats.v)
+        assert est.ybar_P_R > 900.0
+
 
 class TestChambersVariant:
     def test_ratio_scaling_difference(self):
@@ -303,6 +321,24 @@ class TestChambersVariant:
         stats = sufficient_stats(fr)
         via_config = robust_theta(stats, RobustConfig(c=1.0, scaling="chambers_sigma"))
         assert via_config == chambers_variant_theta(stats, 1.0)
+
+    @pytest.mark.parametrize("scaling", ["paper_v", "chambers_sigma"])
+    def test_nothing_clipped_returns_ybar_w_exactly(self, scaling):
+        # Both scalings subtract the weighted overflow, which is exactly zero
+        # at c = max|resid|, for n from 2 to 1e5.
+        rng = np.random.default_rng(83)
+        for n in np.unique(np.geomspace(2, 1e5, 83).round().astype(int)):
+            N = n + int(rng.integers(1, 5))
+            t = FrameTemplate(tuple(range(N)), rng.uniform(0.2, 5.0, N),
+                              rng.uniform(0.1, 4.0, N), np.arange(N) < n)
+            stats = sufficient_stats(t.with_y(rng.normal(3.0, 2.0, n)))
+            if scaling == "paper_v":
+                resid = stats.r
+            else:
+                scale = np.sqrt(stats.sigma2) / stats.a
+                resid = (stats.y / stats.a - stats.ybar_w) / scale
+            config = RobustConfig(c=float(np.abs(resid).max()), scaling=scaling)
+            assert robust_theta(stats, config) == stats.ybar_w
 
     def test_budget_with_chambers_scaling_rejected(self):
         with pytest.raises(ModelValidationError):

@@ -166,6 +166,16 @@ class TestFrameTemplate:
                 assert ybar_w[k] == ybar_k
                 assert np.array_equal(r[k], r_k)
 
+    @pytest.mark.parametrize("a, sigma2", [
+        ([1e-170, 1e-170, 1.0], [1.0, 1.0, 1.0]),   # every a^2 underflows: S_aa = 0
+        ([1e160, 1.0, 1.0], [1.0, 1.0, 1.0]),       # a^2 overflows: h = inf
+        ([1e-170, 1.0, 1.0], [1.0, 1.0, 1.0]),      # h = 0, sigma2/a^2 = inf
+        ([1e-160, 1.0, 1.0], [1e-8, 1.0, 1.0]),     # h subnormal, sigma2/a^2 = inf
+    ])
+    def test_extreme_layouts_name_the_unit(self, a, sigma2):
+        with pytest.raises(ModelValidationError, match="sampled unit 'u1' is out of float64 range"):
+            FrameTemplate(("u1", "u2", "u3"), a, sigma2, [True, True, False])
+
 
 class TestClassicalEstimate:
     def test_ratio_example(self):

@@ -1,6 +1,7 @@
 """Tail moment g, derivative, MSE decomposition, and budget inversion."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +10,8 @@ from scipy import integrate
 
 from robust_fps import (
     DegenerateFrameError,
+    EstimationError,
+    FrameTemplate,
     ModelSpec,
     ModelValidationError,
     build_model,
@@ -261,3 +264,34 @@ class TestCalibrateC:
         for m in np.geomspace(1e-6, 0.999, 20) * e0:
             c = calibrate_c(frame, float(m))
             assert excess_risk(frame, c) == pytest.approx(float(m), rel=1e-10)
+
+
+class TestExtremeLayouts:
+    def test_finite_or_typed_error_across_the_float_range(self):
+        # a and sigma2 log-uniform over 1e-150 .. 1e150: every layout either
+        # raises a typed error or gives finite risks and a finite c, and no
+        # step emits a RuntimeWarning.
+        rng = np.random.default_rng(2026)
+        finite = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(3000):
+                N = int(rng.integers(3, 13))
+                n = int(rng.integers(2, N))
+                a = 10.0 ** rng.uniform(-150, 150, N)
+                sigma2 = 10.0 ** rng.uniform(-150, 150, N)
+                sampled = np.zeros(N, dtype=bool)
+                sampled[rng.choice(N, n, replace=False)] = True
+                try:
+                    t = FrameTemplate(tuple(range(N)), a, sigma2, sampled)
+                    report = mse_closed_form(t, 1.0)
+                    e0 = max_excess_risk(t)
+                    values = [report.mse_robust, report.mse_baseline, e0]
+                    # half of a subnormal e0 can round to 0, not a valid budget
+                    if 0.5 * e0 > 0:
+                        values.append(calibrate_c(t, 0.5 * e0))
+                except EstimationError:
+                    continue
+                assert all(math.isfinite(x) for x in values)
+                finite += 1
+        assert finite > 100
