@@ -16,9 +16,6 @@ condition that makes the expectation finite).  ``divergence`` evaluates it
 for any pair, with all determinant work in log space via Cholesky factors.
 Where the expectation overflows float64 it raises rather than return inf.
 
-A Monte Carlo evaluation of the defining expectation is provided as an
-independent check of the closed form.
-
 The delete-one influence of each sampled unit k is the divergence between
 the predictive normals of the M unsampled values with and without that unit.
 Both covariances are ``D_u + a_u a_u'/S`` with ``D_u = diag(sigma2_u)``, for
@@ -52,9 +49,7 @@ from scipy.linalg import cholesky, solve_triangular
 
 from .errors import DegenerateFrameError, DivergenceUndefinedError
 from .frame import PopulationFrame
-from .streams import std_normals
 
-LOG_2PI = math.log(2.0 * math.pi)
 #: Largest ``log E`` whose ``exp`` is finite in float64.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _ATANH_TERMS = 18
@@ -100,31 +95,6 @@ class GaussianSpec:
     @property
     def log_det(self) -> float:
         return 2.0 * float(np.log(np.diag(self._chol)).sum())
-
-    def log_pdf(self, x: np.ndarray) -> np.ndarray:
-        """Log density at each row of ``x``."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        z = solve_triangular(self._chol, (x - self.mu).T, lower=True, check_finite=False)
-        maha = np.einsum("ij,ij->j", z, z)
-        return -0.5 * (self.dim * LOG_2PI + self.log_det + maha)
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        z = std_normals(seed, (n, self.dim))
-        return self.mu + z @ self._chol.T
-
-
-def posterior_predictive(frame: PopulationFrame) -> GaussianSpec:
-    """Predictive distribution of the unsampled values given the sampled ones.
-
-    Mean ``ybar_w * a_u``; covariance ``diag(sigma2_u) + a_u a_u^T / S_aa``.
-    """
-    u = ~frame.sampled
-    if not u.any():
-        raise DegenerateFrameError("census frame has no unsampled units to predict")
-    ybar_w, _ = frame.residuals(frame.y[frame.sampled])
-    a_u = frame.a[u]
-    cov = np.diag(frame.sigma2[u]) + np.outer(a_u, a_u) / frame.S_aa
-    return GaussianSpec(ybar_w * a_u, cov)
 
 
 def _check_dims(f1: GaussianSpec, f2: GaussianSpec):
@@ -184,46 +154,6 @@ def divergence(f1: GaussianSpec, f2: GaussianSpec, lam: float) -> float:
 def symmetrized_divergence(f1: GaussianSpec, f2: GaussianSpec, lam: float) -> float:
     """Average of the divergence in both orientations."""
     return 0.5 * (divergence(f1, f2, lam) + divergence(f2, f1, lam))
-
-
-@dataclass(frozen=True)
-class MCDivergence:
-    """Monte Carlo estimate of the defining expectation, with its standard error."""
-
-    estimate: float
-    std_error: float
-    draws: int
-    n_nonfinite: int = 0
-
-
-def divergence_mc_oracle(
-    f1: GaussianSpec, f2: GaussianSpec, lam: float, draws: int, seed: int
-) -> MCDivergence:
-    """Sample-mean evaluation of D_lam from draws under f1.
-
-    Works per draw in log-density space; a nonfinite ratio is excluded from
-    the average and counted in ``n_nonfinite`` rather than raised.
-    Not defined at the KL limit orders 0 and -1.
-    """
-    _check_dims(f1, f2)
-    lam = float(lam)
-    if lam in (0.0, -1.0):
-        raise ValueError("Monte Carlo oracle is undefined at the KL limit orders 0 and -1")
-    if draws < 2:
-        raise ValueError("need at least 2 draws")
-    x = f1.sample(draws, seed)
-    log_ratio = f1.log_pdf(x) - f2.log_pdf(x)
-    coef = lam * (lam + 1.0)
-    with np.errstate(over="ignore"):
-        vals = np.expm1(lam * log_ratio) / coef
-    finite = np.isfinite(vals)
-    n_bad = int((~finite).sum())
-    vals = vals[finite]
-    if vals.size < 2:
-        return MCDivergence(math.nan, math.nan, draws, n_bad)
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(vals.size))
-    return MCDivergence(est, se, draws, n_bad)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import ModelValidationError
-from .frame import PopulationFrame, SufficientStats, sufficient_stats
+from .frame import PopulationFrame
 from .risk import calibrate_c
 
 
@@ -80,7 +80,7 @@ def psi_clip(r, c: float):
     return np.clip(r, -c, c)
 
 
-def _clip(stats: SufficientStats, config: RobustConfig):
+def _clip(frame: PopulationFrame, config: RobustConfig):
     """One clipping pass: ``theta_R``, the weighted scales, the residuals and ``psi``.
 
     The scale is ``v_i`` (``paper_v``) or ``sigma_i / a_i`` (``chambers_sigma``),
@@ -88,42 +88,17 @@ def _clip(stats: SufficientStats, config: RobustConfig):
     either scaling the weighted residuals sum to zero, so theta is ``ybar_w``
     minus the weighted overflow, and ``ybar_w`` exactly once nothing is clipped.
     """
+    ybar_w, r = frame.fit()
     if config.scaling == "chambers_sigma":
-        scale = np.sqrt(stats.sigma2) / stats.a
-        resid = (stats.y / stats.a - stats.ybar_w) / scale
+        s = frame.sampled
+        scale = np.sqrt(frame.sigma2[s]) / frame.a[s]
+        resid = (frame.y[s] / frame.a[s] - ybar_w) / scale
     else:
-        scale, resid = stats.v, stats.r
-    w_scale = stats.w * scale
+        scale, resid = frame.v, r
+    w_scale = frame.w * scale
     psi = psi_clip(resid, float(config.c))
-    theta = stats.ybar_w - float(w_scale @ (resid - psi))
+    theta = float(ybar_w) - float(w_scale @ (resid - psi))
     return theta, w_scale, resid, psi
-
-
-def robust_theta(stats: SufficientStats, config: RobustConfig | float) -> float:
-    """Clipped location estimate from sufficient statistics.
-
-    With a single sampled unit there is nothing to clip; the weighted average
-    is returned and a DegenerateFrameWarning is issued.
-    """
-    if not isinstance(config, RobustConfig):
-        config = RobustConfig(c=float(config))
-    if config.c is None:
-        raise ModelValidationError(
-            "clipping constant unresolved: solve it from the excess budget first "
-            "(calibrate_c) or pass a fixed c"
-        )
-    if stats.n < 2:
-        warnings.warn("single-unit sample, returning ybar_w", DegenerateFrameWarning)
-        return stats.ybar_w
-    return _clip(stats, config)[0]
-
-
-def chambers_variant_theta(stats: SufficientStats, c: float) -> float:
-    """Clipped estimate rescaled by sigma_i / a_i instead of v_i.
-
-    Provided for comparison studies only; no risk formula applies to it.
-    """
-    return robust_theta(stats, RobustConfig(c=c, scaling="chambers_sigma"))
 
 
 def robust_estimate(frame: PopulationFrame, config: RobustConfig) -> RobustEstimate:
@@ -131,19 +106,21 @@ def robust_estimate(frame: PopulationFrame, config: RobustConfig) -> RobustEstim
 
     Resolves the clipping constant from the excess budget when needed, then
     applies the clipped location estimate to the unsampled part of the frame.
-    A census frame returns the exact mean.
+    A census frame returns the exact mean.  With a single sampled unit there
+    is nothing to clip: theta is ``ybar_w`` and a DegenerateFrameWarning is
+    issued.
     """
     if config.c is None:
         config = RobustConfig(c=calibrate_c(frame, config.max_excess), scaling=config.scaling)
     c = float(config.c)
-    stats = sufficient_stats(frame)
-    degenerate = stats.n < 2
+    degenerate = frame.n_sampled < 2
     if degenerate:
-        theta, contributions, clipped_units = robust_theta(stats, config), np.zeros(1), ()
+        warnings.warn("single-unit sample, returning ybar_w", DegenerateFrameWarning)
+        theta, contributions, clipped_units = float(frame.fit()[0]), np.zeros(1), ()
     else:
-        theta, w_scale, resid, psi = _clip(stats, config)
+        theta, w_scale, resid, psi = _clip(frame, config)
         contributions = w_scale * psi
-        clipped_units = tuple(u for u, m in zip(stats.unit_id, np.abs(resid) > c) if m)
+        clipped_units = tuple(u for u, m in zip(frame.sampled_ids, np.abs(resid) > c) if m)
     return RobustEstimate(
         theta_hat_R=theta,
         ybar_P_R=float(frame.fill_in(frame.y[frame.sampled].sum(), theta)),

@@ -190,6 +190,10 @@ class PopulationFrame(FrameTemplate):
             bad = [self.unit_id[i] for i in np.flatnonzero(~sampled & np.isfinite(y))]
             raise ModelValidationError(f"y given for unsampled unit(s) {bad}")
 
+    def fit(self):
+        """``ybar_w`` and the residuals ``r`` of the observed values (``r`` is None for n = 1)."""
+        return self.residuals(self.y[self.sampled])
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -267,52 +271,6 @@ def _positive_aux(name: str, values, N: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class SufficientStats:
-    """Precision sums, weights, scales, and standardized residuals of the sampled units.
-
-    ``r`` is None when only one unit is sampled (the residual scale v degenerates
-    to zero there).  The identities ``sum(w) == 1`` and ``sum(w * v * r) == 0``
-    hold for every valid frame.
-    """
-
-    unit_id: tuple
-    a: np.ndarray
-    sigma2: np.ndarray
-    y: np.ndarray
-    S_aa: float
-    ybar_w: float
-    w: np.ndarray
-    v: np.ndarray
-    r: np.ndarray | None = field(default=None)
-
-    @property
-    def n(self) -> int:
-        return len(self.unit_id)
-
-
-def sufficient_stats(frame: PopulationFrame) -> SufficientStats:
-    """Compute the weighted-average estimate of theta and per-unit residual scales.
-
-    v_i is the standard deviation of ``y_i / a_i - ybar_w`` under the model;
-    residuals are reported only when two or more units are sampled.
-    """
-    s = frame.sampled
-    a, sigma2, y = frame.a[s], frame.sigma2[s], frame.y[s]
-    ybar_w, r = frame.residuals(y)
-    return SufficientStats(
-        unit_id=frame.sampled_ids,
-        a=a,
-        sigma2=sigma2,
-        y=y,
-        S_aa=frame.S_aa,
-        ybar_w=float(ybar_w),
-        w=frame.w,
-        v=frame.v,
-        r=r,
-    )
-
-
 def classical_estimate(frame: PopulationFrame) -> float:
     """Baseline estimate of the finite population mean.
 
@@ -320,7 +278,5 @@ def classical_estimate(frame: PopulationFrame) -> float:
     predicted value ``ybar_w * a_j``.  A census frame has ``sum_u a = 0`` and
     returns the exact mean.
     """
-    y_s = frame.y[frame.sampled]
-    ybar_w, _ = frame.residuals(y_s)
-    return float(frame.fill_in(y_s.sum(), ybar_w))
+    return float(frame.fill_in(frame.y[frame.sampled].sum(), frame.fit()[0]))
 

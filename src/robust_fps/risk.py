@@ -80,20 +80,6 @@ def g_clip(c: float) -> float:
     return float(4.0 * erfc(z) * (r1 * r2))
 
 
-def g_clip_deriv(c: float) -> float:
-    """Derivative of ``g_clip``; strictly negative for all c >= 0.
-
-    ``4 (c Phi(-c) - phi(c))`` below ``_G_TAIL_FROM``; from there on, where
-    that form cancels, ``-4 i^1erfc(z) / sqrt(2) = -2 sqrt(2) erfc(z) r_1``.
-    """
-    if not (np.isfinite(c) and c >= 0):
-        raise ValueError("clipping constant must be finite and >= 0")
-    if c < _G_TAIL_FROM:
-        return float(4.0 * (c * _Phi_neg(c) - _phi(c)))
-    z = c / _SQRT2
-    return float(-2.0 * _SQRT2 * erfc(z) * _ierfc_ratios(z)[0])
-
-
 @dataclass(frozen=True)
 class RiskReport:
     """MSE decomposition of the robust population-mean estimate at a given c."""

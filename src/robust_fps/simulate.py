@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Literal
 
 import numpy as np
@@ -28,7 +28,7 @@ from scipy.special import ndtri
 from .errors import ModelValidationError
 from .frame import FrameTemplate
 from .risk import mse_closed_form
-from .streams import batch_rep_uniforms, rep_uniforms
+from .streams import batch_rep_uniforms
 
 DEFAULT_REPS = 100_000
 
@@ -100,15 +100,6 @@ class SimConfig:
         return np.array([ids.index(u) for u in self.contamination.units], dtype=int)
 
 
-@dataclass(frozen=True)
-class SimulatedPopulation:
-    """One realized population: values for every unit, contamination applied."""
-
-    config: SimConfig
-    rep_index: int
-    y: np.ndarray
-
-
 def _apply_contamination(config: SimConfig, y: np.ndarray) -> np.ndarray:
     """Perturb designated sampled units in-place on a (reps, N) or (N,) array."""
     cont = config.contamination
@@ -132,16 +123,8 @@ def _realize(config: SimConfig, u: np.ndarray) -> np.ndarray:
     return _apply_contamination(config, config.theta_true * t.a + np.sqrt(t.sigma2) * ndtri(u))
 
 
-def simulate_once(config: SimConfig, rep_index: int) -> SimulatedPopulation:
-    """Realize one population from the substream owned by ``rep_index``."""
-    if not 0 <= rep_index:
-        raise ModelValidationError("rep_index must be >= 0")
-    u = rep_uniforms(config.seed, rep_index, config.template.n_units)
-    return SimulatedPopulation(config, rep_index, _realize(config, u))
-
-
 def _generate_batch(config: SimConfig) -> np.ndarray:
-    """(reps, N) matrix of realized populations, row r == simulate_once(config, r).y."""
+    """(reps, N) matrix of realized populations; row r uses only replication r's substream."""
     return _realize(config, batch_rep_uniforms(config.seed, config.reps, config.template.n_units))
 
 
@@ -172,25 +155,14 @@ CSV_COLUMNS = tuple(f.name for f in fields(SimRow) if f.name != "theo_mse_theta"
 
 
 @dataclass(frozen=True)
-class SimSamples:
-    """Per-replication traces kept for diagnostic tests (one array column per c)."""
-
-    sq_theta: np.ndarray
-    sq_pop: np.ndarray
-    cross: np.ndarray
-    sq_classical: np.ndarray
-
-
-@dataclass(frozen=True)
 class SimResult:
     rows: tuple
     reps: int
     seed: int
     failures: int = 0
-    samples: SimSamples | None = field(default=None, compare=False)
 
 
-def empirical_risk(config: SimConfig, *, keep_samples: bool = False) -> SimResult:
+def empirical_risk(config: SimConfig) -> SimResult:
     """Empirical MSE of the clipped and classical estimators over the c grid.
 
     Squared errors are taken against the realized finite population mean (for
@@ -221,7 +193,6 @@ def empirical_risk(config: SimConfig, *, keep_samples: bool = False) -> SimResul
     cls_mean, se_cls = _mean_se(sq_classical)
 
     rows = []
-    kept_theta, kept_pop, kept_cross = [], [], []
     # One (reps, n) buffer for every c: fresh temporaries of this size per c
     # leave freed blocks in the heap under the next allocation peak.
     overflow = np.empty_like(r)
@@ -254,68 +225,7 @@ def empirical_risk(config: SimConfig, *, keep_samples: bool = False) -> SimResul
                 theo_mse_theta=theo_theta,
             )
         )
-        if keep_samples:
-            kept_theta.append(sq_theta)
-            kept_pop.append(sq_pop)
-            kept_cross.append(cross)
-
-    samples = None
-    if keep_samples:
-        samples = SimSamples(
-            sq_theta=np.column_stack(kept_theta),
-            sq_pop=np.column_stack(kept_pop),
-            cross=np.column_stack(kept_cross),
-            sq_classical=sq_classical,
-        )
-    return SimResult(
-        rows=tuple(rows), reps=config.reps, seed=int(config.seed), failures=failures,
-        samples=samples,
-    )
-
-
-@dataclass(frozen=True)
-class CovarianceProbe:
-    """Empirical residual covariances against their model values."""
-
-    unit_id: tuple
-    cov_resid_ybar: np.ndarray
-    cov_resid_ybar_se: np.ndarray
-    corr_empirical: np.ndarray
-    corr_analytic: np.ndarray
-    corr_se: np.ndarray
-    reps: int
-
-
-def covariance_probe(config: SimConfig) -> CovarianceProbe:
-    """Measure Cov(y_i/a_i - ybar_w, ybar_w) and Corr(r_i, r_k) by simulation.
-
-    Under the model the first is 0 for every unit and the residual
-    correlation equals -(1/S_aa) / (v_i v_k) for i != k.
-    """
-    t = config.template
-    ybar_w, r = t.residuals(_generate_batch(config)[:, t.sampled])
-    resid = r * t.v
-
-    y_c = ybar_w - ybar_w.mean()
-    res_c = resid - resid.mean(axis=0)
-    prod = res_c * y_c[:, None]
-    reps = r.shape[0]
-    cov = prod.mean(axis=0)
-    cov_se = prod.std(axis=0, ddof=1) / math.sqrt(reps)
-
-    corr_emp = np.corrcoef(r, rowvar=False)
-    corr_ana = -(1.0 / t.S_aa) / np.outer(t.v, t.v)
-    np.fill_diagonal(corr_ana, 1.0)
-    corr_se = (1.0 - corr_emp**2) / math.sqrt(reps)
-    return CovarianceProbe(
-        unit_id=t.sampled_ids,
-        cov_resid_ybar=cov,
-        cov_resid_ybar_se=cov_se,
-        corr_empirical=corr_emp,
-        corr_analytic=corr_ana,
-        corr_se=corr_se,
-        reps=reps,
-    )
+    return SimResult(rows=tuple(rows), reps=config.reps, seed=int(config.seed), failures=failures)
 
 
 def result_to_dict(result: SimResult) -> dict:

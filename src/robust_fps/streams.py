@@ -7,16 +7,15 @@ counter range derived from (seed, r), so any parallel schedule reproducing
 the same positions yields bit-identical results.
 
 Uniforms are built from the top 53 bits of each raw word, offset by half an
-ulp so they lie strictly inside (0, 1); normals come from the inverse normal
-CDF applied to those uniforms.  No rejection sampling is used anywhere, so
-the per-draw consumption count is fixed.
+ulp so they lie strictly inside (0, 1); callers turn them into normals with
+the inverse normal CDF.  No rejection sampling is used anywhere, so the
+per-draw consumption count is fixed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import ndtri
 
 _U64_SHIFT = np.uint64(11)
 _INV_2_53 = 2.0**-53
@@ -36,25 +35,8 @@ def _to_uniform(words: np.ndarray) -> np.ndarray:
     return ((words >> _U64_SHIFT).astype(np.float64) + 0.5) * _INV_2_53
 
 
-def uniforms(seed: int, n: int) -> np.ndarray:
-    """n uniforms in (0, 1) from the stream keyed by ``seed``."""
-    return _to_uniform(raw_words(seed, 0, n))
-
-
-def rep_uniforms(seed: int, rep: int, n: int) -> np.ndarray:
-    """Replication substream: n uniforms from blocks owned by replication ``rep``."""
-    per_rep = _blocks(n)
-    return _to_uniform(raw_words(seed, rep * per_rep, n))
-
-
 def batch_rep_uniforms(seed: int, n_reps: int, n: int) -> np.ndarray:
-    """(n_reps, n) uniforms, row r bit-identical to ``rep_uniforms(seed, r, n)``."""
+    """(n_reps, n) uniforms; row r comes from the counter blocks replication r owns."""
     per_rep = _blocks(n)
     words = raw_words(seed, 0, n_reps * per_rep * 4).reshape(n_reps, per_rep * 4)
     return _to_uniform(words[:, :n])
-
-
-def std_normals(seed: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normals via inverse-CDF transform of the uniform stream."""
-    n = int(np.prod(shape))
-    return ndtri(uniforms(seed, n)).reshape(shape)

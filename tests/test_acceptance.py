@@ -21,13 +21,11 @@ from robust_fps import (
     calibrate_c,
     classical_estimate,
     divergence,
-    divergence_mc_oracle,
     excess_risk,
     g_clip,
     influence,
     max_excess_risk,
-    robust_theta,
-    sufficient_stats,
+    robust_estimate,
 )
 from robust_fps.cli import main
 from robust_fps.simulate import (
@@ -36,10 +34,10 @@ from robust_fps.simulate import (
     SimConfig,
     _generate_batch,
     empirical_risk,
-    simulate_once,
 )
 
 from conftest import random_frame
+from oracles import divergence_mc_oracle, simulate_once, theta_sq_error_and_cross
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -49,6 +47,10 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 def _phi(r):
     return math.exp(-0.5 * r * r) / math.sqrt(2 * math.pi)
+
+
+def _theta(fr, c):
+    return robust_estimate(fr, RobustConfig(c=c)).theta_hat_R
 
 
 def test_criterion_1_g_oracle():
@@ -146,23 +148,25 @@ def test_criterion_3_estimator_identities():
 
     worst_rel = 0.0
     for _ in range(10_000):
-        stats = sufficient_stats(random_frame(rng))
+        fr = random_frame(rng)
+        ybar_w, r = fr.fit()
         c = float(rng.uniform(0, 3))
-        wv = stats.w * stats.v
-        clipped = np.clip(stats.r, -c, c)
-        direct = stats.ybar_w + float(wv @ clipped)
-        subtract = stats.ybar_w - float(wv @ (stats.r - clipped))
-        scale = max(abs(direct), abs(subtract), float(wv @ np.abs(stats.r)), 1e-30)
+        wv = fr.w * fr.v
+        clipped = np.clip(r, -c, c)
+        direct = ybar_w + float(wv @ clipped)
+        subtract = ybar_w - float(wv @ (r - clipped))
+        scale = max(abs(direct), abs(subtract), float(wv @ np.abs(r)), 1e-30)
         worst_rel = max(worst_rel, abs(direct - subtract) / scale)
     forms_ok = worst_rel <= 1e-12
 
     ends_ok = True
     for _ in range(200):
-        stats = sufficient_stats(random_frame(rng))
-        t_zero = robust_theta(stats, RobustConfig(c=0.0))
-        t_big = robust_theta(stats, RobustConfig(c=float(np.abs(stats.r).max())))
-        tol = 1e-12 * max(1.0, abs(stats.ybar_w))
-        ends_ok &= abs(t_zero - stats.ybar_w) <= tol and t_big == stats.ybar_w
+        fr = random_frame(rng)
+        ybar_w, r = fr.fit()
+        t_zero = _theta(fr, 0.0)
+        t_big = _theta(fr, float(np.abs(r).max()))
+        tol = 1e-12 * max(1.0, abs(ybar_w))
+        ends_ok &= abs(t_zero - ybar_w) <= tol and t_big == ybar_w
 
     # named special cases against their closed forms
     special_ok = True
@@ -202,10 +206,8 @@ def test_criterion_3_estimator_identities():
         c = float(rng.uniform(0, 3))
         shift = float(rng.normal(0, 2))
         scale_f = float(rng.uniform(0.3, 3))
-        stats = sufficient_stats(fr)
-        theta0 = robust_theta(stats, RobustConfig(c=c))
-        stats_shift = sufficient_stats(fr.with_y(fr.y[fr.sampled] + shift * fr.a[fr.sampled]))
-        theta1 = robust_theta(stats_shift, RobustConfig(c=c))
+        theta0 = _theta(fr, c)
+        theta1 = _theta(fr.with_y(fr.y[fr.sampled] + shift * fr.a[fr.sampled]), c)
         equivariance_ok &= abs(theta1 - (theta0 + shift)) <= 1e-10 * max(1.0, abs(theta0) + abs(shift))
 
         from robust_fps import PopulationFrame
@@ -214,8 +216,7 @@ def test_criterion_3_estimator_identities():
             fr.unit_id, fr.a, scale_f**2 * fr.sigma2, fr.sampled,
             np.where(fr.sampled, scale_f * fr.y, np.nan),
         )
-        stats_sc = sufficient_stats(fr_sc)
-        theta_sc = robust_theta(stats_sc, RobustConfig(c=c))
+        theta_sc = _theta(fr_sc, c)
         equivariance_ok &= abs(theta_sc - scale_f * theta0) <= 1e-10 * max(1.0, abs(scale_f * theta0))
 
     elapsed = time.time() - t0
@@ -236,7 +237,6 @@ def test_criterion_4_influence():
     worst_rel = 0.0
     for _ in range(1000):
         fr = random_frame(rng)
-        stats = sufficient_stats(fr)
         recs = influence(fr)
         s_idx = np.flatnonzero(fr.sampled)
         for k, rec in enumerate(recs):
@@ -245,7 +245,7 @@ def test_criterion_4_influence():
             fr2 = PopulationFrame(
                 fr.unit_id, fr.a, fr.sigma2, sampled2, np.where(sampled2, fr.y, np.nan)
             )
-            delta_direct = stats.ybar_w - sufficient_stats(fr2).ybar_w
+            delta_direct = fr.fit()[0] - fr2.fit()[0]
             denom = max(abs(delta_direct), 1e-12)
             worst_rel = max(worst_rel, abs(rec.delta_k - delta_direct) / denom)
     closed_ok = worst_rel <= 1e-10
@@ -258,8 +258,7 @@ def test_criterion_4_influence():
     sq_resid, div_k = [], []
     for yk in np.linspace(-6, 8, 41):
         fr = base.with_y(np.array([yk, 3.0, 4.0]))
-        st_ = sufficient_stats(fr)
-        sq_resid.append((yk / fr.a[0] - st_.ybar_w) ** 2)
+        sq_resid.append((yk / fr.a[0] - fr.fit()[0]) ** 2)
         div_k.append(influence(fr)[0].divergence_k)
     order = np.argsort(sq_resid)
     monotone_ok = bool(np.all(np.diff(np.array(div_k)[order]) >= -1e-12))
@@ -290,7 +289,7 @@ def test_criterion_5_mse_profile():
         template=template, theta_true=1.0, contamination=Contamination(),
         c_grid=(0.0, 1.0, 2.0, 8.0), reps=100_000, seed=2024,
     )
-    res = empirical_risk(config, keep_samples=True)
+    res = empirical_risk(config)
     rows = {row.c: (i, row) for i, row in enumerate(res.rows)}
 
     s = template.sampled
@@ -319,7 +318,8 @@ def test_criterion_5_mse_profile():
     details = []
     for c in (1.0, 2.0):
         i, row = rows[c]
-        d = res.samples.sq_theta[:, i] - res.samples.cross[:, i] - row.theo_mse_theta
+        sq_theta, cross = theta_sq_error_and_cross(config, c)
+        d = sq_theta - cross - row.theo_mse_theta
         se_d = float(d.std(ddof=1) / math.sqrt(d.shape[0]))
         z = abs(float(d.mean())) / se_d
         cross_ok &= z <= 3.0

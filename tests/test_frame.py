@@ -1,4 +1,4 @@
-"""Model mappings, sufficient statistics, and the baseline estimator."""
+"""Model mappings, the frame's model sums and residuals, and the baseline estimator."""
 
 import numpy as np
 import pytest
@@ -13,11 +13,10 @@ from robust_fps import (
     PopulationFrame,
     build_model,
     classical_estimate,
-    posterior_predictive,
-    sufficient_stats,
 )
 
 from conftest import frames, random_frame
+from oracles import posterior_predictive
 
 
 class TestBuildModel:
@@ -103,30 +102,29 @@ class TestBuildModel:
 class TestSufficientStats:
     def test_equal_weight_symmetry(self):
         fr = _custom(a=[1, 1, 1], sigma2=[1, 1, 1], sampled=[1, 1, 0], y=[2, 4])
-        st_ = sufficient_stats(fr)
-        assert st_.ybar_w == pytest.approx(3.0)
-        assert st_.S_aa == pytest.approx(2.0)
-        assert np.allclose(st_.w, 0.5)
+        assert fr.fit()[0] == pytest.approx(3.0)
+        assert fr.S_aa == pytest.approx(2.0)
+        assert np.allclose(fr.w, 0.5)
 
     def test_ratio_closed_form(self):
         fr = build_model(
             ["1", "2", "3"], ModelSpec("ratio", sigma=1.0),
             x=[1, 3, 2], sampled=[True, True, False], y_sampled=[2, 4],
         )
-        assert sufficient_stats(fr).ybar_w == pytest.approx(6 / 4)
+        assert fr.fit()[0] == pytest.approx(6 / 4)
 
     def test_residual_example(self):
         fr = _custom(a=[1, 1, 1], sigma2=[1, 1, 1], sampled=[1, 1, 0], y=[0, 2])
-        st_ = sufficient_stats(fr)
-        assert st_.v[0] ** 2 == pytest.approx(0.5)
-        assert st_.r[0] == pytest.approx((0 - 1) / np.sqrt(0.5))
-        assert st_.r[0] == pytest.approx(-1.414214, abs=5e-7)
+        r = fr.fit()[1]
+        assert fr.v[0] ** 2 == pytest.approx(0.5)
+        assert r[0] == pytest.approx((0 - 1) / np.sqrt(0.5))
+        assert r[0] == pytest.approx(-1.414214, abs=5e-7)
 
     def test_single_unit_sample_has_no_residuals(self):
         fr = _custom(a=[1, 1], sigma2=[1, 1], sampled=[1, 0], y=[5])
-        st_ = sufficient_stats(fr)
-        assert st_.r is None
-        assert st_.ybar_w == pytest.approx(5.0)
+        ybar_w, r = fr.fit()
+        assert r is None
+        assert ybar_w == pytest.approx(5.0)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(DegenerateFrameError):
@@ -138,16 +136,15 @@ class TestSufficientStats:
     @settings(max_examples=60, deadline=None)
     @given(frames())
     def test_weights_normalize(self, fr):
-        st_ = sufficient_stats(fr)
-        assert abs(st_.w.sum() - 1.0) <= 1e-12
-        assert np.all(st_.w > 0)
+        assert abs(fr.w.sum() - 1.0) <= 1e-12
+        assert np.all(fr.w > 0)
 
     @settings(max_examples=60, deadline=None)
     @given(frames())
     def test_weighted_residuals_sum_to_zero(self, fr):
-        st_ = sufficient_stats(fr)
-        scale = float((st_.w * st_.v * np.abs(st_.r)).sum())
-        total = float((st_.w * st_.v * st_.r).sum())
+        r = fr.fit()[1]
+        scale = float((fr.w * fr.v * np.abs(r)).sum())
+        total = float((fr.w * fr.v * r).sum())
         assert abs(total) <= 1e-10 * max(scale, 1e-300)
 
 
@@ -247,10 +244,9 @@ class TestClassicalEstimate:
     @given(frames(), st.floats(-3, 3, allow_nan=False))
     def test_location_equivariance(self, fr, c):
         shifted = fr.with_y(fr.y[fr.sampled] + c * fr.a[fr.sampled])
-        st0 = sufficient_stats(fr)
-        st1 = sufficient_stats(shifted)
-        assert st1.ybar_w == pytest.approx(st0.ybar_w + c, abs=1e-9 * (1 + abs(st0.ybar_w) + abs(c)))
-        assert np.allclose(st1.r, st0.r, atol=1e-8)
+        (ybar0, r0), (ybar1, r1) = fr.fit(), shifted.fit()
+        assert ybar1 == pytest.approx(ybar0 + c, abs=1e-9 * (1 + abs(ybar0) + abs(c)))
+        assert np.allclose(r1, r0, atol=1e-8)
         lhs = classical_estimate(shifted)
         rhs = classical_estimate(fr) + c * fr.a.sum() / fr.n_units
         assert lhs == pytest.approx(rhs, abs=1e-10 * (1 + abs(rhs)))
@@ -263,11 +259,10 @@ class TestClassicalEstimate:
             fr.unit_id, fr.a, c**2 * fr.sigma2, fr.sampled,
             np.where(fr.sampled, c * fr.y, np.nan),
         )
-        st0 = sufficient_stats(fr)
-        st1 = sufficient_stats(scaled)
-        assert st1.ybar_w == pytest.approx(c * st0.ybar_w, rel=1e-10, abs=1e-12)
-        assert np.allclose(st1.v, abs(c) * st0.v, rtol=1e-10)
-        assert np.allclose(st1.r, np.sign(c) * st0.r, rtol=1e-8, atol=1e-10)
+        (ybar0, r0), (ybar1, r1) = fr.fit(), scaled.fit()
+        assert ybar1 == pytest.approx(c * ybar0, rel=1e-10, abs=1e-12)
+        assert np.allclose(scaled.v, abs(c) * fr.v, rtol=1e-10)
+        assert np.allclose(r1, np.sign(c) * r0, rtol=1e-8, atol=1e-10)
 
 
 class TestPosteriorPredictive:

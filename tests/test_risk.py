@@ -1,4 +1,4 @@
-"""Tail moment g, derivative, MSE decomposition, and budget inversion."""
+"""Tail moment g, MSE decomposition, and budget inversion."""
 
 import math
 import warnings
@@ -18,7 +18,6 @@ from robust_fps import (
     calibrate_c,
     excess_risk,
     g_clip,
-    g_clip_deriv,
     max_excess_risk,
     mse_closed_form,
 )
@@ -105,40 +104,6 @@ class TestGClip:
 
         assert variant(1.0) == pytest.approx(-0.333262, abs=5e-7)
         assert variant(1.0) < 0 < g_quadrature(1.0)
-
-
-class TestGClipDeriv:
-    def test_at_zero(self):
-        assert g_clip_deriv(0.0) == pytest.approx(-4.0 / math.sqrt(2 * math.pi), rel=1e-14)
-        assert g_clip_deriv(0.0) == pytest.approx(-1.595769, abs=5e-7)
-
-    def test_at_one(self):
-        assert g_clip_deriv(1.0) == pytest.approx(-0.333262, abs=5e-7)
-
-    def test_finite_difference_grid(self):
-        h = 1e-4
-        for c in np.arange(0.25, 4.01, 0.25):
-            c = float(c)
-            fd = (g_clip(c + h) - g_clip(c - h)) / (2 * h)
-            assert abs(g_clip_deriv(c) - fd) <= 1e-5
-
-    def test_finite_difference_at_zero_one_sided(self):
-        h = 1e-4
-        fd = (-3 * g_clip(0.0) + 4 * g_clip(h) - g_clip(2 * h)) / (2 * h)
-        assert abs(g_clip_deriv(0.0) - fd) <= 1e-5
-
-    def test_strictly_negative_on_grid(self):
-        for c in np.arange(0.0, 6.01, 0.1):
-            assert g_clip_deriv(float(c)) < 0
-
-    def test_mpmath_oracle_through_the_tail(self):
-        # g'(c) = 4 (c Phi(-c) - phi(c)); same grid and gate as the g_clip oracle
-        grid = np.concatenate([np.linspace(0.0, 37.5, 1501), np.linspace(1.99, 2.01, 41)])
-        with mp.workdps(60):
-            for c in map(float, grid):
-                cm = mp.mpf(c)
-                want = 4 * (cm * mp.ncdf(-cm) - mp.npdf(cm))
-                assert float(abs(g_clip_deriv(c) - want) / abs(want)) <= 1e-12, c
 
 
 class TestMseTheorem:

@@ -11,13 +11,20 @@ from robust_fps import (
     FrameTemplate,
     ModelValidationError,
     SimConfig,
-    covariance_probe,
     empirical_risk,
     g_clip,
-    simulate_once,
 )
 from robust_fps.simulate import _generate_batch, write_result_csv, write_result_json
-from robust_fps.streams import batch_rep_uniforms, rep_uniforms, std_normals, uniforms
+from robust_fps.streams import batch_rep_uniforms
+
+from oracles import (
+    covariance_probe,
+    rep_uniforms,
+    simulate_once,
+    std_normals,
+    theta_sq_error_and_cross,
+    uniforms,
+)
 
 
 def make_template(N=6, n=3, a=None, sigma2=None):
@@ -170,9 +177,10 @@ class TestEmpiricalRisk:
         # E[(theta_R - theta)^2] = theo_theta + E[cross], so the centered
         # statistic sq_theta - cross - theo_theta has mean zero
         config = make_config(c_grid=(1.0,), reps=60_000)
-        res = empirical_risk(config, keep_samples=True)
+        res = empirical_risk(config)
         row = res.rows[0]
-        d = res.samples.sq_theta[:, 0] - res.samples.cross[:, 0] - row.theo_mse_theta
+        sq_theta, cross = theta_sq_error_and_cross(config, 1.0)
+        d = sq_theta - cross - row.theo_mse_theta
         se_d = d.std(ddof=1) / math.sqrt(d.shape[0])
         assert abs(d.mean()) <= 3 * se_d
 
