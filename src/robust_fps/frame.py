@@ -144,13 +144,23 @@ class FrameTemplate:
         ``(reps, n)``; ``ybar_w`` has the leading shape.  Each row is reduced
         on its own, so a stack gives bit for bit the values of its rows.
         ``r`` is None when one unit is sampled.
+
+        ``ybar_w`` is anchored at a first average ``y0``: adding the weighted
+        deviations from it makes ``sum w v r`` vanish up to their rounding, not
+        that of ``t = y/a``, also where every ``t`` is equal.  One scratch
+        array of the shape of ``ys`` is used, and ``r`` overwrites ``t``.
         """
-        s = self.sampled
-        a_s = self.a[s]
-        ybar_w = (a_s * ys / self.sigma2[s]).sum(axis=-1) / self.S_aa
+        t = ys / self.a[self.sampled]
+        scratch = np.multiply(t, self.h)
+        y0 = scratch.sum(axis=-1) / self.S_aa
+        np.multiply(np.subtract(t, y0[..., None], out=scratch), self.w, out=scratch)
+        ybar_w = y0 + scratch.sum(axis=-1)
+        del scratch
         if self.n_sampled < 2:
             return ybar_w, None
-        return ybar_w, (ys / a_s - ybar_w[..., None]) / self.v
+        t -= ybar_w[..., None]
+        t /= self.v
+        return ybar_w, t
 
     def fill_in(self, sum_s_y, theta):
         """Population mean from the sampled total and ``theta * a_j`` for each unsampled unit.

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robust_fps import (
@@ -99,6 +99,21 @@ class TestBuildModel:
         assert np.allclose(fr.sigma2, [0.5, 0.7])
 
 
+def _outlier_at_first(N=1005, n=1000):
+    rng = np.random.default_rng(12)
+    a, sigma2 = rng.uniform(0.2, 5.0, N), rng.uniform(0.1, 4.0, N)
+    y = np.where(np.arange(N) < n, 2.0 * a + np.sqrt(sigma2) * rng.standard_normal(N), np.nan)
+    y[0] = 1e8
+    return PopulationFrame(tuple(range(N)), a, sigma2, np.arange(N) < n, y)
+
+
+# Every y/a equal: the residuals are all rounding, and must still sum to zero.
+_EQUAL_RATIOS = PopulationFrame(("u0", "u1", "u2"), np.array([1.5, 1.5, 1.0]),
+                                np.array([1.0, 2.5, 1.0]), np.array([True, True, False]),
+                                np.array([1.0, 1.0, np.nan]))
+_OUTLIER_AT_FIRST = _outlier_at_first()
+
+
 class TestSufficientStats:
     def test_equal_weight_symmetry(self):
         fr = _custom(a=[1, 1, 1], sigma2=[1, 1, 1], sampled=[1, 1, 0], y=[2, 4])
@@ -141,6 +156,8 @@ class TestSufficientStats:
 
     @settings(max_examples=60, deadline=None)
     @given(frames())
+    @example(_EQUAL_RATIOS)
+    @example(_OUTLIER_AT_FIRST)
     def test_weighted_residuals_sum_to_zero(self, fr):
         r = fr.fit()[1]
         scale = float((fr.w * fr.v * np.abs(r)).sum())
