@@ -113,16 +113,18 @@ class FrameTemplate:
                                        "holds all of S_aa up to rounding, so its v is 0")
         # With one sampled unit v^2 is zero up to rounding; keep it exactly zero.
         v = np.sqrt(v2) if n >= 2 else np.zeros(1)
-        # An overflowing q is left inf; influence rejects it.
+        # Overflowing unsampled sums are left inf: the risk formulas and
+        # influence reject them.
         with np.errstate(over="ignore"):
             q = float((a[~s] ** 2 / sigma2[~s]).sum())
+            sum_u_a, sum_u_sigma2 = float(a[~s].sum()), float(sigma2[~s].sum())
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "S_aa", float(S_aa))
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "sum_w2v2", float((w**2 * v**2).sum()))
-        object.__setattr__(self, "sum_u_a", float(a[~s].sum()))
-        object.__setattr__(self, "sum_u_sigma2", float(sigma2[~s].sum()))
+        object.__setattr__(self, "sum_u_a", sum_u_a)
+        object.__setattr__(self, "sum_u_sigma2", sum_u_sigma2)
         object.__setattr__(self, "q", q)
 
     @property
@@ -201,8 +203,17 @@ class PopulationFrame(FrameTemplate):
             raise ModelValidationError(f"y given for unsampled unit(s) {bad}")
 
     def fit(self):
-        """``ybar_w`` and the residuals ``r`` of the observed values (``r`` is None for n = 1)."""
-        return self.residuals(self.y[self.sampled])
+        """``ybar_w`` and the residuals ``r`` of the observed values (``r`` is None for n = 1).
+
+        Raises ``ModelValidationError`` where finite values give an ``ybar_w``
+        or an ``r`` outside float64.
+        """
+        with np.errstate(all="ignore"):
+            ybar_w, r = self.residuals(self.y[self.sampled])
+        if not np.isfinite(ybar_w) or (r is not None and not np.isfinite(r).all()):
+            raise ModelValidationError("the weighted average or a residual of the sampled "
+                                       "values overflows float64")
+        return ybar_w, r
 
 
 @dataclass(frozen=True)

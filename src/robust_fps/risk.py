@@ -114,8 +114,9 @@ def mse_closed_form(layout: FrameTemplate, c: float) -> RiskReport:
     N, sum_au = layout.n_units, layout.sum_u_a
     g = g_clip(c)
     unseen = layout.sum_u_sigma2 / N**2
-    estimation = (sum_au**2 / layout.S_aa) / N**2
-    penalty = sum_w2v2 * g * sum_au**2 / N**2
+    # sum_au * sum_au overflows to inf; Python's ** would raise OverflowError.
+    estimation = (sum_au * sum_au / layout.S_aa) / N**2
+    penalty = sum_w2v2 * g * (sum_au * sum_au) / N**2
     baseline = unseen + estimation
     if not math.isfinite(baseline + penalty):
         raise ModelValidationError("the model MSE of this layout overflows float64")

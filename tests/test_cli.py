@@ -203,6 +203,32 @@ def test_extreme_layout_exit_3_names_the_unit(text, command, tmp_path, capsys):
     assert not out.exists()
 
 
+# Finite inputs whose unsampled sums, model MSE or residuals leave float64.
+OVERFLOW_CASES = [
+    (["calibrate", "--max-excess", "0.01"], "unit_id,a,sigma2,y\n1,1,1,1\n2,1,1,2\n3,1e200,1,\n"),
+    (["calibrate", "--max-excess", "0.01"],
+     "unit_id,a,sigma2,y\n1,1,1,1\n2,1,1,2\n3,1,1e308,\n4,1,1e308,\n"),
+    (["estimate", "--c", "1"], "unit_id,a,sigma2,y\n1,1e10,1e-10,1e300\n2,1e10,1e-10,1\n3,1,1,\n"),
+]
+
+
+@pytest.mark.parametrize("command, text", OVERFLOW_CASES, ids=["sum_u_a", "sum_u_sigma2", "residuals"])
+def test_overflow_on_finite_input_exit_3(command, text, tmp_path, capsys):
+    path = tmp_path / "frame.csv"
+    path.write_text(text)
+    out = tmp_path / "out.json"
+    argv = command + ["--frame", str(path), "--model", "custom"]
+    if command[0] == "estimate":
+        argv += ["--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflows float64" in captured.err
+    assert not out.exists()
+
+
 class TestCalibrate:
     def test_generous_budget_prints_zero(self, frame_csv, capsys):
         big = 10.0 * max_excess_risk(five_unit_frame())

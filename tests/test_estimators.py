@@ -1,5 +1,7 @@
 """Clipping, the two algebraic forms, and the named special cases."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,6 +258,21 @@ class TestRobustEstimate:
         assert est.clipped_units == t.sampled_ids
         assert abs(est.theta_hat_R - fr.fit()[0]) <= c * float(fr.w @ fr.v)
         assert est.ybar_P_R > 900.0
+
+
+    @pytest.mark.parametrize("scaling", ["paper_v", "chambers_sigma"])
+    def test_overflowing_residuals_raise_typed_error(self, scaling):
+        # finite y whose h * y/a leaves float64: no inf estimate, no RuntimeWarning
+        fr = build_model(
+            ["1", "2", "3"], ModelSpec("custom"), a=[1e10, 1e10, 1], sigma2=[1e-10, 1e-10, 1],
+            sampled=[True, True, False], y_sampled=[1e300, 1.0],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelValidationError, match="overflows float64"):
+                robust_estimate(fr, RobustConfig(c=1.0, scaling=scaling))
+            with pytest.raises(ModelValidationError, match="overflows float64"):
+                classical_estimate(fr)
 
 
 class TestChambersVariant:

@@ -232,6 +232,17 @@ class TestCalibrateC:
 
 
 class TestExtremeLayouts:
+    @pytest.mark.parametrize("a, sigma2", [
+        ([1, 1, 1e200], [1, 1, 1]),             # (sum_u a)^2 overflows
+        ([1, 1, 1, 1], [1, 1, 1e308, 1e308]),   # sum_u sigma2 overflows
+    ])
+    def test_overflowing_unsampled_sums_raise_typed_error(self, a, sigma2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = FrameTemplate(tuple(range(len(a))), a, sigma2, np.arange(len(a)) < 2)
+            with pytest.raises(ModelValidationError, match="overflows float64"):
+                mse_closed_form(t, 1.0)
+
     def test_finite_or_typed_error_across_the_float_range(self):
         # a and sigma2 log-uniform over 1e-150 .. 1e150: every layout either
         # raises a typed error or gives finite risks and a finite c, and no
