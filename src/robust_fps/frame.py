@@ -157,7 +157,6 @@ class FrameTemplate:
         y0 = scratch.sum(axis=-1) / self.S_aa
         np.multiply(np.subtract(t, y0[..., None], out=scratch), self.w, out=scratch)
         ybar_w = y0 + scratch.sum(axis=-1)
-        del scratch
         if self.n_sampled < 2:
             return ybar_w, None
         t -= ybar_w[..., None]

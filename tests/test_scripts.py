@@ -1,4 +1,4 @@
-"""Smoke test: the experiment scripts run against the public API and print their tables."""
+"""The scripts run against the public API and print what they promise."""
 
 import os
 import pathlib
@@ -26,3 +26,34 @@ def test_script_prints_its_table(script, header):
     assert header in lines[0]
     # a header plus at least one numeric row
     assert any(line.split() and line.split()[0].replace(".", "").isdigit() for line in lines[1:])
+
+
+# Code lines: import, class, the two lines of the non-docstring string, def, return.
+CODE_LINES_FIXTURE = '''"""Module docstring
+over two lines."""
+
+# a comment
+import os  # a trailing comment does not hide code
+
+
+class A:
+    """Class docstring."""
+
+    x = """not a
+docstring"""
+
+    def f(self):
+        """Function docstring."""
+        return os.sep
+'''
+
+
+def test_code_lines_counts_a_known_module(tmp_path):
+    module = tmp_path / "fixture.py"
+    module.write_text(CODE_LINES_FIXTURE)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "code_lines.py"), str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["     6  fixture", "     6  total"]
