@@ -64,16 +64,11 @@ def cmd_estimate(args) -> int:
     robust = robust_estimate(frame, config)
     c = robust.c_used
     classical = classical_estimate(frame)
-    risk = None
-    if scaling == "paper_v":
-        try:
-            risk = mse_closed_form(frame, c)
-        except DegenerateFrameError:
-            risk = None
     try:
+        risk = mse_closed_form(frame, c) if scaling == "paper_v" else None
         diagnostics = influence(frame, args.lam)
     except DegenerateFrameError:
-        diagnostics = []
+        risk, diagnostics = None, []
     report = dataio.build_report(
         model=_model_dict(args),
         frame=frame,

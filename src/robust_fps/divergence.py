@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
-from .errors import DegenerateFrameError, DivergenceUndefinedError
+from .errors import DivergenceUndefinedError
 from .frame import PopulationFrame
 
 #: Largest ``log E`` whose ``exp`` is finite in float64.
@@ -197,31 +197,25 @@ def influence(frame: PopulationFrame, lam: float = -0.5) -> list[InfluenceRecord
     ``delta_k`` is the shift of the weighted average when unit k is removed;
     ``divergence_k`` compares the full-sample predictive distribution of the
     unsampled values against the one computed without unit k, through the
-    exact scalar reduction in the module docstring.  Needs at least 2 sampled
-    and 1 unsampled unit (``DegenerateFrameError``); raises
-    ``DivergenceUndefinedError`` where a delete-one predictive is undefined
-    (``S_aa - h_k <= 0``), the mixture is not positive definite, or a value is
-    not finite, so no NaN or inf is returned.
+    exact scalar reduction in the module docstring.  The frame must be
+    predictable (``FrameTemplate.require_prediction``, ``DegenerateFrameError``)
+    and its fit finite (``PopulationFrame.fit``, ``ModelValidationError``);
+    ``DivergenceUndefinedError`` is raised where the mixture is not positive
+    definite or a value is not finite, so no NaN or inf is returned.
     """
-    s = frame.sampled
-    if frame.n_sampled < 2:
-        raise DegenerateFrameError("delete-one influence needs at least 2 sampled units")
-    if s.all():
-        raise DegenerateFrameError("census frame has no unsampled units to predict")
+    frame.require_prediction("delete-one influence")
     lam = _check_order(lam)
-    ids = frame.sampled_ids
+    ybar_w, r = frame.fit()
+    s, ids = frame.sampled, frame.sampled_ids
     y, h, q, S_aa = frame.y[s], frame.h, frame.q, frame.S_aa
     # Over- and underflow become nonfinite values, which the checks below reject.
     with np.errstate(all="ignore"):
-        # The template checks v^2 > 0; S_aa - h_k can round differently.
         S_aa_k = S_aa - h
-        _require(S_aa_k > 0, ids, "cov", "S_aa - h_k <= 0")
-        ybar_w, r = frame.residuals(y)
         delta = (y / frame.a[s] - ybar_w) * h / S_aa_k
         v1 = 1.0 + q / S_aa
         x = q / S_aa_k * frame.w / v1
         qd2 = q * delta**2
-        finite = np.isfinite(r) & np.isfinite(delta) & np.isfinite(x) & np.isfinite(qd2)
+        finite = np.isfinite(delta) & np.isfinite(x) & np.isfinite(qd2)
         _require(finite & np.isfinite(v1), ids, "cov", "delete-one predictive is not finite")
         if lam == 0.0:
             div = 0.5 * (qd2 / (v1 * (1.0 + x)) + x * x / (1.0 + x) + _log1p_minus(x))

@@ -50,9 +50,11 @@ class FrameTemplate:
     Every sampled unit's ``h`` and ``w`` must be finite positive floats and
     its ``v^2`` finite; where ``a`` and ``sigma2`` are so extreme that one
     over- or underflows, ``ModelValidationError`` names the first such unit.
-    With two or more sampled units every ``v^2 = sigma2/a^2 - 1/S_aa`` must
-    also be positive; where one unit holds all of ``S_aa`` up to rounding it
-    is not, and ``DegenerateFrameError`` names that unit.
+    With two or more sampled units every ``v^2 = sigma2/a^2 - 1/S_aa`` and
+    every ``S_aa - h`` must also be positive; where one unit holds all of
+    ``S_aa`` up to rounding either can fail without the other, and
+    ``DegenerateFrameError`` names that unit.  ``require_prediction`` decides
+    whether the layout can be predicted at all.
     """
 
     unit_id: tuple
@@ -107,10 +109,12 @@ class FrameTemplate:
             unit = self.sampled_ids[int(np.argmin(ok))]
             raise ModelValidationError(f"sampled unit {unit!r} is out of float64 range: its "
                                        "a^2/sigma2, w or v^2 is not a finite positive float")
-        if n >= 2 and not np.all(v2 > 0):
-            unit = self.sampled_ids[int(np.argmin(v2 > 0))]
+        dominated = (v2 <= 0) | (S_aa - h <= 0)
+        if n >= 2 and dominated.any():
+            unit = self.sampled_ids[int(np.argmax(dominated))]
             raise DegenerateFrameError(f"S_aa - h_k <= 0 for unit {unit!r}: its precision "
-                                       "holds all of S_aa up to rounding, so its v is 0")
+                                       "holds all of S_aa up to rounding, so its v^2 or "
+                                       "S_aa - h_k is not positive")
         # With one sampled unit v^2 is zero up to rounding; keep it exactly zero.
         v = np.sqrt(v2) if n >= 2 else np.zeros(1)
         # Overflowing unsampled sums are left inf: the risk formulas and
@@ -138,6 +142,17 @@ class FrameTemplate:
     @property
     def sampled_ids(self) -> tuple:
         return tuple(u for u, s in zip(self.unit_id, self.sampled) if s)
+
+    def require_prediction(self, what: str) -> None:
+        """Raise ``DegenerateFrameError`` unless 2 or more units are sampled and 1 or more are not.
+
+        ``what`` names the operation in the message.  The risk formulas,
+        delete-one influence and simulation need both.
+        """
+        if self.n_sampled < 2:
+            raise DegenerateFrameError(f"{what} needs at least 2 sampled units")
+        if self.n_sampled == self.n_units:
+            raise DegenerateFrameError(f"census frame has no unsampled units for {what}")
 
     def residuals(self, ys: np.ndarray):
         """Weighted average ``ybar_w`` and standardized residuals ``r`` of sampled values.

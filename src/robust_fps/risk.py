@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .errors import DegenerateFrameError, ModelValidationError
+from .errors import ModelValidationError
 from .frame import FrameTemplate
 
 _SQRT2 = math.sqrt(2.0)
@@ -94,29 +94,21 @@ class RiskReport:
     clipping_penalty: float
 
 
-def _clipping_weight(layout: FrameTemplate) -> float:
-    """``sum_s w_i^2 v_i^2`` after checking the layout has what the formulas need."""
-    if layout.n_sampled < 2:
-        raise DegenerateFrameError("risk formulas need at least 2 sampled units")
-    if layout.n_sampled == layout.n_units:
-        raise DegenerateFrameError("risk formulas need at least 1 unsampled unit")
-    return layout.sum_w2v2
-
-
 def mse_closed_form(layout: FrameTemplate, c: float) -> RiskReport:
     """Exact model-true MSE of the robust estimate, split into its three parts.
 
     Depends only on the layout, so a ``FrameTemplate`` and a ``PopulationFrame``
     on it give the same report.  Raises ``ModelValidationError`` when the MSE
-    overflows float64.
+    overflows float64, and ``DegenerateFrameError`` unless the layout can be
+    predicted (``FrameTemplate.require_prediction``).
     """
-    sum_w2v2 = _clipping_weight(layout)
+    layout.require_prediction("the model risk")
     N, sum_au = layout.n_units, layout.sum_u_a
     g = g_clip(c)
     unseen = layout.sum_u_sigma2 / N**2
     # sum_au * sum_au overflows to inf; Python's ** would raise OverflowError.
     estimation = (sum_au * sum_au / layout.S_aa) / N**2
-    penalty = sum_w2v2 * g * (sum_au * sum_au) / N**2
+    penalty = layout.sum_w2v2 * g * (sum_au * sum_au) / N**2
     baseline = unseen + estimation
     if not math.isfinite(baseline + penalty):
         raise ModelValidationError("the model MSE of this layout overflows float64")

@@ -77,10 +77,7 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "c_grid", tuple(float(c) for c in self.c_grid))
-        if self.template.n_sampled < 2:
-            raise ModelValidationError("simulation needs at least 2 sampled units")
-        if self.template.sampled.all():
-            raise ModelValidationError("simulation needs at least 1 unsampled unit")
+        self.template.require_prediction("simulation")
         if not np.isfinite(self.theta_true):
             raise ModelValidationError("theta_true must be finite")
         if not self.c_grid or any(c < 0 or not np.isfinite(c) for c in self.c_grid):

@@ -132,7 +132,7 @@ class TestSimulateOnce:
         # Census and single-unit layouts are valid templates; simulation rejects them.
         for n in (4, 1):
             template = make_template(N=4, n=n)
-            with pytest.raises(ModelValidationError):
+            with pytest.raises(DegenerateFrameError):
                 make_config(template=template)
 
     def test_dominated_precision_rejected(self):
