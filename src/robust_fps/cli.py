@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import dataio
@@ -28,8 +27,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_FLAG_CONFLICT = 4
-
-SEED_ENV_VAR = "ROBUST_FPS_SEED"
 
 
 def _add_frame_flags(parser: argparse.ArgumentParser):
@@ -107,17 +104,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    seed_override = args.seed
-    if seed_override is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is not None:
-            try:
-                seed_override = int(env)
-            except ValueError:
-                raise dataio.ConfigSchemaError(
-                    "", f"environment {SEED_ENV_VAR}={env!r} is not an integer"
-                ) from None
-    config = dataio.read_sim_config(args.config, seed_override)
+    config = dataio.read_sim_config(args.config, args.seed)
     result = empirical_risk(config)
     write_result_json(result, args.out_prefix + ".json")
     write_result_csv(result, args.out_prefix + ".csv")
@@ -168,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out-prefix", required=True, help="output prefix for .json/.csv")
     p_sim.add_argument(
         "--seed", type=int, default=None,
-        help=f"seed override (precedence: flag > {SEED_ENV_VAR} > config)",
+        help="seed; without it the config's seed (0 if it has none)",
     )
     p_sim.set_defaults(func=cmd_simulate)
 

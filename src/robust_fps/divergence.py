@@ -59,7 +59,7 @@ def _chol_lower(mat: np.ndarray, name: str) -> np.ndarray:
     try:
         return cholesky(mat, lower=True, check_finite=True)
     except Exception as exc:
-        raise DivergenceUndefinedError(name, str(exc)) from None
+        raise DivergenceUndefinedError(f"matrix {name!r} is not positive definite: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,12 @@ class GaussianSpec:
         object.__setattr__(self, "cov", cov)
         p = mu.shape[0]
         if mu.ndim != 1 or cov.shape != (p, p):
-            raise DivergenceUndefinedError("cov", f"shape {cov.shape} does not match mean of length {p}")
+            raise DivergenceUndefinedError(f"cov shape {cov.shape} does not match mean length {p}")
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(cov))):
-            raise DivergenceUndefinedError("cov", "nonfinite entries")
+            raise DivergenceUndefinedError("mu or cov has nonfinite entries")
         scale = np.abs(cov).max()
         if scale > 0 and np.abs(cov - cov.T).max() > 1e-12 * scale:
-            raise DivergenceUndefinedError("cov", "not symmetric within 1e-12 relative")
+            raise DivergenceUndefinedError("cov is not symmetric within 1e-12 relative")
         object.__setattr__(self, "_chol", _chol_lower(cov, "cov"))
 
     @property
@@ -99,7 +99,7 @@ class GaussianSpec:
 
 def _check_dims(f1: GaussianSpec, f2: GaussianSpec):
     if f1.dim != f2.dim:
-        raise DivergenceUndefinedError("cov2", f"dimension mismatch {f1.dim} vs {f2.dim}")
+        raise DivergenceUndefinedError(f"cov1 and cov2 differ in dimension: {f1.dim} vs {f2.dim}")
 
 
 def _kl(f1: GaussianSpec, f2: GaussianSpec) -> float:
@@ -115,7 +115,7 @@ def _kl(f1: GaussianSpec, f2: GaussianSpec) -> float:
 def _check_order(lam) -> float:
     lam = float(lam)
     if not math.isfinite(lam):
-        raise DivergenceUndefinedError("lam", "order must be finite")
+        raise DivergenceUndefinedError(f"order lam must be finite, got {lam!r}")
     return lam
 
 
@@ -145,9 +145,7 @@ def divergence(f1: GaussianSpec, f2: GaussianSpec, lam: float) -> float:
     # Compared first: math.expm1 raises OverflowError past _LOG_FLOAT_MAX.
     value = math.expm1(log_expectation) / coef if log_expectation <= _LOG_FLOAT_MAX else math.inf
     if not math.isfinite(value):
-        raise DivergenceUndefinedError(
-            "lam", f"D_lam overflows float64 (log E = {log_expectation!r})"
-        )
+        raise DivergenceUndefinedError(f"D_lam overflows float64 (log E = {log_expectation!r})")
     return value
 
 
@@ -184,11 +182,11 @@ def _log1p_minus(z: np.ndarray) -> np.ndarray:
     return np.where((z >= -0.5) & (z <= 1.0), small, np.log1p(z) - z)
 
 
-def _require(ok: np.ndarray, unit_ids: tuple, matrix_name: str, detail: str):
+def _require(ok: np.ndarray, unit_ids: tuple, message: str):
     """Raise ``DivergenceUndefinedError`` naming the first unit where ``ok`` fails."""
     if not ok.all():
         k = int(np.argmin(ok))
-        raise DivergenceUndefinedError(matrix_name, f"{detail} for unit {unit_ids[k]!r}")
+        raise DivergenceUndefinedError(f"{message} for unit {unit_ids[k]!r}")
 
 
 def influence(frame: PopulationFrame, lam: float = -0.5) -> list[InfluenceRecord]:
@@ -216,7 +214,7 @@ def influence(frame: PopulationFrame, lam: float = -0.5) -> list[InfluenceRecord
         x = q / S_aa_k * frame.w / v1
         qd2 = q * delta**2
         finite = np.isfinite(delta) & np.isfinite(x) & np.isfinite(qd2)
-        _require(finite & np.isfinite(v1), ids, "cov", "delete-one predictive is not finite")
+        _require(finite & np.isfinite(v1), ids, "the delete-one predictive is not finite")
         if lam == 0.0:
             div = 0.5 * (qd2 / (v1 * (1.0 + x)) + x * x / (1.0 + x) + _log1p_minus(x))
         elif lam == -1.0:
@@ -225,12 +223,13 @@ def influence(frame: PopulationFrame, lam: float = -0.5) -> list[InfluenceRecord
             coef = lam * (lam + 1.0)
             b = 1.0 + lam
             t = 1.0 + b * x
-            _require(t > 0, ids, "(1+lam)*cov2 - lam*cov1", f"1 + (1+lam)*x <= 0 at lam={lam!r}")
+            _require(t > 0, ids, "matrix '(1+lam)*cov2 - lam*cov1' is not positive definite: "
+                     f"1 + (1+lam)*x <= 0 at lam={lam!r}")
             # (lam+1)/2 log1p(x) - 1/2 log1p(b x), with the O(x) terms cancelled exactly.
             log_e = 0.5 * coef * qd2 / (v1 * t) + 0.5 * (b * _log1p_minus(x) - _log1p_minus(b * x))
-            _require(log_e <= _LOG_FLOAT_MAX, ids, "lam", "D_lam overflows float64")
+            _require(log_e <= _LOG_FLOAT_MAX, ids, "D_lam overflows float64")
             div = np.expm1(log_e) / coef
-        _require(np.isfinite(div), ids, "lam", "D_lam is not finite")
+        _require(np.isfinite(div), ids, "D_lam is not finite")
     return [
         InfluenceRecord(unit_id=u, delta_k=d, r_k=rk, v_k=vk, divergence_k=dk)
         for u, d, rk, vk, dk in zip(

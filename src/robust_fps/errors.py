@@ -14,11 +14,8 @@ class DegenerateFrameError(EstimationError):
 
 
 class DivergenceUndefinedError(EstimationError):
-    """A covariance (or covariance mixture) required by a divergence is not positive definite."""
+    """A divergence is undefined or leaves float64.
 
-    def __init__(self, matrix_name: str, detail: str = ""):
-        self.matrix_name = matrix_name
-        msg = f"matrix {matrix_name!r} is not positive definite"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+    The message says why: a covariance or mixture is not positive definite,
+    the inputs do not match, or a value overflows.
+    """

@@ -49,3 +49,29 @@ def frames(draw, n_min=2, n_max=6, extra_max=3):
         sampled,
         y,
     )
+
+
+@st.composite
+def large_layouts(draw):
+    """``(unit_id, a, sigma2, sampled, y)`` with N up to 10^5.
+
+    Half have one sampled unit with ``a`` in 10^6..10^9 and ``sigma2`` of
+    order 1, whose precision nearly dominates; such a layout may be rejected.
+    Census and single-unit samples are included.  The arrays come from a
+    drawn seed, so a large layout costs a few draws.
+    """
+    N = draw(st.one_of(st.integers(2, 50), st.sampled_from([1_000, 10_000, 100_000])))
+    n = draw(st.integers(1, N))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.uniform(0.2, 5.0, N)
+    sigma2 = rng.uniform(0.1, 4.0, N)
+    sampled = np.zeros(N, dtype=bool)
+    sampled[rng.permutation(N)[:n]] = True
+    k = int(np.flatnonzero(sampled)[0])
+    if draw(st.booleans()):
+        a[k] = 10.0 ** draw(st.floats(6.0, 9.0))
+        sigma2[k] = draw(st.floats(0.5, 2.0))
+    y = 2.0 * a + np.sqrt(sigma2) * rng.standard_normal(N)
+    y[k] += draw(st.sampled_from([0.0, 1e3, 1e8])) * np.sqrt(sigma2[k])
+    y[~sampled] = np.nan
+    return tuple(range(N)), a, sigma2, sampled, y

@@ -45,6 +45,13 @@ SIM_CONFIG = {
 DOMINATED_CSV = "unit_id,a,sigma2,y\n1,1e8,1,1e8\n2,1,1,1\n3,1,1,\n"
 
 
+# Unit 1's v^2 rounds to 3.1e-33 > 0, but S_aa - h_1 rounds to 0.
+NEAR_DOMINATED_FRAME = {"unit_id": ["1", "2", "3"], "a": [304163979.3970095, 1, 1],
+                        "sigma2": [1.9321969772920644, 1, 1], "sampled": [True, True, False]}
+NEAR_DOMINATED_CSV = ("unit_id,a,sigma2,y\n1,304163979.3970095,1.9321969772920644,304163979.0\n"
+                      "2,1,1,3.0\n3,1,1,\n")
+
+
 # a or sigma2 so extreme that a^2/sigma2 or its inverse leaves float64 at unit 1.
 EXTREME_CSVS = [
     "unit_id,a,sigma2,y\n1,1e-170,1,1\n2,1e-170,1,1\n3,1,1,\n",
@@ -203,16 +210,43 @@ def test_extreme_layout_exit_3_names_the_unit(text, command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["calibrate", "--max-excess", "1e-40"], ["estimate", "--c", "1"], ["diagnose"], ["simulate"],
+], ids=["calibrate", "estimate", "diagnose", "simulate"])
+def test_near_dominated_layout_exit_3(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    if command[0] == "simulate":
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps(dict(SIM_CONFIG, frame=NEAR_DOMINATED_FRAME)))
+        argv = ["simulate", "--config", str(cfg), "--out-prefix", str(out)]
+    else:
+        path = tmp_path / "frame.csv"
+        path.write_text(NEAR_DOMINATED_CSV)
+        argv = command + ["--frame", str(path), "--model", "custom"]
+        if command[0] == "estimate":
+            argv += ["--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "S_aa - h_k <= 0 for unit '1'" in captured.err
+    assert "positive definite" not in captured.err
+    assert list(tmp_path.glob("out*")) == []
+
+
 # Finite inputs whose unsampled sums, model MSE or residuals leave float64.
 OVERFLOW_CASES = [
     (["calibrate", "--max-excess", "0.01"], "unit_id,a,sigma2,y\n1,1,1,1\n2,1,1,2\n3,1e200,1,\n"),
     (["calibrate", "--max-excess", "0.01"],
      "unit_id,a,sigma2,y\n1,1,1,1\n2,1,1,2\n3,1,1e308,\n4,1,1e308,\n"),
     (["estimate", "--c", "1"], "unit_id,a,sigma2,y\n1,1e10,1e-10,1e300\n2,1e10,1e-10,1\n3,1,1,\n"),
+    (["diagnose", "--c", "1"], "unit_id,a,sigma2,y\n1,1e10,1e-10,1e300\n2,1e10,1e-10,1\n3,1,1,\n"),
 ]
 
 
-@pytest.mark.parametrize("command, text", OVERFLOW_CASES, ids=["sum_u_a", "sum_u_sigma2", "residuals"])
+@pytest.mark.parametrize("command, text", OVERFLOW_CASES,
+                         ids=["sum_u_a", "sum_u_sigma2", "residuals", "residuals_diagnose"])
 def test_overflow_on_finite_input_exit_3(command, text, tmp_path, capsys):
     path = tmp_path / "frame.csv"
     path.write_text(text)
@@ -379,14 +413,13 @@ class TestSimulate:
         assert "S_aa - h_k <= 0 for unit '1'" in capsys.readouterr().err
         assert not (tmp_path / "s.json").exists()
 
-    def test_seed_env_override(self, tmp_path, monkeypatch):
+    def test_seed_flag_override(self, tmp_path):
         cfg = self._write_config(tmp_path)
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
         main(["simulate", "--config", str(cfg), "--out-prefix", str(a)])
-        monkeypatch.setenv("ROBUST_FPS_SEED", "777")
-        main(["simulate", "--config", str(cfg), "--out-prefix", str(b)])
+        main(["simulate", "--config", str(cfg), "--out-prefix", str(b), "--seed", "777"])
         assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
-        # flag beats env
+        # the config's seed is 42
         main(["simulate", "--config", str(cfg), "--out-prefix", str(c), "--seed", "42"])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
 
@@ -449,6 +482,15 @@ class TestDivergenceCommand:
             "--lambda", "2",
         ]) == 3
         assert "overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--mu1", "0", "--cov1", "1", "--mu2", "30", "--cov2", "1", "--lambda", "2"],
+        ["--mu1", "0,0", "--cov1", "1,0;0,1", "--mu2", "0", "--cov2", "1", "--lambda", "0.5"],
+    ], ids=["overflow", "dimension_mismatch"])
+    def test_error_names_its_own_cause(self, argv, capsys):
+        # neither case has a matrix that fails to be positive definite
+        assert main(["divergence", *argv]) == 3
+        assert "positive definite" not in capsys.readouterr().err
 
     def test_symmetrized_flag(self, capsys):
         assert main([

@@ -190,6 +190,27 @@ class TestFrameTemplate:
         with pytest.raises(ModelValidationError, match="sampled unit 'u1' is out of float64 range"):
             FrameTemplate(("u1", "u2", "u3"), a, sigma2, [True, True, False])
 
+    @pytest.mark.parametrize("a1, sigma2_1", [
+        # v_1^2 rounds to 3.1e-33 > 0 (50 digits: v_1 = 2.1e-17), S_aa - h_1 to 0
+        (304163979.3970095, 1.9321969772920644),
+        # v_1^2 rounds to 0, S_aa - h_1 to 1
+        (95733985.9774, 1.1139),
+    ])
+    def test_near_dominated_layouts_name_the_unit(self, a1, sigma2_1):
+        with pytest.raises(DegenerateFrameError, match="S_aa - h_k <= 0 for unit '1'"):
+            FrameTemplate(("1", "2", "3"), [a1, 1, 1], [sigma2_1, 1, 1], [True, True, False])
+
+    def test_prediction_needs_two_sampled_and_one_unsampled_unit(self):
+        def layout(*sampled):
+            return FrameTemplate(tuple(range(len(sampled))), [1] * len(sampled),
+                                 [1] * len(sampled), sampled)
+
+        layout(True, True, False).require_prediction("x")
+        with pytest.raises(DegenerateFrameError, match="^x needs at least 2 sampled units$"):
+            layout(True, False).require_prediction("x")
+        with pytest.raises(DegenerateFrameError, match="^census frame has no unsampled units for x$"):
+            layout(True, True).require_prediction("x")
+
 
 class TestClassicalEstimate:
     def test_ratio_example(self):

@@ -6,6 +6,8 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from robust_fps import (
@@ -14,17 +16,22 @@ from robust_fps import (
     FrameTemplate,
     ModelSpec,
     ModelValidationError,
+    PopulationFrame,
+    RobustConfig,
     build_model,
     calibrate_c,
+    classical_estimate,
     excess_risk,
     g_clip,
+    influence,
     max_excess_risk,
     mse_closed_form,
+    robust_estimate,
 )
 
 from robust_fps.risk import C_MAX
 
-from conftest import random_frame
+from conftest import large_layouts, random_frame
 
 
 def g_quadrature(c: float) -> float:
@@ -271,3 +278,30 @@ class TestExtremeLayouts:
                 assert all(math.isfinite(x) for x in values)
                 finite += 1
         assert finite > 100
+
+    @pytest.mark.filterwarnings("ignore::robust_fps.DegenerateFrameWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(large_layouts(), st.floats(0.0, 4.0), st.floats(0.01, 2.0))
+    def test_finite_or_typed_error_up_to_n_1e5(self, layout, c, budget_share):
+        # Each call returns finite values or raises a typed error, and none
+        # emits a RuntimeWarning; the frame itself may be rejected.
+        def finite(call):
+            try:
+                return all(math.isfinite(x) for x in call())
+            except EstimationError:
+                return True
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                fr = PopulationFrame(*layout)
+            except EstimationError:
+                return
+            assert finite(lambda: [classical_estimate(fr)])
+            for scaling in ("paper_v", "chambers_sigma"):
+                config = RobustConfig(c=c, scaling=scaling)
+                assert finite(lambda: [robust_estimate(fr, config).ybar_P_R])
+            assert finite(lambda: vars(mse_closed_form(fr, c)).values())
+            assert finite(lambda: [calibrate_c(fr, budget_share * max_excess_risk(fr))])
+            assert finite(lambda: [x for rec in influence(fr)
+                                   for x in (rec.delta_k, rec.r_k, rec.v_k, rec.divergence_k)])
