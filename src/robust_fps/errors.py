@@ -10,7 +10,7 @@ class ModelValidationError(EstimationError, ValueError):
 
 
 class DegenerateFrameError(EstimationError):
-    """The frame has too few sampled or unsampled units for the requested operation."""
+    """Too few sampled or unsampled units for the operation, or one unit holds all the precision."""
 
 
 class DivergenceUndefinedError(EstimationError):

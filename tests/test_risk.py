@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from operator import attrgetter
 
 import mpmath as mp
 import numpy as np
@@ -280,7 +281,7 @@ class TestExtremeLayouts:
         assert finite > 100
 
     @pytest.mark.filterwarnings("ignore::robust_fps.DegenerateFrameWarning")
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(large_layouts(), st.floats(0.0, 4.0), st.floats(0.01, 2.0))
     def test_finite_or_typed_error_up_to_n_1e5(self, layout, c, budget_share):
         # Each call returns finite values or raises a typed error, and none
@@ -298,9 +299,10 @@ class TestExtremeLayouts:
             except EstimationError:
                 return
             assert finite(lambda: [classical_estimate(fr)])
+            numbers = attrgetter("theta_hat_R", "ybar_P_R", "contributions")
             for scaling in ("paper_v", "chambers_sigma"):
                 config = RobustConfig(c=c, scaling=scaling)
-                assert finite(lambda: [robust_estimate(fr, config).ybar_P_R])
+                assert finite(lambda: np.hstack(numbers(robust_estimate(fr, config))))
             assert finite(lambda: vars(mse_closed_form(fr, c)).values())
             assert finite(lambda: [calibrate_c(fr, budget_share * max_excess_risk(fr))])
             assert finite(lambda: [x for rec in influence(fr)
