@@ -28,11 +28,14 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_FLAG_CONFLICT = 4
 
+#: ``--model`` names of the model families of ``frame.FAMILIES``.
+MODEL_NAMES = {"ratio": "ratio", "royall": "royall", "ht": "horvitz_thompson", "custom": "custom"}
+
 
 def _add_frame_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--frame", required=True, help="frame CSV path")
     parser.add_argument(
-        "--model", required=True, choices=sorted(dataio.CLI_MODEL_NAMES), help="model family"
+        "--model", required=True, choices=sorted(MODEL_NAMES), help="model family"
     )
     parser.add_argument(
         "--sigma", type=float, default=1.0, help="scale for the ratio family (default 1)"
@@ -40,15 +43,10 @@ def _add_frame_flags(parser: argparse.ArgumentParser):
 
 
 def _load_frame(args):
-    family = dataio.CLI_MODEL_NAMES[args.model]
-    return dataio.read_frame_csv(args.frame, family, sigma=args.sigma)
-
-
-def _model_dict(args) -> dict:
-    out = {"family": dataio.CLI_MODEL_NAMES[args.model]}
-    if args.model == "ratio":
-        out["sigma"] = args.sigma
-    return out
+    """The frame of ``--frame`` under ``--model``, and the report's ``model`` block."""
+    family = MODEL_NAMES[args.model]
+    model = {"family": family, "sigma": args.sigma} if family == "ratio" else {"family": family}
+    return dataio.read_frame_csv(args.frame, family, sigma=args.sigma), model
 
 
 def cmd_estimate(args) -> int:
@@ -57,7 +55,7 @@ def cmd_estimate(args) -> int:
         return EXIT_FLAG_CONFLICT
     scaling = "paper_v" if args.scaling == "paper" else "chambers_sigma"
     config = RobustConfig(c=args.c, max_excess=args.max_excess, scaling=scaling)
-    frame = _load_frame(args)
+    frame, model = _load_frame(args)
     robust = robust_estimate(frame, config)
     c = robust.c_used
     classical = classical_estimate(frame)
@@ -67,7 +65,7 @@ def cmd_estimate(args) -> int:
     except DegenerateFrameError:
         risk, diagnostics = None, []
     report = dataio.build_report(
-        model=_model_dict(args),
+        model=model,
         frame=frame,
         classical=classical,
         robust=robust,
@@ -81,25 +79,16 @@ def cmd_estimate(args) -> int:
 
 def cmd_calibrate(args) -> int:
     config = RobustConfig(max_excess=args.max_excess)
-    c = calibrate_c(_load_frame(args), config.max_excess)
+    c = calibrate_c(_load_frame(args)[0], config.max_excess)
     print(f"{c:.12g}")
     return EXIT_OK
 
 
 def cmd_diagnose(args) -> int:
-    frame = _load_frame(args)
+    frame, model = _load_frame(args)
     diagnostics = influence(frame, args.lam)
-    report = dataio.build_report(
-        model=_model_dict(args),
-        frame=frame,
-        diagnostics=diagnostics,
-        flag_c=args.c,
-    )
-    if args.out:
-        dataio.write_report(report, args.out)
-    else:
-        json.dump(report, sys.stdout, indent=2)
-        print()
+    report = dataio.build_report(model=model, frame=frame, diagnostics=diagnostics, flag_c=args.c)
+    dataio.write_report(report, args.out or None)
     return EXIT_OK
 
 

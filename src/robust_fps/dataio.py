@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from typing import Any
 
 import numpy as np
@@ -20,11 +21,12 @@ import numpy as np
 from .divergence import InfluenceRecord
 from .errors import EstimationError
 from .estimators import RobustEstimate
-from .frame import FAMILY_COLUMNS, FrameTemplate, ModelSpec, PopulationFrame, build_model
+from .frame import FAMILIES, FrameTemplate, ModelSpec, PopulationFrame, build_model
 from .risk import RiskReport
 from .simulate import CONTAMINATION_PARAMS, Contamination, SimConfig
 
-CLI_MODEL_NAMES = {"ratio": "ratio", "royall": "royall", "ht": "horvitz_thompson", "custom": "custom"}
+#: The ``RobustEstimate`` fields of a report's ``robust`` object, in key order.
+_ROBUST_KEYS = ("theta_hat_R", "ybar_P_R", "c_used", "clipped_units", "scaling", "degenerate")
 
 
 class CsvFormatError(EstimationError):
@@ -51,7 +53,8 @@ def _parse_cell(raw: str, row_num: int, column: str) -> float:
 def read_frame_csv(path, family: str, sigma: float = 1.0) -> PopulationFrame:
     """Load a frame CSV and map its auxiliaries through the given model family."""
     spec = ModelSpec(family, sigma=sigma)
-    needed = ("unit_id",) + FAMILY_COLUMNS[family] + ("y",)
+    columns = FAMILIES[family][0]
+    needed = ("unit_id",) + columns + ("y",)
 
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -63,7 +66,7 @@ def read_frame_csv(path, family: str, sigma: float = 1.0) -> PopulationFrame:
 
         unit_id: list[str] = []
         seen: set[str] = set()
-        aux: dict[str, list[float]] = {c: [] for c in FAMILY_COLUMNS[family]}
+        aux: dict[str, list[float]] = {c: [] for c in columns}
         sampled: list[bool] = []
         y_sampled: list[float] = []
         for row_num, row in enumerate(reader, start=2):
@@ -76,7 +79,7 @@ def read_frame_csv(path, family: str, sigma: float = 1.0) -> PopulationFrame:
                 raise CsvFormatError(f"row {row_num}, column 'unit_id': duplicate {uid!r}")
             seen.add(uid)
             unit_id.append(uid)
-            for c in FAMILY_COLUMNS[family]:
+            for c in columns:
                 aux[c].append(_parse_cell(row[c].strip(), row_num, c))
             y_raw = row["y"].strip()
             if y_raw == "" or y_raw.upper() == "NA":
@@ -99,17 +102,6 @@ def risk_to_dict(report: RiskReport) -> dict:
     return out
 
 
-def influence_to_dict(rec: InfluenceRecord, clip_c: float | None) -> dict:
-    return {
-        "unit_id": rec.unit_id,
-        "delta_k": rec.delta_k,
-        "r_k": rec.r_k,
-        "v_k": rec.v_k,
-        "divergence_k": rec.divergence_k,
-        "flagged": None if clip_c is None else bool(abs(rec.r_k) > clip_c),
-    }
-
-
 def build_report(
     *,
     model: dict,
@@ -128,25 +120,26 @@ def build_report(
     if classical is not None:
         report["classical"] = classical
     if robust is not None:
-        report["robust"] = {
-            "theta_hat_R": robust.theta_hat_R,
-            "ybar_P_R": robust.ybar_P_R,
-            "c_used": robust.c_used,
-            "clipped_units": list(robust.clipped_units),
-            "scaling": robust.scaling,
-            "degenerate": robust.degenerate,
-        }
+        report["robust"] = {k: getattr(robust, k) for k in _ROBUST_KEYS}
     report["risk"] = None if risk is None else risk_to_dict(risk)
     report["diagnostics"] = [
-        influence_to_dict(rec, flag_c) for rec in (diagnostics or [])
+        {**vars(rec), "flagged": None if flag_c is None else bool(abs(rec.r_k) > flag_c)}
+        for rec in (diagnostics or [])
     ]
     return report
 
 
-def write_report(report: dict, path) -> None:
+def write_report(report: dict, path=None) -> None:
+    """Write a report as indented JSON to ``path``, or to stdout when it is None.
+
+    A non-finite float raises ``ValueError`` before the file is opened.
+    """
+    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 _KINDS = {

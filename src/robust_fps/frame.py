@@ -7,11 +7,13 @@ posterior mean of theta given the sampled units is the precision-weighted
 average ``ybar_w``; plugging it into the unsampled part of the population
 gives the baseline (non-robust) estimate of the finite population mean.
 
-Three named auxiliary mappings are supported.  With ``a_i = x_i`` and
+The model families are the rows of one table, ``FAMILIES``: each names its
+auxiliary columns and maps them to ``(a, sigma2)``.  With ``a_i = x_i`` and
 ``sigma2_i = sigma^2 * x_i`` the baseline estimate is the classical ratio
 estimator; with ``a_i = x_i`` and ``sigma2_i = x_i^2`` it averages the unit
 ratios ``y_i / x_i``; with ``a_i = pi_i`` and ``sigma2_i = pi_i^2 / (1 - pi_i)``
-it reproduces the Horvitz-Thompson estimator exactly.
+it reproduces the Horvitz-Thompson estimator exactly; ``custom`` reads ``a``
+and ``sigma2`` as given.
 """
 
 from __future__ import annotations
@@ -25,13 +27,24 @@ from .errors import DegenerateFrameError, ModelValidationError
 
 HT_PI_SUM_TOL = 1e-9
 
-#: Auxiliary columns each model family reads, in frame CSV order.
-FAMILY_COLUMNS = {
-    "ratio": ("x",),
-    "royall": ("x",),
-    "horvitz_thompson": ("pi",),
-    "custom": ("a", "sigma2"),
+#: Each model family: its auxiliary columns in frame CSV order, and the map
+#: ``(sigma, *aux) -> (a, sigma2)``.  Only ``ratio`` reads ``sigma``.
+FAMILIES = {
+    "ratio": (("x",), lambda sigma, x: (x, sigma**2 * x)),
+    "royall": (("x",), lambda sigma, x: (x, x**2)),
+    "horvitz_thompson": (("pi",), lambda sigma, pi: (pi, pi**2 / (1.0 - pi))),
+    "custom": (("a", "sigma2"), lambda sigma, a, sigma2: (a, sigma2)),
 }
+
+
+def _positive_array(name: str, values, N: int) -> np.ndarray:
+    """``values`` as a float array, checked to have shape ``(N,)`` and finite entries > 0."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (N,):
+        raise ModelValidationError(f"field {name!r} has shape {arr.shape}, expected ({N},)")
+    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
+        raise ModelValidationError(f"{name} must be finite and > 0 for every unit")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -71,26 +84,20 @@ class FrameTemplate:
     q: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        sigma2 = np.asarray(self.sigma2, dtype=float)
-        s = np.asarray(self.sampled, dtype=bool)
         object.__setattr__(self, "unit_id", tuple(self.unit_id))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "sigma2", sigma2)
-        object.__setattr__(self, "sampled", s)
-
         N = len(self.unit_id)
         if N < 2:
             raise ModelValidationError(f"need at least 2 units, got {N}")
         if len(set(self.unit_id)) != N:
             raise ModelValidationError("duplicate unit_id")
-        for name, arr in (("a", a), ("sigma2", sigma2), ("sampled", s)):
-            if arr.shape != (N,):
-                raise ModelValidationError(f"field {name!r} has shape {arr.shape}, expected ({N},)")
-        if not np.all(np.isfinite(a)) or np.any(a <= 0):
-            raise ModelValidationError("a must be finite and > 0 for every unit")
-        if not np.all(np.isfinite(sigma2)) or np.any(sigma2 <= 0):
-            raise ModelValidationError("sigma2 must be finite and > 0 for every unit")
+        a = _positive_array("a", self.a, N)
+        sigma2 = _positive_array("sigma2", self.sigma2, N)
+        s = np.asarray(self.sampled, dtype=bool)
+        if s.shape != (N,):
+            raise ModelValidationError(f"field 'sampled' has shape {s.shape}, expected ({N},)")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "sigma2", sigma2)
+        object.__setattr__(self, "sampled", s)
         n = int(s.sum())
         if n < 1:
             raise DegenerateFrameError("no sampled units")
@@ -238,7 +245,7 @@ class ModelSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.family not in FAMILY_COLUMNS:
+        if self.family not in FAMILIES:
             raise ModelValidationError(f"unknown family {self.family!r}")
         if self.family == "ratio" and not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ModelValidationError("ratio family needs sigma > 0")
@@ -255,7 +262,7 @@ def build_model(
     sampled: Sequence[bool],
     y_sampled: Sequence[float],
 ) -> PopulationFrame:
-    """Map family auxiliaries to (a_i, sigma2_i) and assemble a frame.
+    """Map family auxiliaries to (a_i, sigma2_i) through ``FAMILIES`` and assemble a frame.
 
     ``y_sampled`` lists observed values for the sampled units, in unit order.
     """
@@ -266,26 +273,18 @@ def build_model(
         raise ModelValidationError("sampled flags must align with unit_id")
     n = int(sampled_arr.sum())
 
-    if spec.family == "ratio":
-        xv = _positive_aux("x", x, N)
-        a_arr, s2_arr = xv, spec.sigma**2 * xv
-    elif spec.family == "royall":
-        xv = _positive_aux("x", x, N)
-        a_arr, s2_arr = xv, xv**2
-    elif spec.family == "horvitz_thompson":
-        pv = np.asarray(pi, dtype=float) if pi is not None else None
-        if pv is None or pv.shape != (N,):
-            raise ModelValidationError("horvitz_thompson family needs pi for every unit")
-        if not np.all(np.isfinite(pv)) or np.any(pv <= 0) or np.any(pv >= 1):
+    columns, to_model = FAMILIES[spec.family]
+    given = {"x": x, "pi": pi, "a": a, "sigma2": sigma2}
+    aux = [_positive_array(c, given[c], N) for c in columns]
+    if spec.family == "horvitz_thompson":
+        pv = aux[0]
+        if np.any(pv >= 1):
             raise ModelValidationError("pi must lie strictly in (0, 1)")
         if abs(pv.sum() - n) > HT_PI_SUM_TOL:
             raise ModelValidationError(
                 f"sum of pi over all units is {pv.sum()!r}, expected sample size {n}"
             )
-        a_arr, s2_arr = pv, pv**2 / (1.0 - pv)
-    else:
-        a_arr = _positive_aux("a", a, N)
-        s2_arr = _positive_aux("sigma2", sigma2, N)
+    a_arr, s2_arr = to_model(spec.sigma, *aux)
 
     y_s = np.asarray(y_sampled, dtype=float)
     if y_s.shape != (n,):
@@ -293,17 +292,6 @@ def build_model(
     y = np.full(N, np.nan)
     y[sampled_arr] = y_s
     return PopulationFrame(unit_id, a_arr, s2_arr, sampled_arr, y)
-
-
-def _positive_aux(name: str, values, N: int) -> np.ndarray:
-    if values is None:
-        raise ModelValidationError(f"family requires auxiliary {name!r}")
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (N,):
-        raise ModelValidationError(f"auxiliary {name!r} has shape {arr.shape}, expected ({N},)")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise ModelValidationError(f"auxiliary {name!r} must be finite and > 0")
-    return arr
 
 
 def classical_estimate(frame: PopulationFrame) -> float:
