@@ -123,7 +123,7 @@ def robust_estimate(frame: PopulationFrame, config: RobustConfig) -> RobustEstim
         clipped_units = tuple(u for u, m in zip(frame.sampled_ids, np.abs(resid) > c) if m)
     return RobustEstimate(
         theta_hat_R=theta,
-        ybar_P_R=float(frame.fill_in(frame.y[frame.sampled].sum(), theta)),
+        ybar_P_R=frame.population_mean(theta),
         clipped_units=clipped_units,
         c_used=c,
         contributions=contributions,

@@ -236,6 +236,19 @@ class PopulationFrame(FrameTemplate):
                                        "values overflows float64")
         return ybar_w, r
 
+    def population_mean(self, theta: float) -> float:
+        """``fill_in`` of the sampled total and ``theta``, as a float.
+
+        Raises ``ModelValidationError`` where finite values give a sampled
+        total or a ``theta * sum_u a`` outside float64.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(self.fill_in(self.y[self.sampled].sum(), theta))
+        if not np.isfinite(mean):
+            raise ModelValidationError("the population mean from the sampled total and theta "
+                                       "overflows float64")
+        return mean
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -301,5 +314,5 @@ def classical_estimate(frame: PopulationFrame) -> float:
     predicted value ``ybar_w * a_j``.  A census frame has ``sum_u a = 0`` and
     returns the exact mean.
     """
-    return float(frame.fill_in(frame.y[frame.sampled].sum(), frame.fit()[0]))
+    return frame.population_mean(frame.fit()[0])
 

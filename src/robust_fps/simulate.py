@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Literal
 
 import numpy as np
@@ -181,34 +181,36 @@ def empirical_risk(config: SimConfig) -> SimResult:
     wv = t.w * t.v
     wv2 = wv**2
 
-    Ys = Y[:, t.sampled]
-    ybar_w, r = t.residuals(Ys)
-    sum_ys = Ys.sum(axis=1)
-    ybar_pop = Y.mean(axis=1)
-    classical = t.fill_in(sum_ys, ybar_w)
-    sq_classical = (classical - ybar_pop) ** 2
-    cls_mean, se_cls = _mean_se(sq_classical)
-
+    # Squared errors and their sums can overflow on finite draws; a row with
+    # a value outside float64 raises below.
     rows = []
-    # One (reps, n) buffer for every c: fresh temporaries of this size per c
-    # leave freed blocks in the heap under the next allocation peak.
-    overflow = np.empty_like(r)
-    for c in config.c_grid:
-        np.subtract(r, np.clip(r, -c, c, out=overflow), out=overflow)
-        T = overflow @ wv
-        theta_R = ybar_w - T
-        ybar_R = t.fill_in(sum_ys, theta_R)
-        sq_theta = (theta_R - theta) ** 2
-        sq_pop = (ybar_R - ybar_pop) ** 2
-        cross = T**2 - np.square(overflow, out=overflow) @ wv2
+    with np.errstate(over="ignore", invalid="ignore"):
+        Ys = Y[:, t.sampled]
+        ybar_w, r = t.residuals(Ys)
+        sum_ys = Ys.sum(axis=1)
+        ybar_pop = Y.mean(axis=1)
+        classical = t.fill_in(sum_ys, ybar_w)
+        sq_classical = (classical - ybar_pop) ** 2
+        cls_mean, se_cls = _mean_se(sq_classical)
 
-        emp_theta, se_theta = _mean_se(sq_theta)
-        emp_pop, se_pop = _mean_se(sq_pop)
-        cross_mean, se_cross = _mean_se(cross)
-        report = mse_closed_form(t, c)
-        theo_theta = 1.0 / t.S_aa + t.sum_w2v2 * report.g_of_c
-        rows.append(
-            SimRow(
+        # One (reps, n) buffer for every c: fresh temporaries of this size per c
+        # leave freed blocks in the heap under the next allocation peak.
+        overflow = np.empty_like(r)
+        for c in config.c_grid:
+            np.subtract(r, np.clip(r, -c, c, out=overflow), out=overflow)
+            T = overflow @ wv
+            theta_R = ybar_w - T
+            ybar_R = t.fill_in(sum_ys, theta_R)
+            sq_theta = (theta_R - theta) ** 2
+            sq_pop = (ybar_R - ybar_pop) ** 2
+            cross = T**2 - np.square(overflow, out=overflow) @ wv2
+
+            emp_theta, se_theta = _mean_se(sq_theta)
+            emp_pop, se_pop = _mean_se(sq_pop)
+            cross_mean, se_cross = _mean_se(cross)
+            report = mse_closed_form(t, c)
+            theo_theta = 1.0 / t.S_aa + t.sum_w2v2 * report.g_of_c
+            row = SimRow(
                 c=float(c),
                 emp_mse_theta=emp_theta,
                 se_theta=se_theta,
@@ -221,7 +223,9 @@ def empirical_risk(config: SimConfig) -> SimResult:
                 se_classical=se_cls,
                 theo_mse_theta=theo_theta,
             )
-        )
+            if not np.isfinite(astuple(row)).all():
+                raise ModelValidationError(f"the empirical risk at c = {c!r} overflows float64")
+            rows.append(row)
     return SimResult(rows=tuple(rows), reps=config.reps, seed=int(config.seed), failures=failures)
 
 
@@ -235,9 +239,10 @@ def result_to_dict(result: SimResult) -> dict:
 
 
 def write_result_json(result: SimResult, path) -> None:
+    """Write the result as indented JSON; a non-finite float raises ``ValueError`` first."""
+    text = json.dumps(result_to_dict(result), indent=2, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result_to_dict(result), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def write_result_csv(result: SimResult, path) -> None:

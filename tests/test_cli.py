@@ -16,6 +16,7 @@ from robust_fps import (
     max_excess_risk,
     robust_estimate,
 )
+from robust_fps import dataio
 from robust_fps.cli import main
 
 FIVE_UNIT_CSV = """unit_id,x,y
@@ -127,15 +128,25 @@ class TestEstimate:
         assert doc["risk"] is None
         assert doc["robust"]["scaling"] == "chambers_sigma"
 
-    def test_malformed_csv_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ("unit_id,x,y\nu1,abc,1\n", "row 2, column 'x': cannot parse 'abc' as a number"),
+        ("unit_id,x,y\n,1,1\n", "row 2, column 'unit_id': empty"),
+        ("unit_id,x,y\nu1,1,1\nu1,1,2\n", "row 3, column 'unit_id': duplicate 'u1'"),
+        ("unit_id,y\nu1,1\n", "row 1: header lacks column(s) ['x']"),
+        ("unit_id,x,y\nu1,1\n", "row 2: fewer cells than header columns"),
+        ("unit_id,x,y\n", "row 2: no data rows"),
+    ], ids=["unparseable_number", "empty_id", "duplicate_id", "missing_column", "short_row",
+            "no_rows"])
+    def test_malformed_csv_exit_2(self, text, message, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
-        bad.write_text("unit_id,x,y\nu1,abc,1\n")
+        bad.write_text(text)
         out = tmp_path / "r.json"
         code = main([
             "estimate", "--frame", str(bad), "--model", "ratio",
             "--c", "1", "--out", str(out),
         ])
         assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_duplicate_unit_id_exit_2(self, tmp_path):
         bad = tmp_path / "dup.csv"
@@ -242,11 +253,14 @@ OVERFLOW_CASES = [
      "unit_id,a,sigma2,y\n1,1,1,1\n2,1,1,2\n3,1,1e308,\n4,1,1e308,\n"),
     (["estimate", "--c", "1"], "unit_id,a,sigma2,y\n1,1e10,1e-10,1e300\n2,1e10,1e-10,1\n3,1,1,\n"),
     (["diagnose", "--c", "1"], "unit_id,a,sigma2,y\n1,1e10,1e-10,1e300\n2,1e10,1e-10,1\n3,1,1,\n"),
+    (["estimate", "--c", "1"], "unit_id,a,sigma2,y\n1,2,4,1e308\n2,2,4,1e308\n3,1,1,\n"),
+    (["estimate", "--c", "1"], "unit_id,a,sigma2,y\n1,1,1,1e10\n2,1,1,1e10\n3,1e300,1,\n"),
 ]
 
 
 @pytest.mark.parametrize("command, text", OVERFLOW_CASES,
-                         ids=["sum_u_a", "sum_u_sigma2", "residuals", "residuals_diagnose"])
+                         ids=["sum_u_a", "sum_u_sigma2", "residuals", "residuals_diagnose",
+                              "sampled_total", "theta_sum_u_a"])
 def test_overflow_on_finite_input_exit_3(command, text, tmp_path, capsys):
     path = tmp_path / "frame.csv"
     path.write_text(text)
@@ -413,6 +427,17 @@ class TestSimulate:
         assert "S_aa - h_k <= 0 for unit '1'" in capsys.readouterr().err
         assert not (tmp_path / "s.json").exists()
 
+    def test_overflowing_squared_errors_exit_3(self, tmp_path, capsys):
+        frame = {"unit_id": ["1", "2", "3", "4"], "a": [1, 1, 1, 1], "sigma2": [1e307] * 4,
+                 "sampled": [True, True, True, False]}
+        cfg = self._write_config(tmp_path, frame=frame, c_grid=[0, 1], reps=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(cfg), "--out-prefix",
+                         str(tmp_path / "s")]) == 3
+        assert "overflows float64" in capsys.readouterr().err
+        assert list(tmp_path.glob("s.*")) == []
+
     def test_seed_flag_override(self, tmp_path):
         cfg = self._write_config(tmp_path)
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
@@ -504,6 +529,13 @@ class TestDivergenceCommand:
         ]) == 0
         backward = capsys.readouterr().out
         assert forward == backward
+
+
+def test_write_report_refuses_non_finite_values(tmp_path):
+    path = tmp_path / "r.json"
+    with pytest.raises(ValueError):
+        dataio.write_report({"x": math.inf}, path)
+    assert not path.exists()
 
 
 class TestReportRoundTrip:
