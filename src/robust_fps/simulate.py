@@ -9,8 +9,11 @@ residual overflows that the closed-form MSE treats as zero, so the accuracy
 of that formula can be quantified rather than assumed.
 
 Replication r draws from a counter-based substream derived from (seed, r);
-results are bit-identical however replications are scheduled.  Accumulation
-happens once over stored per-replication arrays, so reduction order cannot
+results are bit-identical however replications are scheduled.  Replications
+are realized in blocks of about 8 MiB, so memory does not grow with reps
+times N: each block keeps only its per-replication squared errors and cross
+moments.  Those scalars are stored for every replication and reduced once
+after the last block, so neither the block size nor the reduction order can
 perturb the output.
 """
 
@@ -20,6 +23,7 @@ import csv
 import json
 import math
 from dataclasses import asdict, astuple, dataclass, fields
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -31,6 +35,9 @@ from .risk import mse_closed_form
 from .streams import batch_rep_uniforms
 
 DEFAULT_REPS = 100_000
+
+#: Target size of one block of realized populations (rows x N float64).
+_BLOCK_BYTES = 8 * 2**20
 
 #: The parameter field each contamination kind reads, besides its target units.
 CONTAMINATION_PARAMS = {"shift": "delta", "variance_inflation": "factor", "substitution": "value"}
@@ -91,10 +98,21 @@ class SimConfig:
         if stray:
             raise ModelValidationError(f"contamination targets unsampled/unknown units {stray}")
 
-    @property
+    @cached_property
     def contaminated_index(self) -> np.ndarray:
         ids = list(self.template.unit_id)
         return np.array([ids.index(u) for u in self.contamination.units], dtype=int)
+
+    @cached_property
+    def _model_mean(self) -> np.ndarray:
+        # theta_true * a can overflow; such a population is not finite and
+        # counts as a failed replication.
+        with np.errstate(over="ignore"):
+            return self.theta_true * self.template.a
+
+    @cached_property
+    def _model_sd(self) -> np.ndarray:
+        return np.sqrt(self.template.sigma2)
 
 
 def _apply_contamination(config: SimConfig, y: np.ndarray) -> np.ndarray:
@@ -103,11 +121,10 @@ def _apply_contamination(config: SimConfig, y: np.ndarray) -> np.ndarray:
     if cont.kind == "none":
         return y
     idx = config.contaminated_index
-    t = config.template
     if cont.kind == "shift":
-        y[..., idx] += cont.delta * np.sqrt(t.sigma2[idx])
+        y[..., idx] += cont.delta * config._model_sd[idx]
     elif cont.kind == "variance_inflation":
-        center = config.theta_true * t.a[idx]
+        center = config._model_mean[idx]
         y[..., idx] = center + math.sqrt(cont.factor) * (y[..., idx] - center)
     else:
         y[..., idx] = cont.value
@@ -115,14 +132,45 @@ def _apply_contamination(config: SimConfig, y: np.ndarray) -> np.ndarray:
 
 
 def _realize(config: SimConfig, u: np.ndarray) -> np.ndarray:
-    """Populations from uniforms of shape (N,) or (reps, N): model draw, then contamination."""
-    t = config.template
-    return _apply_contamination(config, config.theta_true * t.a + np.sqrt(t.sigma2) * ndtri(u))
+    """Populations from uniforms of shape (N,) or (reps, N): model draw, then contamination.
+
+    A value outside float64 gives a non-finite population, with no warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _apply_contamination(config, config._model_mean + config._model_sd * ndtri(u))
 
 
-def _generate_batch(config: SimConfig) -> np.ndarray:
-    """(reps, N) matrix of realized populations; row r uses only replication r's substream."""
-    return _realize(config, batch_rep_uniforms(config.seed, config.reps, config.template.n_units))
+def _generate_batch(config: SimConfig, first_rep: int = 0, n_reps: int | None = None) -> np.ndarray:
+    """(n_reps, N) realized populations of replications first_rep, first_rep + 1, ...
+
+    By default all ``config.reps`` of them.  Row i uses only replication
+    first_rep + i's substream.
+    """
+    if n_reps is None:
+        n_reps = config.reps - first_rep
+    return _realize(config, batch_rep_uniforms(config.seed, n_reps, config.template.n_units, first_rep))
+
+
+def _block_rows(n_units: int) -> int:
+    """Replications per block: about ``_BLOCK_BYTES`` of populations, a multiple of 8, at least 8.
+
+    A multiple of 8 keeps each row's position mod 4 the same as in one
+    (reps, N) matrix, and the BLAS gemv of ``overflow @ wv`` rounds a row
+    by that position.
+    """
+    return max(8, _BLOCK_BYTES // (8 * n_units) // 8 * 8)
+
+
+def _block_bounds(reps: int, block: int) -> list[tuple[int, int]]:
+    """[start, stop) of each block; a lone last replication joins the block before it.
+
+    numpy reduces a (1, n) array along its rows by another path than a
+    taller one, which rounds differently.
+    """
+    edges = list(range(0, reps, block)) + [reps]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -166,48 +214,56 @@ def empirical_risk(config: SimConfig) -> SimResult:
     the population-level rows) and against theta_true (for the location
     rows).  The cross_term column is the empirical value of the pairwise
     overflow moment sum that the closed-form MSE drops.
+
+    Replications run in blocks of ``_block_rows(N)``; a replication whose
+    population is not finite counts as a failure.  Memory is
+    O(block * N + reps * len(c_grid)).
     """
     t = config.template
     theta = config.theta_true
-    Y = _generate_batch(config)
-
-    finite = np.all(np.isfinite(Y), axis=1)
-    failures = int((~finite).sum())
-    if failures:
-        Y = Y[finite]
-    if Y.shape[0] < 2:
-        raise ModelValidationError("fewer than 2 finite replications")
-
     wv = t.w * t.v
     wv2 = wv**2
+    n_c = len(config.c_grid)
+    # Per-replication scalars of the finite replications, filled block by block.
+    sq_classical = np.empty(config.reps)
+    sq_theta, sq_pop, cross = (np.empty((n_c, config.reps)) for _ in range(3))
+    kept = 0
 
     # Squared errors and their sums can overflow on finite draws; a row with
     # a value outside float64 raises below.
-    rows = []
     with np.errstate(over="ignore", invalid="ignore"):
-        Ys = Y[:, t.sampled]
-        ybar_w, r = t.residuals(Ys)
-        sum_ys = Ys.sum(axis=1)
-        ybar_pop = Y.mean(axis=1)
-        classical = t.fill_in(sum_ys, ybar_w)
-        sq_classical = (classical - ybar_pop) ** 2
-        cls_mean, se_cls = _mean_se(sq_classical)
+        for start, stop in _block_bounds(config.reps, _block_rows(t.n_units)):
+            Y = _generate_batch(config, start, stop - start)
+            finite = np.all(np.isfinite(Y), axis=1)
+            end = kept + int(finite.sum())
+            Ys = Y[:, t.sampled]
+            ybar_w, r = t.residuals(Ys)
+            sum_ys = Ys.sum(axis=1)
+            ybar_pop = Y.mean(axis=1)
+            del Y, Ys
+            sq_classical[kept:end] = ((t.fill_in(sum_ys, ybar_w) - ybar_pop) ** 2)[finite]
 
-        # One (reps, n) buffer for every c: fresh temporaries of this size per c
-        # leave freed blocks in the heap under the next allocation peak.
-        overflow = np.empty_like(r)
-        for c in config.c_grid:
-            np.subtract(r, np.clip(r, -c, c, out=overflow), out=overflow)
-            T = overflow @ wv
-            theta_R = ybar_w - T
-            ybar_R = t.fill_in(sum_ys, theta_R)
-            sq_theta = (theta_R - theta) ** 2
-            sq_pop = (ybar_R - ybar_pop) ** 2
-            cross = T**2 - np.square(overflow, out=overflow) @ wv2
+            # One (block, n) buffer for every c: fresh temporaries per c would
+            # leave freed blocks in the heap under the next allocation peak.
+            overflow = np.empty_like(r)
+            for j, c in enumerate(config.c_grid):
+                np.subtract(r, np.clip(r, -c, c, out=overflow), out=overflow)
+                T = overflow @ wv
+                theta_R = ybar_w - T
+                ybar_R = t.fill_in(sum_ys, theta_R)
+                sq_theta[j, kept:end] = ((theta_R - theta) ** 2)[finite]
+                sq_pop[j, kept:end] = ((ybar_R - ybar_pop) ** 2)[finite]
+                cross[j, kept:end] = (T**2 - np.square(overflow, out=overflow) @ wv2)[finite]
+            kept = end
 
-            emp_theta, se_theta = _mean_se(sq_theta)
-            emp_pop, se_pop = _mean_se(sq_pop)
-            cross_mean, se_cross = _mean_se(cross)
+        if kept < 2:
+            raise ModelValidationError("fewer than 2 finite replications")
+        cls_mean, se_cls = _mean_se(sq_classical[:kept])
+        rows = []
+        for j, c in enumerate(config.c_grid):
+            emp_theta, se_theta = _mean_se(sq_theta[j, :kept])
+            emp_pop, se_pop = _mean_se(sq_pop[j, :kept])
+            cross_mean, se_cross = _mean_se(cross[j, :kept])
             report = mse_closed_form(t, c)
             theo_theta = 1.0 / t.S_aa + t.sum_w2v2 * report.g_of_c
             row = SimRow(
@@ -226,7 +282,7 @@ def empirical_risk(config: SimConfig) -> SimResult:
             if not np.isfinite(astuple(row)).all():
                 raise ModelValidationError(f"the empirical risk at c = {c!r} overflows float64")
             rows.append(row)
-    return SimResult(rows=tuple(rows), reps=config.reps, seed=int(config.seed), failures=failures)
+    return SimResult(rows=tuple(rows), reps=config.reps, seed=int(config.seed), failures=config.reps - kept)
 
 
 def result_to_dict(result: SimResult) -> dict:

@@ -4,7 +4,10 @@ Each logical draw position is a pure function of (seed, position), realized
 with the Philox counter-based generator: position ``t`` lives in counter
 block ``t // 4``.  Replication ``r`` of a simulation owns a block-aligned
 counter range derived from (seed, r), so any parallel schedule reproducing
-the same positions yields bit-identical results.
+the same positions yields bit-identical results.  ``batch_rep_uniforms``
+takes the index of its first replication, so a block of replications
+``[r0, r0 + k)`` is drawn from the counters those replications own without
+drawing the ones before it.
 
 Uniforms are built from the top 53 bits of each raw word, offset by half an
 ulp so they lie strictly inside (0, 1); callers turn them into normals with
@@ -35,8 +38,8 @@ def _to_uniform(words: np.ndarray) -> np.ndarray:
     return ((words >> _U64_SHIFT).astype(np.float64) + 0.5) * _INV_2_53
 
 
-def batch_rep_uniforms(seed: int, n_reps: int, n: int) -> np.ndarray:
-    """(n_reps, n) uniforms; row r comes from the counter blocks replication r owns."""
+def batch_rep_uniforms(seed: int, n_reps: int, n: int, first_rep: int = 0) -> np.ndarray:
+    """(n_reps, n) uniforms; row i comes from the counter blocks replication first_rep + i owns."""
     per_rep = _blocks(n)
-    words = raw_words(seed, 0, n_reps * per_rep * 4).reshape(n_reps, per_rep * 4)
+    words = raw_words(seed, first_rep * per_rep, n_reps * per_rep * 4).reshape(n_reps, per_rep * 4)
     return _to_uniform(words[:, :n])

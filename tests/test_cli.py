@@ -438,6 +438,18 @@ class TestSimulate:
         assert "overflows float64" in capsys.readouterr().err
         assert list(tmp_path.glob("s.*")) == []
 
+    def test_overflowing_model_mean_exit_3(self, tmp_path, capsys):
+        # theta_true * a leaves float64 at the unsampled unit, so no population is finite
+        frame = {"unit_id": ["1", "2", "3", "4"], "a": [1, 1, 1, 1e300], "sigma2": [1] * 4,
+                 "sampled": [True, True, True, False]}
+        cfg = self._write_config(tmp_path, frame=frame, theta_true=1e10, reps=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(cfg), "--out-prefix",
+                         str(tmp_path / "s")]) == 3
+        assert "fewer than 2 finite replications" in capsys.readouterr().err
+        assert list(tmp_path.glob("s.*")) == []
+
     def test_seed_flag_override(self, tmp_path):
         cfg = self._write_config(tmp_path)
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"

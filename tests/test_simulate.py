@@ -1,6 +1,7 @@
 """Stream determinism, contamination mechanics, and empirical risk agreement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from robust_fps import (
     empirical_risk,
     g_clip,
 )
+import robust_fps.simulate as sim
 from robust_fps.simulate import _generate_batch, write_result_csv, write_result_json
 from robust_fps.streams import batch_rep_uniforms
 
@@ -233,17 +235,18 @@ class TestEmpiricalRisk:
         assert r1.rows == r2.rows
 
     def test_nonfinite_replications_counted(self, monkeypatch):
-        import robust_fps.simulate as sim
-
         config = make_config(reps=100)
-        real = _generate_batch(config)
+        real = sim._generate_batch
+        poison = {3: (0, np.inf), 11: (2, np.nan)}  # in the first and second block of 8
 
-        def poisoned(cfg):
-            Y = real.copy()
-            Y[3, 0] = np.inf
-            Y[7, 2] = np.nan
+        def poisoned(cfg, first_rep, n_reps):
+            Y = real(cfg, first_rep, n_reps)
+            for rep, (unit, value) in poison.items():
+                if first_rep <= rep < first_rep + n_reps:
+                    Y[rep - first_rep, unit] = value
             return Y
 
+        monkeypatch.setattr(sim, "_block_rows", lambda n_units: 8)
         monkeypatch.setattr(sim, "_generate_batch", poisoned)
         res = sim.empirical_risk(config)
         assert res.failures == 2
@@ -252,6 +255,58 @@ class TestEmpiricalRisk:
         config = make_config(c_grid=(1.0, 2.0), reps=5_000)
         res = empirical_risk(config)
         assert res.rows[0].classical_mse == res.rows[1].classical_mse
+
+
+class TestBlocks:
+    """Replications run in blocks; the block size must not change a bit of the result."""
+
+    def test_block_rows_multiple_of_8_about_8_mib(self):
+        for n_units in (6, 200, 1000, 10**6):
+            rows = sim._block_rows(n_units)
+            assert rows % 8 == 0 and rows >= 8
+            assert rows == 8 or rows * n_units * 8 <= sim._BLOCK_BYTES < (rows + 8) * n_units * 8
+
+    def test_lone_last_replication_joins_the_block_before(self):
+        assert sim._block_bounds(17, 8) == [(0, 8), (8, 17)]
+        assert sim._block_bounds(16, 8) == [(0, 8), (8, 16)]
+        assert sim._block_bounds(18, 8) == [(0, 8), (8, 16), (16, 18)]
+        assert sim._block_bounds(9, 64) == [(0, 9)]
+
+    # reps is a multiple of 8 or one more (1025, 129), which leaves one row
+    # after the last whole block of 8 and of 64; numpy sums a lone (1, n) row
+    # by another path once n exceeds 8.  Sizes stay below OpenBLAS's gemv
+    # threading threshold (9216 elements): a thread split off a 4-row
+    # boundary rounds differently.
+    @pytest.mark.parametrize("config_kw", [
+        {"reps": 1024},
+        {"reps": 128, "template": make_template(N=60, n=40, a=np.linspace(0.5, 2.0, 60),
+                                                sigma2=np.linspace(2.0, 0.5, 60)),
+         "contamination": Contamination("shift", units=("u1", "u4"), delta=6.0),
+         "c_grid": (0.0, 0.5, 1.0, 2.0)},
+    ], ids=["plain", "shift"])
+    @pytest.mark.parametrize("extra_rep", [0, 1])
+    def test_block_size_does_not_change_the_result(self, monkeypatch, config_kw, extra_rep):
+        config = make_config(**dict(config_kw, reps=config_kw["reps"] + extra_rep))
+        results = []
+        for rows in (8, 64, 2048):
+            monkeypatch.setattr(sim, "_block_rows", lambda n_units, rows=rows: rows)
+            results.append(empirical_risk(config))
+        for res in results[1:]:
+            assert (res.rows, res.failures) == (results[0].rows, results[0].failures)
+
+    def test_peak_memory_bounded(self):
+        rng = np.random.default_rng(3)
+        N, n = 1000, 100
+        template = make_template(N=N, n=n, a=rng.uniform(0.5, 2.0, N), sigma2=rng.uniform(0.5, 2.0, N))
+        config = make_config(template=template, c_grid=(0.0, 1.0, 2.0, 8.0), reps=20_000)
+        tracemalloc.start()
+        try:
+            empirical_risk(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (reps, N) float64 matrix alone is 153 MiB
+        assert peak <= 64 * 2**20
 
 
 class TestCovarianceProbe:
