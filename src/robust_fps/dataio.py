@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from typing import Any
 
@@ -51,42 +52,58 @@ def _parse_cell(raw: str, row_num: int, column: str) -> float:
 
 
 def read_frame_csv(path, family: str, sigma: float = 1.0) -> PopulationFrame:
-    """Load a frame CSV and map its auxiliaries through the given model family."""
+    """Load a frame CSV and map its auxiliaries through the given model family.
+
+    One streaming pass of ``csv.reader``.  The header is the first row; where
+    a name repeats, its last column is read.  Blank lines are skipped and not
+    counted in row numbers, cells are stripped and extra cells are ignored.
+    The first fault in row order raises ``CsvFormatError``.
+    """
     spec = ModelSpec(family, sigma=sigma)
     columns = FAMILIES[family][0]
     needed = ("unit_id",) + columns + ("y",)
 
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header is None:
             raise CsvFormatError("row 1: missing header row")
-        missing = [c for c in needed if c not in reader.fieldnames]
+        missing = [c for c in needed if c not in header]
         if missing:
             raise CsvFormatError(f"row 1: header lacks column(s) {missing}")
+        index = {name: i for i, name in enumerate(header)}
+        width = max(index[c] for c in needed) + 1
+        i_id, i_y = index["unit_id"], index["y"]
+        aux = {c: [] for c in columns}
+        aux_cells = [(index[c], aux[c]) for c in columns]
 
         unit_id: list[str] = []
         seen: set[str] = set()
-        aux: dict[str, list[float]] = {c: [] for c in columns}
         sampled: list[bool] = []
         y_sampled: list[float] = []
-        for row_num, row in enumerate(reader, start=2):
-            if any(row.get(c) is None for c in needed):
+        for row_num, row in enumerate(filter(None, rows), start=2):
+            if len(row) < width:
                 raise CsvFormatError(f"row {row_num}: fewer cells than header columns")
-            uid = row["unit_id"].strip()
+            uid = row[i_id].strip()
             if not uid:
                 raise CsvFormatError(f"row {row_num}, column 'unit_id': empty")
             if uid in seen:
                 raise CsvFormatError(f"row {row_num}, column 'unit_id': duplicate {uid!r}")
             seen.add(uid)
             unit_id.append(uid)
-            for c in columns:
-                aux[c].append(_parse_cell(row[c].strip(), row_num, c))
-            y_raw = row["y"].strip()
-            if y_raw == "" or y_raw.upper() == "NA":
-                sampled.append(False)
-            else:
-                sampled.append(True)
-                y_sampled.append(_parse_cell(y_raw, row_num, "y"))
+            y_raw = row[i_y].strip()
+            has_y = y_raw != "" and y_raw.upper() != "NA"
+            try:
+                for i, values in aux_cells:
+                    values.append(float(row[i].strip()))
+                if has_y:
+                    y_sampled.append(float(y_raw))
+            except ValueError:
+                # _parse_cell raises the message for the first cell float() rejected.
+                for c in columns:
+                    _parse_cell(row[index[c]].strip(), row_num, c)
+                _parse_cell(y_raw, row_num, "y")
+            sampled.append(has_y)
 
     if not unit_id:
         raise CsvFormatError("row 2: no data rows")
@@ -129,12 +146,49 @@ def build_report(
     return report
 
 
+#: One diagnostics record as ``json.dumps(report, indent=2)`` writes it.
+_RECORD = (
+    "    {{\n"
+    '      "unit_id": {},\n'
+    '      "delta_k": {},\n'
+    '      "r_k": {},\n'
+    '      "v_k": {},\n'
+    '      "divergence_k": {},\n'
+    '      "flagged": {}\n'
+    "    }}"
+)
+_FLAGGED = {None: "null", True: "true", False: "false"}
+
+
+def _diagnostics_json(records: list[dict]) -> str:
+    """A ``build_report`` diagnostics list as ``json.dumps(..., indent=2)`` writes it at depth 1."""
+    if not records:
+        return "[]"
+    lines = []
+    for rec in records:
+        nums = (rec["delta_k"], rec["r_k"], rec["v_k"], rec["divergence_k"])
+        if not all(map(math.isfinite, nums)):
+            json.dumps(nums, allow_nan=False)  # raises json's own ValueError
+        lines.append(_RECORD.format(json.dumps(rec["unit_id"]), *map(float.__repr__, nums),
+                                    _FLAGGED[rec["flagged"]]))
+    return "[\n" + ",\n".join(lines) + "\n  ]"
+
+
 def write_report(report: dict, path=None) -> None:
     """Write a report as indented JSON to ``path``, or to stdout when it is None.
 
-    A non-finite float raises ``ValueError`` before the file is opened.
+    The text is ``json.dumps(report, indent=2, allow_nan=False)`` plus a
+    newline.  The diagnostics list, where present, must be the last key, as
+    ``build_report`` puts it; its records are formatted directly rather than
+    through the pure-Python indenting encoder.  A non-finite float raises
+    ``ValueError`` before the file is opened.
     """
-    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    head = {k: v for k, v in report.items() if k != "diagnostics"}
+    text = json.dumps(head, indent=2, allow_nan=False)
+    if "diagnostics" in report:
+        diagnostics = _diagnostics_json(report["diagnostics"])
+        text = (text[:-2] + ",\n" if head else "{\n") + f'  "diagnostics": {diagnostics}\n}}'
+    text += "\n"
     if path is None:
         sys.stdout.write(text)
         return

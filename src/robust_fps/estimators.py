@@ -120,7 +120,8 @@ def robust_estimate(frame: PopulationFrame, config: RobustConfig) -> RobustEstim
     else:
         theta, w_scale, resid, psi = _clip(frame, config)
         contributions = w_scale * psi
-        clipped_units = tuple(u for u, m in zip(frame.sampled_ids, np.abs(resid) > c) if m)
+        ids = frame.sampled_ids
+        clipped_units = tuple([ids[i] for i in np.flatnonzero(np.abs(resid) > c).tolist()])
     return RobustEstimate(
         theta_hat_R=theta,
         ybar_P_R=frame.population_mean(theta),

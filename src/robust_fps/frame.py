@@ -19,6 +19,7 @@ and ``sigma2`` as given.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal, Sequence
 
 import numpy as np
@@ -146,9 +147,11 @@ class FrameTemplate:
     def n_sampled(self) -> int:
         return len(self.h)
 
-    @property
+    @cached_property
     def sampled_ids(self) -> tuple:
-        return tuple(u for u, s in zip(self.unit_id, self.sampled) if s)
+        """The ids of the sampled units, in unit order; computed on first use."""
+        ids = self.unit_id
+        return tuple([ids[i] for i in np.flatnonzero(self.sampled).tolist()])
 
     def require_prediction(self, what: str) -> None:
         """Raise ``DegenerateFrameError`` unless 2 or more units are sampled and 1 or more are not.

@@ -2,11 +2,13 @@
 
 None of this is package API: the Monte Carlo divergence, the dense
 posterior predictive, the single-replication streams and population, and the
-residual covariance probe exist to check closed forms and schedules.
+residual covariance probe exist to check closed forms and schedules; the
+``csv.DictReader`` frame reader is the reference for the streaming one.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -15,7 +17,9 @@ from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
 from robust_fps import DegenerateFrameError, GaussianSpec, ModelValidationError, PopulationFrame
+from robust_fps.dataio import CsvFormatError, _parse_cell
 from robust_fps.divergence import _check_dims
+from robust_fps.frame import FAMILIES, ModelSpec, build_model
 from robust_fps.simulate import SimConfig, _generate_batch, _realize
 from robust_fps.streams import _blocks, _to_uniform, raw_words
 
@@ -37,6 +41,51 @@ def rep_uniforms(seed: int, rep: int, n: int) -> np.ndarray:
 def std_normals(seed: int, shape: tuple[int, ...]) -> np.ndarray:
     """Standard normals via inverse-CDF transform of the uniform stream."""
     return ndtri(uniforms(seed, int(np.prod(shape)))).reshape(shape)
+
+
+# --- frame CSV ---------------------------------------------------------------
+
+def read_frame_csv_dictreader(path, family: str, sigma: float = 1.0) -> PopulationFrame:
+    """``dataio.read_frame_csv`` through ``csv.DictReader``, one dict per row."""
+    spec = ModelSpec(family, sigma=sigma)
+    columns = FAMILIES[family][0]
+    needed = ("unit_id",) + columns + ("y",)
+
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise CsvFormatError("row 1: missing header row")
+        missing = [c for c in needed if c not in reader.fieldnames]
+        if missing:
+            raise CsvFormatError(f"row 1: header lacks column(s) {missing}")
+
+        unit_id: list[str] = []
+        seen: set[str] = set()
+        aux: dict[str, list[float]] = {c: [] for c in columns}
+        sampled: list[bool] = []
+        y_sampled: list[float] = []
+        for row_num, row in enumerate(reader, start=2):
+            if any(row.get(c) is None for c in needed):
+                raise CsvFormatError(f"row {row_num}: fewer cells than header columns")
+            uid = row["unit_id"].strip()
+            if not uid:
+                raise CsvFormatError(f"row {row_num}, column 'unit_id': empty")
+            if uid in seen:
+                raise CsvFormatError(f"row {row_num}, column 'unit_id': duplicate {uid!r}")
+            seen.add(uid)
+            unit_id.append(uid)
+            for c in columns:
+                aux[c].append(_parse_cell(row[c].strip(), row_num, c))
+            y_raw = row["y"].strip()
+            if y_raw == "" or y_raw.upper() == "NA":
+                sampled.append(False)
+            else:
+                sampled.append(True)
+                y_sampled.append(_parse_cell(y_raw, row_num, "y"))
+
+    if not unit_id:
+        raise CsvFormatError("row 2: no data rows")
+    return build_model(unit_id, spec, sampled=sampled, y_sampled=y_sampled, **aux)
 
 
 # --- Gaussians and the Monte Carlo divergence --------------------------------

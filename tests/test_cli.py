@@ -18,6 +18,7 @@ from robust_fps import (
 )
 from robust_fps import dataio
 from robust_fps.cli import main
+from robust_fps.divergence import InfluenceRecord
 
 FIVE_UNIT_CSV = """unit_id,x,y
 u1,1,0
@@ -547,6 +548,13 @@ def test_write_report_refuses_non_finite_values(tmp_path):
     path = tmp_path / "r.json"
     with pytest.raises(ValueError):
         dataio.write_report({"x": math.inf}, path)
+    assert not path.exists()
+    frame = five_unit_frame()
+    records = [InfluenceRecord("u1", 0.5, 1.0, 1.0, 0.25), InfluenceRecord("u2", 0.5, 1.0, math.nan, 0.25)]
+    report = dataio.build_report(model={"family": "ratio", "sigma": 1.0}, frame=frame,
+                                 diagnostics=records, flag_c=1.0)
+    with pytest.raises(ValueError):
+        dataio.write_report(report, path)
     assert not path.exists()
 
 

@@ -1,0 +1,186 @@
+"""The streaming frame reader against the DictReader reference, and the report writer
+against ``json.dumps(report, indent=2)``."""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from robust_fps import EstimationError, PopulationFrame
+from robust_fps.dataio import build_report, read_frame_csv, write_report
+from robust_fps.divergence import InfluenceRecord
+from robust_fps.estimators import RobustEstimate
+from robust_fps.frame import FAMILIES
+from robust_fps.risk import RiskReport
+
+from oracles import read_frame_csv_dictreader
+
+
+def _outcome(reader, path, family):
+    """The frame as exact bytes, or the error's type and message."""
+    try:
+        fr = reader(path, family)
+    except EstimationError as exc:
+        return type(exc).__name__, str(exc)
+    return fr.unit_id, fr.a.tobytes(), fr.sigma2.tobytes(), fr.sampled.tobytes(), fr.y.tobytes()
+
+
+def _write(path, text: str):
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+# --- frame CSV reader --------------------------------------------------------
+
+@pytest.mark.parametrize("text, expected", [
+    ("unit_id,x,y\n u1 , 1.5 , 2 \nu2,\t2,\nu3, 1 ,3\n", None),
+    ("unit_id,x,y\nu1,1,1\nu2,1,2\nu3,1,NA\nu4,1,na\nu5,1, \n", None),
+    ('unit_id,x,y\n"u,1",1,"2"\n"u""2",1,3\nu3,"1",\n', None),
+    ("unit_id,x,y\nu1,1,1,extra,more\nu2,1,2\nu3,1,\n", None),
+    ("y,x,unit_id\n1,1,u1\n2,1,u2\n,1,u3\n", None),
+    ("unit_id,x,y,x\nu1,bad,1,1\nu2,bad,2,1\nu3,bad,,1\n", None),
+    ("unit_id,x,y,x\nu1,1,1,bad\n", "row 2, column 'x': cannot parse 'bad' as a number"),
+    ("unit_id,x,y\nu1,1\x1c,1\nu2,1,2\nu3,1,\n", None),
+    ("\nunit_id,x,y\nu1,1,1\n", "row 1: header lacks column(s) ['unit_id', 'x', 'y']"),
+    ("unit_id,x,y\n\nu1,1,1\n\n\nu1,1,2\n", "row 3, column 'unit_id': duplicate 'u1'"),
+    ("unit_id,x,y\nu1,1,1\nu1,1,2\nu3,1,\nu4,abc,\n", "row 3, column 'unit_id': duplicate 'u1'"),
+    ("unit_id,x,y\nu1,1,1\nu2,abc,2\nu3,1,\nu2,1,\n", "row 3, column 'x': cannot parse 'abc' as a number"),
+    ("unit_id,x,y\n,abc,1\n", "row 2, column 'unit_id': empty"),
+    ("unit_id,x,y\nu1,abc,xyz\n", "row 2, column 'x': cannot parse 'abc' as a number"),
+    ("unit_id,x,y\nu1,1,xyz\n", "row 2, column 'y': cannot parse 'xyz' as a number"),
+    (",unit_id,x,y\nu1,1,1\n", "row 2: fewer cells than header columns"),
+    ("", "row 1: missing header row"),
+], ids=["padded", "na_and_empty_y", "quoted", "extra_cells", "reordered", "duplicate_header",
+        "duplicate_header_last_bad", "unicode_space", "blank_before_header", "blank_data_lines",
+        "duplicate_before_bad_number", "bad_number_before_duplicate", "empty_id_before_bad_number",
+        "bad_x_before_bad_y", "bad_y", "short_row", "empty_file"])
+def test_reader_cases_match_dictreader(text, expected, tmp_path):
+    path = _write(tmp_path / "frame.csv", text)
+    got = _outcome(read_frame_csv, path, "ratio")
+    assert got == _outcome(read_frame_csv_dictreader, path, "ratio")
+    if expected is None:
+        assert isinstance(got[0], tuple)
+    else:
+        assert got == ("CsvFormatError", expected)
+
+
+_IDS = st.sampled_from(["u1", " u1", "", "é", 'q"t', "a,b"])
+_NUMBERS = st.one_of(
+    st.floats(min_value=0.05, max_value=0.95).map(repr),
+    st.floats(min_value=0.05, max_value=50.0).map(repr),
+    st.sampled_from(["1", "2.", ".25", "1e1"] * 4 + ["-1", "0", "1_0", "nan", "inf", "abc", ""]),
+)
+_Y = st.one_of(_NUMBERS, st.sampled_from(["", "NA", "na", "nA", " NA ", "N A"]))
+_OTHER = st.sampled_from(["", "note", "1", "x,y"])
+_RARELY = st.sampled_from([False] * 11 + [True])
+
+
+@st.composite
+def _cell(draw, column: str, row: int) -> str:
+    if column == "unit_id":
+        raw = draw(_IDS) if draw(_RARELY) else f"u{row}"
+    else:
+        raw = draw(_Y if column == "y" else _NUMBERS if column in ("x", "pi", "a", "sigma2")
+                   else _OTHER)
+    left, right = draw(st.sampled_from(["", " ", "\t", "\x1c"])), draw(st.sampled_from(["", " "]))
+    raw = left + raw + right
+    if draw(st.booleans()) or any(ch in raw for ch in ',"'):
+        return '"' + raw.replace('"', '""') + '"'
+    return raw
+
+
+@st.composite
+def frame_csvs(draw):
+    """A family and CSV text: any column order, extra and repeated header names,
+    padded and quoted cells, NA spellings, short and long rows, blank lines."""
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    header = ["unit_id", *FAMILIES[family][0], "y"]
+    header += draw(st.lists(st.sampled_from(["note", *header]), max_size=2))
+    header = draw(st.permutations(header))
+    if draw(_RARELY):
+        header = header[:-1]
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [""] if draw(_RARELY) else []
+    lines.append(",".join(header))
+    for row in range(draw(st.sampled_from(range(7)))):
+        if draw(_RARELY):
+            lines.append("")
+        cells = [draw(_cell(c, row)) for c in header]
+        if draw(_RARELY):
+            cells = cells[:draw(st.integers(0, len(cells)))]
+        elif draw(_RARELY):
+            cells += draw(st.lists(_OTHER, min_size=1, max_size=2))
+        lines.append(",".join(cells))
+    return family, eol.join(lines) + eol
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("frames")
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame_csvs())
+def test_reader_matches_dictreader(csv_dir, case):
+    family, text = case
+    path = _write(csv_dir / "frame.csv", text)
+    assert _outcome(read_frame_csv, path, family) == _outcome(read_frame_csv_dictreader, path, family)
+
+
+# --- report writer -----------------------------------------------------------
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_UNIT_IDS = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(['q"uote', "back\\slash", "é", "漢字", "😀", "tab\t", "nul\x00"]),
+    st.integers(-5, 10**6),
+)
+_FRAME = PopulationFrame(("u1", "u2", "u3"), np.ones(3), np.ones(3),
+                         np.array([True, True, False]), np.array([1.0, 2.0, np.nan]))
+
+
+@st.composite
+def reports(draw):
+    """``build_report`` dicts with any sections, ids and finite floats."""
+    records = draw(st.lists(st.builds(InfluenceRecord, unit_id=_UNIT_IDS, delta_k=_FINITE,
+                                      r_k=_FINITE, v_k=_FINITE, divergence_k=_FINITE),
+                            max_size=4))
+    robust = st.builds(RobustEstimate, theta_hat_R=_FINITE, ybar_P_R=_FINITE,
+                       clipped_units=st.lists(_UNIT_IDS, max_size=3).map(tuple), c_used=_FINITE,
+                       contributions=st.just(np.zeros(1)),
+                       scaling=st.sampled_from(["paper_v", "chambers_sigma"]),
+                       degenerate=st.booleans())
+    return build_report(
+        model=draw(st.sampled_from([{"family": "ratio", "sigma": 1.5}, {"family": "custom"}])),
+        frame=_FRAME,
+        classical=draw(st.none() | _FINITE),
+        robust=draw(st.none() | robust),
+        risk=draw(st.none() | st.builds(RiskReport, *[_FINITE] * 8)),
+        diagnostics=records,
+        flag_c=draw(st.none() | st.floats(0.0, 3.0)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports())
+def test_write_report_matches_json_dumps(csv_dir, report):
+    path = csv_dir / "report.json"
+    write_report(report, path)
+    assert path.read_bytes() == (json.dumps(report, indent=2, allow_nan=False) + "\n").encode()
+
+
+def test_write_report_flags_and_empty_diagnostics(tmp_path):
+    records = [InfluenceRecord("u1", 0.5, -2.0, 1.0, 0.25), InfluenceRecord("u2", -0.5, 0.5, 1.0, 0.0)]
+    path = tmp_path / "r.json"
+    for diagnostics, flag_c, flagged in [(records, None, [None, None]),
+                                         (records, 1.0, [True, False]), ([], 1.0, [])]:
+        report = build_report(model={"family": "custom"}, frame=_FRAME, diagnostics=diagnostics,
+                              flag_c=flag_c)
+        write_report(report, path)
+        text = path.read_text()
+        assert text == json.dumps(report, indent=2, allow_nan=False) + "\n"
+        assert [rec["flagged"] for rec in json.loads(text)["diagnostics"]] == flagged
