@@ -178,16 +178,16 @@ def write_report(report: dict, path=None) -> None:
     """Write a report as indented JSON to ``path``, or to stdout when it is None.
 
     The text is ``json.dumps(report, indent=2, allow_nan=False)`` plus a
-    newline.  The diagnostics list, where present, must be the last key, as
-    ``build_report`` puts it; its records are formatted directly rather than
-    through the pure-Python indenting encoder.  A non-finite float raises
+    newline.  ``report`` is a ``build_report`` dict, whose last key is the
+    diagnostics list; its records are formatted directly rather than through
+    the pure-Python indenting encoder.  A non-finite float raises
     ``ValueError`` before the file is opened.
     """
     head = {k: v for k, v in report.items() if k != "diagnostics"}
     text = json.dumps(head, indent=2, allow_nan=False)
     if "diagnostics" in report:
         diagnostics = _diagnostics_json(report["diagnostics"])
-        text = (text[:-2] + ",\n" if head else "{\n") + f'  "diagnostics": {diagnostics}\n}}'
+        text = text[:-2] + f',\n  "diagnostics": {diagnostics}\n}}'
     text += "\n"
     if path is None:
         sys.stdout.write(text)
