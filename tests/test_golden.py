@@ -1,8 +1,10 @@
 """CLI outputs pinned byte for byte against stored files.
 
-Each case runs ``robust_fps.cli.main`` on a frame under ``data/golden`` and
-compares what it writes (the report file for ``estimate``, stdout otherwise)
-with the stored ``<case>.out``.  After an intentional output change, rerun
+Each case runs ``robust_fps.cli.main`` on a frame or sim config under
+``data/golden`` and compares what it writes with the stored files: the report
+file for ``estimate`` and stdout otherwise as ``<case>.out``, and the
+``--out-prefix`` JSON and CSV of ``simulate`` as ``<case>.json`` and
+``<case>.csv``.  After an intentional output change, rerun
 this file as a script to recapture: ``PYTHONPATH=src python tests/test_golden.py``.
 It prints, per case, which JSON paths moved (list indices as ``*``) with the
 largest ulp and relative distance, then rewrites the ``.out`` files.
@@ -47,26 +49,35 @@ CASES = {
     "calibrate_ht": ["calibrate", "--frame", "ht.csv", "--model", "ht", "--max-excess", "1e-5"],
     "calibrate_generous": ["calibrate", "--frame", "custom.csv", "--model", "custom",
                            "--max-excess", "1"],
+    # reps * n stays below OpenBLAS's gemv threading threshold (9216 elements).
+    "simulate_clean": ["simulate", "--config", "sim_clean.json"],
+    "simulate_shift": ["simulate", "--config", "sim_shift.json"],
 }
 
 
-def run_case(name: str, workdir: pathlib.Path) -> bytes:
-    argv = [str(DATA / a) if a.endswith(".csv") else a for a in CASES[name]]
-    out = workdir / f"{name}.json"
+def run_case(name: str, workdir: pathlib.Path) -> dict[str, bytes]:
+    """What case ``name`` writes, by the name of its golden file."""
+    argv = [str(DATA / a) if a.endswith((".csv", ".json")) else a for a in CASES[name]]
+    out = workdir / name
     if argv[0] == "estimate":
         argv += ["--out", str(out)]
+    elif argv[0] == "simulate":
+        argv += ["--out-prefix", str(out)]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main(argv)
     if code != 0:
         raise AssertionError(f"{name}: exit code {code}")
-    return out.read_bytes() if argv[0] == "estimate" else stdout.getvalue().encode()
+    if argv[0] == "simulate":
+        return {f"{name}{ext}": out.with_suffix(ext).read_bytes() for ext in (".json", ".csv")}
+    return {f"{name}.out": out.read_bytes() if argv[0] == "estimate" else stdout.getvalue().encode()}
 
 
 @pytest.mark.filterwarnings("ignore::robust_fps.DegenerateFrameWarning")
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name, tmp_path):
-    assert run_case(name, tmp_path) == (DATA / f"{name}.out").read_bytes()
+    outputs = run_case(name, tmp_path)
+    assert outputs == {file: (DATA / file).read_bytes() for file in outputs}
 
 
 def moved_values(old, new, path=""):
@@ -112,10 +123,15 @@ def describe_moves(old_bytes: bytes, new_bytes: bytes) -> list[str]:
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
-            path = DATA / f"{case}.out"
-            new = run_case(case, pathlib.Path(tmp))
-            moves = describe_moves(path.read_bytes(), new) if path.exists() else ["new case"]
-            print(f"{case}: {'moved' if moves else 'unchanged'}")
-            for line in moves:
-                print(f"  {line}")
-            path.write_bytes(new)
+            for file, new in run_case(case, pathlib.Path(tmp)).items():
+                path = DATA / file
+                if not path.exists():
+                    moves = ["new case"]
+                elif file.endswith(".csv"):
+                    moves = [] if path.read_bytes() == new else ["bytes differ"]
+                else:
+                    moves = describe_moves(path.read_bytes(), new)
+                print(f"{file}: {'moved' if moves else 'unchanged'}")
+                for line in moves:
+                    print(f"  {line}")
+                path.write_bytes(new)
