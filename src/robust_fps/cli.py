@@ -85,9 +85,10 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    flag_c = None if args.c is None else RobustConfig(c=args.c).c
     frame, model = _load_frame(args)
     diagnostics = influence(frame, args.lam)
-    report = dataio.build_report(model=model, frame=frame, diagnostics=diagnostics, flag_c=args.c)
+    report = dataio.build_report(model=model, frame=frame, diagnostics=diagnostics, flag_c=flag_c)
     dataio.write_report(report, args.out or None)
     return EXIT_OK
 

@@ -11,8 +11,11 @@ written as ybar_w minus the weighted overflow beyond the band,
     theta_R = ybar_w - sum_i w_i * v_i * (r_i - psi_c(r_i)),
 
 which is the form computed: it returns ybar_w exactly once no residual is
-clipped.  The population-mean version plugs theta_R into the unsampled part
-of the frame.
+clipped.  ``weighted_overflow`` computes that overflow and its weighted sum
+for one frame's residuals or a stack of them; the estimator here and the
+Monte Carlo harness both call it, and ``psi_clip`` inside it is the one place
+the band is applied.  The population-mean version plugs theta_R into the
+unsampled part of the frame.
 
 A comparison variant rescales by sigma_i / a_i instead of v_i (the scaling
 used in earlier outlier-robust ratio estimation work).  Its weighted
@@ -62,43 +65,39 @@ class RobustConfig:
 
 @dataclass(frozen=True)
 class RobustEstimate:
-    """Robust location and population-mean estimates with per-unit clipping detail."""
+    """Robust location and population-mean estimates with the clipped units."""
 
     theta_hat_R: float
     ybar_P_R: float
     clipped_units: tuple
     c_used: float
-    contributions: np.ndarray
     scaling: str = "paper_v"
     degenerate: bool = field(default=False)
 
 
-def psi_clip(r, c: float):
-    """Winsorize at the closed band [-c, c]; odd and nondecreasing in r."""
-    if c < 0:
-        raise ValueError("clipping constant must be >= 0")
-    return np.clip(r, -c, c)
+def psi_clip(r, c: float, out=None):
+    """Winsorize at the closed band [-c, c]; odd and nondecreasing in r.
 
-
-def _clip(frame: PopulationFrame, config: RobustConfig):
-    """One clipping pass: ``theta_R``, the weighted scales, the residuals and ``psi``.
-
-    The scale is ``v_i`` (``paper_v``) or ``sigma_i / a_i`` (``chambers_sigma``),
-    the residuals are standardized by it, and ``psi = psi_c`` of them.  Under
-    either scaling the weighted residuals sum to zero, so theta is ``ybar_w``
-    minus the weighted overflow, and ``ybar_w`` exactly once nothing is clipped.
+    The one place the band is applied.  ``out``, an array of ``r``'s shape,
+    receives the result when given.
     """
-    ybar_w, r = frame.fit()
-    if config.scaling == "chambers_sigma":
-        s = frame.sampled
-        scale = np.sqrt(frame.sigma2[s]) / frame.a[s]
-        resid = (frame.y[s] / frame.a[s] - ybar_w) / scale
-    else:
-        scale, resid = frame.v, r
-    w_scale = frame.w * scale
-    psi = psi_clip(resid, float(config.c))
-    theta = float(ybar_w) - float(w_scale @ (resid - psi))
-    return theta, w_scale, resid, psi
+    if not (np.isfinite(c) and c >= 0):
+        raise ValueError("clipping constant must be finite and >= 0")
+    return np.clip(r, -c, c, out=out)
+
+
+def weighted_overflow(r, c: float, weights, out=None):
+    """``(T, overflow)``: the overflow ``r - psi_c(r)`` beyond the band and ``T = overflow @ weights``.
+
+    ``r`` has shape ``(n,)`` or ``(reps, n)``, and ``T`` is a scalar or one
+    value per row.  ``out``, an array of ``r``'s shape, holds the overflow
+    when given, so a caller looping over c reuses one buffer.  A 1-D ``r``
+    takes a dot product and a stack a gemv, which rounds a row differently:
+    each caller keeps its own shape.  The overflow is nonzero exactly where
+    ``|r| > c``.
+    """
+    overflow = np.subtract(r, psi_clip(r, c, out=out), out=out)
+    return overflow @ weights, overflow
 
 
 def robust_estimate(frame: PopulationFrame, config: RobustConfig) -> RobustEstimate:
@@ -106,28 +105,34 @@ def robust_estimate(frame: PopulationFrame, config: RobustConfig) -> RobustEstim
 
     Resolves the clipping constant from the excess budget when needed, then
     applies the clipped location estimate to the unsampled part of the frame.
-    A census frame returns the exact mean.  With a single sampled unit there
-    is nothing to clip: theta is ``ybar_w`` and a DegenerateFrameWarning is
-    issued.
+    The residuals are standardized by ``v_i`` (``paper_v``) or by
+    ``sigma_i / a_i`` (``chambers_sigma``); theta is ``ybar_w`` minus their
+    overflow weighted by ``w_i`` times that scale.  A census frame returns
+    the exact mean.  With a single sampled unit there is nothing to clip:
+    theta is ``ybar_w`` and a DegenerateFrameWarning is issued.
     """
     if config.c is None:
         config = RobustConfig(c=calibrate_c(frame, config.max_excess), scaling=config.scaling)
     c = float(config.c)
-    degenerate = frame.n_sampled < 2
-    if degenerate:
+    ybar_w, resid = frame.fit()
+    theta, clipped_units = float(ybar_w), ()
+    if resid is None:
         warnings.warn("single-unit sample, returning ybar_w", DegenerateFrameWarning)
-        theta, contributions, clipped_units = float(frame.fit()[0]), np.zeros(1), ()
     else:
-        theta, w_scale, resid, psi = _clip(frame, config)
-        contributions = w_scale * psi
+        scale = frame.v
+        if config.scaling == "chambers_sigma":
+            s = frame.sampled
+            scale = np.sqrt(frame.sigma2[s]) / frame.a[s]
+            resid = (frame.y[s] / frame.a[s] - ybar_w) / scale
+        T, overflow = weighted_overflow(resid, c, frame.w * scale)
+        theta -= float(T)
         ids = frame.sampled_ids
-        clipped_units = tuple([ids[i] for i in np.flatnonzero(np.abs(resid) > c).tolist()])
+        clipped_units = tuple([ids[i] for i in np.flatnonzero(overflow).tolist()])
     return RobustEstimate(
         theta_hat_R=theta,
         ybar_P_R=frame.population_mean(theta),
         clipped_units=clipped_units,
         c_used=c,
-        contributions=contributions,
         scaling=config.scaling,
-        degenerate=degenerate,
+        degenerate=resid is None,
     )

@@ -5,17 +5,21 @@ For a standard normal residual r, the overflow beyond the clipping band
 
     g(c) = E[psi_tilde(r)^2] = 2 * [ (c^2 + 1) * Phi(-c) - c * phi(c) ],
 
-a strictly decreasing map from g(0) = 1 to 0.  Under the working model the
-MSE of the robust population-mean estimate decomposes into the variance of
-the unseen units, the estimation variance of the weighted average, and a
+a strictly decreasing map from g(0) = 1 to 0.  The closed form splits the
+model MSE of the robust population-mean estimate into the variance of the
+unseen units, the estimation variance of the weighted average, and a
 clipping penalty proportional to g(c):
 
     mse = N^-2 * [ sum_u sigma2_j
                    + ( 1/S_aa + (sum_s w_i^2 v_i^2) * g(c) ) * (sum_u a_j)^2 ].
 
-Dropping the g(c) term gives the MSE of the unclipped baseline estimator, so
-the clipping penalty is the price paid for robustness when the model is
-true.  ``calibrate_c`` inverts that penalty: given a budget on the excess
+It is not exact.  Of ``E[T^2]``, with ``T = sum_s w_i v_i psi_tilde(r_i)``
+the weighted overflow, it keeps only the diagonal ``sum_s w_i^2 v_i^2 g(c)``
+and drops the pairwise cross term between the overflows of distinct units,
+which the simulation harness measures as ``SimRow.cross_term``; it is a
+large-c approximation.  Dropping the g(c) term gives the MSE of the
+unclipped baseline estimator, so the clipping penalty is the closed form's
+price for robustness when the model is true.  ``calibrate_c`` inverts that penalty: given a budget on the excess
 MSE it returns the smallest (most robust) clipping constant that stays
 inside the budget.
 """
@@ -95,7 +99,11 @@ class RiskReport:
 
 
 def mse_closed_form(layout: FrameTemplate, c: float) -> RiskReport:
-    """Exact model-true MSE of the robust estimate, split into its three parts.
+    """Closed-form model MSE of the robust estimate, split into its three parts.
+
+    The clipping penalty keeps only the diagonal ``sum_s w^2 v^2 g(c)`` of
+    ``E[T^2]`` and drops the pairwise overflow cross term (see the module
+    docstring; ``SimRow.cross_term`` measures it).
 
     Depends only on the layout, so a ``FrameTemplate`` and a ``PopulationFrame``
     on it give the same report.  Raises ``ModelValidationError`` when the MSE

@@ -30,6 +30,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import ModelValidationError
+from .estimators import weighted_overflow
 from .frame import FrameTemplate
 from .risk import mse_closed_form
 from .streams import batch_rep_uniforms
@@ -247,8 +248,7 @@ def empirical_risk(config: SimConfig) -> SimResult:
             # leave freed blocks in the heap under the next allocation peak.
             overflow = np.empty_like(r)
             for j, c in enumerate(config.c_grid):
-                np.subtract(r, np.clip(r, -c, c, out=overflow), out=overflow)
-                T = overflow @ wv
+                T = weighted_overflow(r, c, wv, out=overflow)[0]
                 theta_R = ybar_w - T
                 ybar_R = t.fill_in(sum_ys, theta_R)
                 sq_theta[j, kept:end] = ((theta_R - theta) ** 2)[finite]

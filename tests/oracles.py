@@ -3,7 +3,8 @@
 None of this is package API: the Monte Carlo divergence, the dense
 posterior predictive, the single-replication streams and population, and the
 residual covariance probe exist to check closed forms and schedules; the
-``csv.DictReader`` frame reader is the reference for the streaming one.
+``csv.DictReader`` frame reader is the reference for the streaming one, and
+``clipped_theta`` for the estimator's clipping pass.
 """
 
 from __future__ import annotations
@@ -155,6 +156,26 @@ def posterior_predictive(frame: PopulationFrame) -> GaussianSpec:
     a_u = frame.a[u]
     cov = np.diag(frame.sigma2[u]) + np.outer(a_u, a_u) / frame.S_aa
     return GaussianSpec(ybar_w * a_u, cov)
+
+
+# --- estimator ---------------------------------------------------------------
+
+def clipped_theta(frame: PopulationFrame, c: float, scaling: str) -> tuple[float, tuple]:
+    """The one-step clip written out: ``theta_R`` and the ids of the units with ``|resid| > c``.
+
+    ``theta_R = float(ybar_w) - float(w_scale @ (resid - np.clip(resid, -c, c)))``,
+    with ``w_scale = w * scale`` and the residuals standardized by the scale,
+    ``v`` (``paper_v``) or ``sigma / a`` (``chambers_sigma``).
+    """
+    ybar_w, resid = frame.fit()
+    scale = frame.v
+    if scaling == "chambers_sigma":
+        s = frame.sampled
+        scale = np.sqrt(frame.sigma2[s]) / frame.a[s]
+        resid = (frame.y[s] / frame.a[s] - ybar_w) / scale
+    w_scale = frame.w * scale
+    theta = float(ybar_w) - float(w_scale @ (resid - np.clip(resid, -c, c)))
+    return theta, tuple(u for u, out in zip(frame.sampled_ids, np.abs(resid) > c) if out)
 
 
 # --- simulation --------------------------------------------------------------

@@ -358,6 +358,16 @@ class TestDiagnose:
         assert all(d["divergence_k"] >= 0 for d in doc["diagnostics"])
         assert all(d["flagged"] is None for d in doc["diagnostics"])
 
+    @pytest.mark.parametrize("c", ["nan", "inf", "-1"])
+    def test_invalid_c_exit_3(self, frame_csv, tmp_path, capsys, c):
+        out = tmp_path / "diag.json"
+        assert main([
+            "diagnose", "--frame", str(frame_csv), "--model", "ratio",
+            "--c", c, "--out", str(out),
+        ]) == 3
+        assert "c must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dominated_precision_exit_3(self, tmp_path, capsys):
         # deleting unit 1 leaves S_aa - h_k = 0: a typed error, not NaN in a report
         path = tmp_path / "frame.csv"

@@ -151,7 +151,6 @@ def reports(draw):
                             max_size=4))
     robust = st.builds(RobustEstimate, theta_hat_R=_FINITE, ybar_P_R=_FINITE,
                        clipped_units=st.lists(_UNIT_IDS, max_size=3).map(tuple), c_used=_FINITE,
-                       contributions=st.just(np.zeros(1)),
                        scaling=st.sampled_from(["paper_v", "chambers_sigma"]),
                        degenerate=st.booleans())
     return build_report(

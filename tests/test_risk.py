@@ -299,7 +299,7 @@ class TestExtremeLayouts:
             except EstimationError:
                 return
             assert finite(lambda: [classical_estimate(fr)])
-            numbers = attrgetter("theta_hat_R", "ybar_P_R", "contributions")
+            numbers = attrgetter("theta_hat_R", "ybar_P_R")
             for scaling in ("paper_v", "chambers_sigma"):
                 config = RobustConfig(c=c, scaling=scaling)
                 assert finite(lambda: np.hstack(numbers(robust_estimate(fr, config))))
