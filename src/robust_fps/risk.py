@@ -19,9 +19,9 @@ and drops the pairwise cross term between the overflows of distinct units,
 which the simulation harness measures as ``SimRow.cross_term``; it is a
 large-c approximation.  Dropping the g(c) term gives the MSE of the
 unclipped baseline estimator, so the clipping penalty is the closed form's
-price for robustness when the model is true.  ``calibrate_c`` inverts that penalty: given a budget on the excess
-MSE it returns the smallest (most robust) clipping constant that stays
-inside the budget.
+price for robustness when the model is true.  ``calibrate_c`` inverts that
+penalty: given a budget on the excess MSE it returns the smallest (most
+robust) clipping constant that stays inside the budget.
 """
 
 from __future__ import annotations

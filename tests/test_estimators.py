@@ -274,7 +274,6 @@ class TestRobustEstimate:
             with pytest.raises(ModelValidationError, match="overflows float64"):
                 classical_estimate(fr)
 
-
     @settings(max_examples=60, deadline=None)
     @given(large_layouts(), st.floats(0.0, 4.0))
     def test_matches_the_written_out_clip_bit_for_bit(self, layout, c):
