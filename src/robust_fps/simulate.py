@@ -15,6 +15,14 @@ times N: each block keeps only its per-replication squared errors and cross
 moments.  Those scalars are stored for every replication and reduced once
 after the last block, so neither the block size nor the reduction order can
 perturb the output.
+
+A block is allocated once and filled in place, a few rows (about 1 MiB of
+Philox words) at a time, by one thread per CPU this process may run on and
+at most one per row chunk.  Each row's words, uniforms, normals and
+contamination depend only on its replication, and every step works element
+by element, so neither the row split nor the thread count can change a bit.
+Philox and ``ndtri`` release the GIL.  The reduction over ``c`` stays on the
+calling thread, where it does not compete with the BLAS threads of its gemv.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
 from functools import cached_property
 from typing import Literal
@@ -33,12 +43,15 @@ from .errors import ModelValidationError
 from .estimators import weighted_overflow
 from .frame import FrameTemplate
 from .risk import mse_closed_form
-from .streams import batch_rep_uniforms
+from .streams import _blocks, batch_rep_uniforms
 
 DEFAULT_REPS = 100_000
 
 #: Target size of one block of realized populations (rows x N float64).
 _BLOCK_BYTES = 8 * 2**20
+
+#: Target size of the Philox words one thread draws at a time for a block.
+_CHUNK_BYTES = 2**20
 
 #: The parameter field each contamination kind reads, besides its target units.
 CONTAMINATION_PARAMS = {"shift": "delta", "variance_inflation": "factor", "substitution": "value"}
@@ -133,23 +146,59 @@ def _apply_contamination(config: SimConfig, y: np.ndarray) -> np.ndarray:
 
 
 def _realize(config: SimConfig, u: np.ndarray) -> np.ndarray:
-    """Populations from uniforms of shape (N,) or (reps, N): model draw, then contamination.
+    """Turn uniforms of shape (N,) or (reps, N) into populations in place, and return them.
 
-    A value outside float64 gives a non-finite population, with no warning.
+    Model draw ``sd * ndtri(u) + mean``, then contamination.  A value outside
+    float64 gives a non-finite population, with no warning.
     """
+    # errstate is per thread: a worker of _generate_batch enters its own.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _apply_contamination(config, config._model_mean + config._model_sd * ndtri(u))
+        ndtri(u, out=u)
+        u *= config._model_sd
+        u += config._model_mean
+        return _apply_contamination(config, u)
+
+
+def _chunk_rows(n_units: int) -> int:
+    """Rows one thread draws at a time: about ``_CHUNK_BYTES`` of Philox words, at least 1."""
+    return max(1, _CHUNK_BYTES // (32 * _blocks(n_units)))
+
+
+def _workers(n_chunks: int) -> int:
+    """Threads for ``n_chunks`` row chunks: one per CPU this process may use, at most one per chunk."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_chunks)
 
 
 def _generate_batch(config: SimConfig, first_rep: int = 0, n_reps: int | None = None) -> np.ndarray:
     """(n_reps, N) realized populations of replications first_rep, first_rep + 1, ...
 
     By default all ``config.reps`` of them.  Row i uses only replication
-    first_rep + i's substream.
+    first_rep + i's substream.  The rows are filled in place in chunks of
+    ``_chunk_rows(N)``, spread over ``_workers`` threads.
     """
     if n_reps is None:
         n_reps = config.reps - first_rep
-    return _realize(config, batch_rep_uniforms(config.seed, n_reps, config.template.n_units, first_rep))
+    n_units = config.template.n_units
+    Y = np.empty((n_reps, n_units))
+    step = _chunk_rows(n_units)
+    starts = range(0, n_reps, step)
+
+    def fill(lo: int) -> None:
+        rows = Y[lo:lo + step]
+        _realize(config, batch_rep_uniforms(config.seed, rows.shape[0], n_units, first_rep + lo, out=rows))
+
+    workers = _workers(len(starts))
+    if workers <= 1:
+        for lo in starts:
+            fill(lo)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, starts))  # re-raises a worker's exception
+    return Y
 
 
 def _block_rows(n_units: int) -> int:

@@ -4,15 +4,18 @@ Each logical draw position is a pure function of (seed, position), realized
 with the Philox counter-based generator: position ``t`` lives in counter
 block ``t // 4``.  Replication ``r`` of a simulation owns a block-aligned
 counter range derived from (seed, r), so any parallel schedule reproducing
-the same positions yields bit-identical results.  ``batch_rep_uniforms``
-takes the index of its first replication, so a block of replications
-``[r0, r0 + k)`` is drawn from the counters those replications own without
-drawing the ones before it.
+the same positions yields bit-identical results (Salmon et al., SC 2011).
+``batch_rep_uniforms`` takes the index of its first replication, so a block
+of replications ``[r0, r0 + k)`` is drawn from the counters those
+replications own without drawing the ones before it; the simulation harness
+fills the rows of one block this way from several threads at once.
 
 Uniforms are built from the top 53 bits of each raw word, offset by half an
 ulp so they lie strictly inside (0, 1); callers turn them into normals with
-the inverse normal CDF.  No rejection sampling is used anywhere, so the
-per-draw consumption count is fixed.
+the inverse normal CDF.  Each step is exact or one rounding per element, so
+writing the uniforms into a caller's array (``out=``) gives the same bits
+as a fresh one.  No rejection sampling is used anywhere, so the per-draw
+consumption count is fixed.
 """
 
 from __future__ import annotations
@@ -34,12 +37,23 @@ def raw_words(seed: int, start_block: int, n_words: int) -> np.ndarray:
     return np.asarray(bg.random_raw(n_words), dtype=np.uint64)
 
 
-def _to_uniform(words: np.ndarray) -> np.ndarray:
-    return ((words >> _U64_SHIFT).astype(np.float64) + 0.5) * _INV_2_53
+def _to_uniform(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Uniforms from ``words``, written into the float64 array ``out`` when given."""
+    # The shifted words are below 2**53, so they convert to float64 exactly,
+    # and the power-of-two scale is exact too.
+    out = np.add(words >> _U64_SHIFT, 0.5, out=out)
+    out *= _INV_2_53
+    return out
 
 
-def batch_rep_uniforms(seed: int, n_reps: int, n: int, first_rep: int = 0) -> np.ndarray:
-    """(n_reps, n) uniforms; row i comes from the counter blocks replication first_rep + i owns."""
+def batch_rep_uniforms(
+    seed: int, n_reps: int, n: int, first_rep: int = 0, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(n_reps, n) uniforms; row i comes from the counter blocks replication first_rep + i owns.
+
+    ``out``, when given, is an (n_reps, n) float64 array the uniforms are
+    written into.
+    """
     per_rep = _blocks(n)
     words = raw_words(seed, first_rep * per_rep, n_reps * per_rep * 4).reshape(n_reps, per_rep * 4)
-    return _to_uniform(words[:, :n])
+    return _to_uniform(words[:, :n], out=out)

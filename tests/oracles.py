@@ -3,8 +3,9 @@
 None of this is package API: the Monte Carlo divergence, the dense
 posterior predictive, the single-replication streams and population, and the
 residual covariance probe exist to check closed forms and schedules; the
-``csv.DictReader`` frame reader is the reference for the streaming one, and
-``clipped_theta`` for the estimator's clipping pass.
+``csv.DictReader`` frame reader is the reference for the streaming one,
+``clipped_theta`` for the estimator's clipping pass, and ``populations`` for
+the harness's in-place, threaded generation.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from robust_fps import DegenerateFrameError, GaussianSpec, ModelValidationError,
 from robust_fps.dataio import CsvFormatError, _parse_cell
 from robust_fps.divergence import _check_dims
 from robust_fps.frame import FAMILIES, ModelSpec, build_model
-from robust_fps.simulate import SimConfig, _generate_batch, _realize
-from robust_fps.streams import _blocks, _to_uniform, raw_words
+from robust_fps.simulate import SimConfig, _apply_contamination, _generate_batch, _realize
+from robust_fps.streams import _blocks, _to_uniform, batch_rep_uniforms, raw_words
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -195,6 +196,13 @@ def simulate_once(config: SimConfig, rep_index: int) -> SimulatedPopulation:
         raise ModelValidationError("rep_index must be >= 0")
     u = rep_uniforms(config.seed, rep_index, config.template.n_units)
     return SimulatedPopulation(config, rep_index, _realize(config, u))
+
+
+def populations(config: SimConfig, first_rep: int, n_reps: int) -> np.ndarray:
+    """(n_reps, N) populations as one whole-block expression: model draw, then contamination."""
+    u = batch_rep_uniforms(config.seed, n_reps, config.template.n_units, first_rep)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _apply_contamination(config, config._model_mean + config._model_sd * ndtri(u))
 
 
 def theta_sq_error_and_cross(config: SimConfig, c: float) -> tuple[np.ndarray, np.ndarray]:

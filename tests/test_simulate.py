@@ -1,7 +1,11 @@
 """Stream determinism, contamination mechanics, and empirical risk agreement."""
 
 import math
+import os
+import sys
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,10 +21,11 @@ from robust_fps import (
 )
 import robust_fps.simulate as sim
 from robust_fps.simulate import _generate_batch, write_result_csv, write_result_json
-from robust_fps.streams import batch_rep_uniforms
+from robust_fps.streams import batch_rep_uniforms, raw_words
 
 from oracles import (
     covariance_probe,
+    populations,
     rep_uniforms,
     simulate_once,
     std_normals,
@@ -59,6 +64,19 @@ class TestStreams:
             batch = batch_rep_uniforms(777, 50, n)
             for r in (0, 1, 17, 49):
                 assert np.array_equal(batch[r], rep_uniforms(777, r, n))
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 1001])
+    @pytest.mark.parametrize("first_rep", [0, 5])
+    def test_batch_uniforms_bits_with_and_without_out(self, n, first_rep):
+        n_reps, per_rep = 7, 4 * -(-n // 4)
+        words = raw_words(777, first_rep * per_rep // 4, n_reps * per_rep).reshape(n_reps, per_rep)
+        want = ((words[:, :n] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        assert np.array_equal(batch_rep_uniforms(777, n_reps, n, first_rep), want)
+        # out may be a view into a larger array, as a block's rows are
+        big = np.full((n_reps + 2, n), np.nan)
+        got = batch_rep_uniforms(777, n_reps, n, first_rep, out=big[1:-1])
+        assert got.base is big and np.array_equal(big[1:-1], want)
+        assert np.isnan(big[[0, -1]]).all()
 
     def test_distinct_reps_disjoint(self):
         a = rep_uniforms(5, 0, 8)
@@ -141,6 +159,51 @@ class TestSimulateOnce:
         # S_aa = 1e16 + 1 rounds to 1e16: unit u0's v^2 is 0, so no SimConfig can be built
         with pytest.raises(DegenerateFrameError, match="S_aa - h_k <= 0 for unit 'u0'"):
             make_config(template=make_template(N=3, n=2, a=[1e8, 1, 1]))
+
+
+def _cpus(monkeypatch, k):
+    """Make this process appear to run on k CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+
+def _contamination(kind, unit):
+    return {
+        "none": Contamination(),
+        "shift": Contamination("shift", units=(unit,), delta=6.0),
+        "variance_inflation": Contamination("variance_inflation", units=(unit,), factor=9.0),
+        "substitution": Contamination("substitution", units=(unit,), value=-40.0),
+    }[kind]
+
+
+class TestGeneration:
+    """Blocks filled in place by row chunks on several threads equal the whole-block formula bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["none", "shift", "variance_inflation", "substitution"])
+    @pytest.mark.parametrize("N", [6, 7, 1001])
+    @pytest.mark.parametrize("overflow", [False, True], ids=["finite", "overflow"])
+    def test_matches_the_whole_block_formula(self, monkeypatch, N, kind, overflow):
+        rng = np.random.default_rng(N)
+        a, sigma2 = rng.uniform(0.5, 2.0, N), rng.uniform(0.5, 2.0, N)
+        theta = 1.3
+        if overflow:
+            # theta_true * a leaves float64 at the sampled u0, where variance
+            # inflation gives inf - inf, and at the last (unsampled) unit
+            a[[0, -1]], sigma2[[0, -1]], theta = 1e150, 1e300, 1e200
+        first_rep, n_reps = 3, 2 * sim._chunk_rows(N) + 5
+        config = make_config(
+            template=make_template(N=N, n=4, a=a, sigma2=sigma2), theta_true=theta,
+            contamination=_contamination(kind, "u0" if overflow else "u1"),
+            reps=first_rep + n_reps,
+        )
+        _cpus(monkeypatch, 2)
+        with warnings.catch_warnings():
+            # numpy's errstate does not carry into worker threads
+            warnings.simplefilter("error")
+            Y = _generate_batch(config, first_rep, n_reps)
+        want = populations(config, first_rep, n_reps)
+        assert Y.shape == (n_reps, N)
+        assert np.array_equal(Y.view(np.uint64), want.view(np.uint64))
+        assert overflow == (not np.isfinite(Y).all())
 
 
 class TestEmpiricalRisk:
@@ -294,7 +357,44 @@ class TestBlocks:
         for res in results[1:]:
             assert (res.rows, res.failures) == (results[0].rows, results[0].failures)
 
-    def test_peak_memory_bounded(self):
+    def test_worker_count_does_not_change_the_result(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        N = 1000
+        template = make_template(N=N, n=100, a=rng.uniform(0.5, 2.0, N), sigma2=rng.uniform(0.5, 2.0, N))
+        # a whole block of several chunks, then a block of two chunks
+        reps = sim._block_rows(N) + sim._chunk_rows(N) + 1
+        config = make_config(template=template, contamination=Contamination("shift", units=("u1",), delta=6.0),
+                             c_grid=(0.0, 1.0, 2.0), reps=reps)
+        pools = []  # [max_workers, tasks] of each pool started
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append([max_workers, 0])
+                super().__init__(max_workers)
+
+            def submit(self, *args, **kwargs):
+                pools[-1][1] += 1
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", Recording)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            for cpus in (1, 2, 3):
+                _cpus(monkeypatch, cpus)
+                del pools[:]
+                results.append(empirical_risk(config))
+                assert all(workers <= min(cpus, tasks) for workers, tasks in pools)
+                assert [workers for workers, _ in pools] == ([] if cpus == 1 else [cpus, 2])
+        finally:
+            sys.setswitchinterval(interval)
+        for res in results[1:]:
+            assert (res.rows, res.failures) == (results[0].rows, results[0].failures)
+
+    def test_peak_memory_bounded(self, monkeypatch):
+        # each live row chunk holds about 2 MiB of words, so fix the thread count
+        _cpus(monkeypatch, 2)
         rng = np.random.default_rng(3)
         N, n = 1000, 100
         template = make_template(N=N, n=n, a=rng.uniform(0.5, 2.0, N), sigma2=rng.uniform(0.5, 2.0, N))
@@ -305,8 +405,9 @@ class TestBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one (reps, N) float64 matrix alone is 153 MiB
-        assert peak <= 64 * 2**20
+        # one (reps, N) float64 matrix alone is 153 MiB, and one block 8 MiB;
+        # the block is filled in place, without block-sized temporaries
+        assert peak <= 20 * 2**20
 
 
 class TestCovarianceProbe:
