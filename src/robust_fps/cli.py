@@ -12,6 +12,7 @@ validation error (model invariants, degenerate frames, non-PD matrices),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -112,7 +113,9 @@ def cmd_divergence(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="robust-fps",
         description="Outlier-resistant estimation of finite population means",

@@ -10,19 +10,15 @@ of that formula can be quantified rather than assumed.
 
 Replication r draws from a counter-based substream derived from (seed, r);
 results are bit-identical however replications are scheduled.  Replications
-are realized in blocks of about 8 MiB, so memory does not grow with reps
-times N: each block keeps only its per-replication squared errors and cross
-moments.  Those scalars are stored for every replication and reduced once
-after the last block, so neither the block size nor the reduction order can
-perturb the output.
-
-A block is allocated once and filled in place, a few rows (about 1 MiB of
-Philox words) at a time, by one thread per CPU this process may run on and
-at most one per row chunk.  Each row's words, uniforms, normals and
-contamination depend only on its replication, and every step works element
-by element, so neither the row split nor the thread count can change a bit.
-Philox and ``ndtri`` release the GIL.  The reduction over ``c`` stays on the
-calling thread, where it does not compete with the BLAS threads of its gemv.
+run in blocks of about 2 MiB of populations, so memory does not grow with
+reps times N.  A block is the unit of work, and the blocks are spread over
+one thread per CPU this process may run on (at most one per block).  The
+thread that realizes a block reduces it at once, while it is still in cache,
+to its per-replication finite flags, squared errors and cross moments, and
+writes them into reps-long arrays at the block's rows.  Those are reduced
+once after the last block, so neither the block size, the thread count nor
+the reduction order can perturb the output.  Philox, ``ndtri`` and the BLAS
+gemv of the reduction release the GIL.
 """
 
 from __future__ import annotations
@@ -43,15 +39,12 @@ from .errors import ModelValidationError
 from .estimators import weighted_overflow
 from .frame import FrameTemplate
 from .risk import mse_closed_form
-from .streams import _blocks, batch_rep_uniforms
+from .streams import batch_rep_uniforms
 
 DEFAULT_REPS = 100_000
 
 #: Target size of one block of realized populations (rows x N float64).
-_BLOCK_BYTES = 8 * 2**20
-
-#: Target size of the Philox words one thread draws at a time for a block.
-_CHUNK_BYTES = 2**20
+_BLOCK_BYTES = 2 * 2**20
 
 #: The parameter field each contamination kind reads, besides its target units.
 CONTAMINATION_PARAMS = {"shift": "delta", "variance_inflation": "factor", "substitution": "value"}
@@ -151,7 +144,6 @@ def _realize(config: SimConfig, u: np.ndarray) -> np.ndarray:
     Model draw ``sd * ndtri(u) + mean``, then contamination.  A value outside
     float64 gives a non-finite population, with no warning.
     """
-    # errstate is per thread: a worker of _generate_batch enters its own.
     with np.errstate(over="ignore", invalid="ignore"):
         ndtri(u, out=u)
         u *= config._model_sd
@@ -159,46 +151,24 @@ def _realize(config: SimConfig, u: np.ndarray) -> np.ndarray:
         return _apply_contamination(config, u)
 
 
-def _chunk_rows(n_units: int) -> int:
-    """Rows one thread draws at a time: about ``_CHUNK_BYTES`` of Philox words, at least 1."""
-    return max(1, _CHUNK_BYTES // (32 * _blocks(n_units)))
-
-
-def _workers(n_chunks: int) -> int:
-    """Threads for ``n_chunks`` row chunks: one per CPU this process may use, at most one per chunk."""
+def _workers(n_blocks: int) -> int:
+    """Threads for ``n_blocks`` blocks: one per CPU this process may use, at most one per block."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         cpus = os.cpu_count() or 1
-    return min(cpus, n_chunks)
+    return min(cpus, n_blocks)
 
 
 def _generate_batch(config: SimConfig, first_rep: int = 0, n_reps: int | None = None) -> np.ndarray:
     """(n_reps, N) realized populations of replications first_rep, first_rep + 1, ...
 
     By default all ``config.reps`` of them.  Row i uses only replication
-    first_rep + i's substream.  The rows are filled in place in chunks of
-    ``_chunk_rows(N)``, spread over ``_workers`` threads.
+    first_rep + i's substream.
     """
     if n_reps is None:
         n_reps = config.reps - first_rep
-    n_units = config.template.n_units
-    Y = np.empty((n_reps, n_units))
-    step = _chunk_rows(n_units)
-    starts = range(0, n_reps, step)
-
-    def fill(lo: int) -> None:
-        rows = Y[lo:lo + step]
-        _realize(config, batch_rep_uniforms(config.seed, rows.shape[0], n_units, first_rep + lo, out=rows))
-
-    workers = _workers(len(starts))
-    if workers <= 1:
-        for lo in starts:
-            fill(lo)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, starts))  # re-raises a worker's exception
-    return Y
+    return _realize(config, batch_rep_uniforms(config.seed, n_reps, config.template.n_units, first_rep))
 
 
 def _block_rows(n_units: int) -> int:
@@ -265,54 +235,61 @@ def empirical_risk(config: SimConfig) -> SimResult:
     rows).  The cross_term column is the empirical value of the pairwise
     overflow moment sum that the closed-form MSE drops.
 
-    Replications run in blocks of ``_block_rows(N)``; a replication whose
-    population is not finite counts as a failure.  Memory is
-    O(block * N + reps * len(c_grid)).
+    Replications run in blocks of ``_block_rows(N)``, each realized and
+    reduced by one worker thread; a replication whose population is not
+    finite counts as a failure.  Memory is
+    O(threads * block * N + reps * len(c_grid)).
     """
     t = config.template
     theta = config.theta_true
     wv = t.w * t.v
     wv2 = wv**2
     n_c = len(config.c_grid)
-    # Per-replication scalars of the finite replications, filled block by block.
+    # Per-replication finite flags and scalars; each block fills its own rows.
+    finite = np.empty(config.reps, dtype=bool)
     sq_classical = np.empty(config.reps)
     sq_theta, sq_pop, cross = (np.empty((n_c, config.reps)) for _ in range(3))
-    kept = 0
 
-    # Squared errors and their sums can overflow on finite draws; a row with
-    # a value outside float64 raises below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start, stop in _block_bounds(config.reps, _block_rows(t.n_units)):
-            Y = _generate_batch(config, start, stop - start)
-            finite = np.all(np.isfinite(Y), axis=1)
-            end = kept + int(finite.sum())
+    def reduce_block(bounds: tuple[int, int]) -> None:
+        lo, hi = bounds
+        # errstate is per thread.  Squared errors and their sums can overflow
+        # on finite draws; a row with a value outside float64 raises below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            Y = _generate_batch(config, lo, hi - lo)
+            finite[lo:hi] = np.all(np.isfinite(Y), axis=1)
             Ys = Y[:, t.sampled]
             ybar_w, r = t.residuals(Ys)
             sum_ys = Ys.sum(axis=1)
             ybar_pop = Y.mean(axis=1)
             del Y, Ys
-            sq_classical[kept:end] = ((t.fill_in(sum_ys, ybar_w) - ybar_pop) ** 2)[finite]
-
+            sq_classical[lo:hi] = (t.fill_in(sum_ys, ybar_w) - ybar_pop) ** 2
             # One (block, n) buffer for every c: fresh temporaries per c would
             # leave freed blocks in the heap under the next allocation peak.
             overflow = np.empty_like(r)
             for j, c in enumerate(config.c_grid):
                 T = weighted_overflow(r, c, wv, out=overflow)[0]
                 theta_R = ybar_w - T
-                ybar_R = t.fill_in(sum_ys, theta_R)
-                sq_theta[j, kept:end] = ((theta_R - theta) ** 2)[finite]
-                sq_pop[j, kept:end] = ((ybar_R - ybar_pop) ** 2)[finite]
-                cross[j, kept:end] = (T**2 - np.square(overflow, out=overflow) @ wv2)[finite]
-            kept = end
+                sq_theta[j, lo:hi] = (theta_R - theta) ** 2
+                sq_pop[j, lo:hi] = (t.fill_in(sum_ys, theta_R) - ybar_pop) ** 2
+                cross[j, lo:hi] = T**2 - np.square(overflow, out=overflow) @ wv2
 
-        if kept < 2:
-            raise ModelValidationError("fewer than 2 finite replications")
-        cls_mean, se_cls = _mean_se(sq_classical[:kept])
+    bounds = _block_bounds(config.reps, _block_rows(t.n_units))
+    with ThreadPoolExecutor(_workers(len(bounds))) as pool:
+        list(pool.map(reduce_block, bounds))  # re-raises a worker's exception
+    if not finite.all():  # keep the finite replications, in replication order
+        sq_classical, sq_theta, sq_pop, cross = (
+            x[..., finite] for x in (sq_classical, sq_theta, sq_pop, cross))
+    kept = sq_classical.shape[0]
+    if kept < 2:
+        raise ModelValidationError("fewer than 2 finite replications")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        cls_mean, se_cls = _mean_se(sq_classical)
         rows = []
         for j, c in enumerate(config.c_grid):
-            emp_theta, se_theta = _mean_se(sq_theta[j, :kept])
-            emp_pop, se_pop = _mean_se(sq_pop[j, :kept])
-            cross_mean, se_cross = _mean_se(cross[j, :kept])
+            emp_theta, se_theta = _mean_se(sq_theta[j])
+            emp_pop, se_pop = _mean_se(sq_pop[j])
+            cross_mean, se_cross = _mean_se(cross[j])
             report = mse_closed_form(t, c)
             theo_theta = 1.0 / t.S_aa + t.sum_w2v2 * report.g_of_c
             row = SimRow(

@@ -8,14 +8,14 @@ the same positions yields bit-identical results (Salmon et al., SC 2011).
 ``batch_rep_uniforms`` takes the index of its first replication, so a block
 of replications ``[r0, r0 + k)`` is drawn from the counters those
 replications own without drawing the ones before it; the simulation harness
-fills the rows of one block this way from several threads at once.
+draws its blocks this way, one per thread.
 
 Uniforms are built from the top 53 bits of each raw word, offset by half an
-ulp so they lie strictly inside (0, 1); callers turn them into normals with
-the inverse normal CDF.  Each step is exact or one rounding per element, so
-writing the uniforms into a caller's array (``out=``) gives the same bits
-as a fresh one.  No rejection sampling is used anywhere, so the per-draw
-consumption count is fixed.
+ulp and capped at the largest float64 below 1, so they lie strictly inside
+(0, 1); callers turn them into normals with the inverse normal CDF.  Each
+step is exact or one rounding per element, so writing the uniforms into a
+caller's array (``out=``) gives the same bits as a fresh one.  No rejection
+sampling is used anywhere, so the per-draw consumption count is fixed.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from numpy.random import Philox
 
 _U64_SHIFT = np.uint64(11)
 _INV_2_53 = 2.0**-53
+_U_MAX = 1.0 - 2.0**-53
 
 
 def _blocks(n_draws: int) -> int:
@@ -40,10 +41,12 @@ def raw_words(seed: int, start_block: int, n_words: int) -> np.ndarray:
 def _to_uniform(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Uniforms from ``words``, written into the float64 array ``out`` when given."""
     # The shifted words are below 2**53, so they convert to float64 exactly,
-    # and the power-of-two scale is exact too.
+    # and the power-of-two scale is exact too.  A word whose top 53 bits are
+    # all ones rounds up to 2**53 (ties to even), so to 1.0, where ndtri
+    # gives inf; the cap moves it to the largest float64 below 1.
     out = np.add(words >> _U64_SHIFT, 0.5, out=out)
     out *= _INV_2_53
-    return out
+    return np.minimum(out, _U_MAX, out=out)
 
 
 def batch_rep_uniforms(

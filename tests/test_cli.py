@@ -583,3 +583,30 @@ class TestReportRoundTrip:
         assert doc["classical"] == classical_estimate(frame)
         est = robust_estimate(frame, RobustConfig(c=1.5))
         assert doc["robust"]["theta_hat_R"] == est.theta_hat_R
+
+
+def test_the_parser_built_once_parses_like_a_fresh_one(frame_csv, capsys):
+    from robust_fps import cli
+
+    frame = ["--frame", str(frame_csv), "--model", "ratio"]
+    calls = [
+        ["calibrate", *frame, "--max-excess", "0.05"],
+        ["estimate", *frame, "--c", "abc", "--out", "unused.json"],  # an argparse error
+        ["diagnose", *frame, "--c", "1.0"],
+    ]
+
+    def run(argv, fresh):
+        if fresh:
+            cli.build_parser.cache_clear()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    cli.build_parser.cache_clear()
+    reused = [run(argv, fresh=False) for argv in calls]
+    fresh = [run(argv, fresh=True) for argv in calls]
+    assert reused == fresh
+    assert [code for code, *_ in reused] == [0, 2, 0]
+    assert "invalid float value: 'abc'" in reused[1][2]

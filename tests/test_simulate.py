@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from robust_fps import (
     Contamination,
@@ -21,7 +22,7 @@ from robust_fps import (
 )
 import robust_fps.simulate as sim
 from robust_fps.simulate import _generate_batch, write_result_csv, write_result_json
-from robust_fps.streams import batch_rep_uniforms, raw_words
+from robust_fps.streams import _to_uniform, batch_rep_uniforms, raw_words
 
 from oracles import (
     covariance_probe,
@@ -77,6 +78,22 @@ class TestStreams:
         got = batch_rep_uniforms(777, n_reps, n, first_rep, out=big[1:-1])
         assert got.base is big and np.array_equal(big[1:-1], want)
         assert np.isnan(big[[0, -1]]).all()
+
+    def test_uniform_bits_follow_the_formula(self):
+        edges = np.array([0, 2**11 - 1, 2**63], dtype=np.uint64)
+        words = np.concatenate([raw_words(3, 0, 1000), edges])
+        want = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        assert np.array_equal(_to_uniform(words).view(np.uint64), want.view(np.uint64))
+
+    def test_top_words_stay_below_one(self):
+        # the 2048 words whose top 53 bits are all ones round up to 2**53 in
+        # the formula, so to 1.0; then 2048 words below them
+        words = np.uint64(2**64 - 1) - np.arange(4096, dtype=np.uint64)
+        u = _to_uniform(words)
+        assert (u[:2048] == 1.0 - 2.0**-53).all()
+        formula = ((words[2048:] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        assert np.array_equal(u[2048:], formula) and formula.max() < 1.0
+        assert np.isfinite(ndtri(u)).all()
 
     def test_distinct_reps_disjoint(self):
         a = rep_uniforms(5, 0, 8)
@@ -176,12 +193,12 @@ def _contamination(kind, unit):
 
 
 class TestGeneration:
-    """Blocks filled in place by row chunks on several threads equal the whole-block formula bit for bit."""
+    """A block of rows from any first replication equals the whole-block formula bit for bit."""
 
     @pytest.mark.parametrize("kind", ["none", "shift", "variance_inflation", "substitution"])
     @pytest.mark.parametrize("N", [6, 7, 1001])
     @pytest.mark.parametrize("overflow", [False, True], ids=["finite", "overflow"])
-    def test_matches_the_whole_block_formula(self, monkeypatch, N, kind, overflow):
+    def test_matches_the_whole_block_formula(self, N, kind, overflow):
         rng = np.random.default_rng(N)
         a, sigma2 = rng.uniform(0.5, 2.0, N), rng.uniform(0.5, 2.0, N)
         theta = 1.3
@@ -189,15 +206,13 @@ class TestGeneration:
             # theta_true * a leaves float64 at the sampled u0, where variance
             # inflation gives inf - inf, and at the last (unsampled) unit
             a[[0, -1]], sigma2[[0, -1]], theta = 1e150, 1e300, 1e200
-        first_rep, n_reps = 3, 2 * sim._chunk_rows(N) + 5
+        first_rep, n_reps = 3, sim._block_rows(N) + 5
         config = make_config(
             template=make_template(N=N, n=4, a=a, sigma2=sigma2), theta_true=theta,
             contamination=_contamination(kind, "u0" if overflow else "u1"),
             reps=first_rep + n_reps,
         )
-        _cpus(monkeypatch, 2)
         with warnings.catch_warnings():
-            # numpy's errstate does not carry into worker threads
             warnings.simplefilter("error")
             Y = _generate_batch(config, first_rep, n_reps)
         want = populations(config, first_rep, n_reps)
@@ -323,7 +338,7 @@ class TestEmpiricalRisk:
 class TestBlocks:
     """Replications run in blocks; the block size must not change a bit of the result."""
 
-    def test_block_rows_multiple_of_8_about_8_mib(self):
+    def test_block_rows_multiple_of_8_about_block_bytes(self):
         for n_units in (6, 200, 1000, 10**6):
             rows = sim._block_rows(n_units)
             assert rows % 8 == 0 and rows >= 8
@@ -361,8 +376,8 @@ class TestBlocks:
         rng = np.random.default_rng(5)
         N = 1000
         template = make_template(N=N, n=100, a=rng.uniform(0.5, 2.0, N), sigma2=rng.uniform(0.5, 2.0, N))
-        # a whole block of several chunks, then a block of two chunks
-        reps = sim._block_rows(N) + sim._chunk_rows(N) + 1
+        # two whole blocks, then a block of 9 rows
+        reps = 2 * sim._block_rows(N) + 9
         config = make_config(template=template, contamination=Contamination("shift", units=("u1",), delta=6.0),
                              c_grid=(0.0, 1.0, 2.0), reps=reps)
         pools = []  # [max_workers, tasks] of each pool started
@@ -381,19 +396,61 @@ class TestBlocks:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
         try:
-            for cpus in (1, 2, 3):
+            for cpus in (1, 2, 3, 4):
                 _cpus(monkeypatch, cpus)
                 del pools[:]
                 results.append(empirical_risk(config))
-                assert all(workers <= min(cpus, tasks) for workers, tasks in pools)
-                assert [workers for workers, _ in pools] == ([] if cpus == 1 else [cpus, 2])
+                # one pool per call, one thread per CPU and at most one per block
+                assert pools == [[min(cpus, 3), 3]]
         finally:
             sys.setswitchinterval(interval)
         for res in results[1:]:
             assert (res.rows, res.failures) == (results[0].rows, results[0].failures)
 
+    def test_failed_replications_in_any_block_on_any_thread_count(self, monkeypatch):
+        config = make_config(reps=100, c_grid=(0.5, 1.0))
+        real = sim._generate_batch
+        poison = {3: (0, np.inf), 50: (2, np.nan), 98: (5, -np.inf)}  # blocks 0-8, 48-56 and 96-100
+
+        def poisoned(cfg, first_rep, n_reps):
+            Y = real(cfg, first_rep, n_reps)
+            for rep, (unit, value) in poison.items():
+                if first_rep <= rep < first_rep + n_reps:
+                    Y[rep - first_rep, unit] = value
+            return Y
+
+        monkeypatch.setattr(sim, "_block_rows", lambda n_units: 8)
+        monkeypatch.setattr(sim, "_generate_batch", poisoned)
+        results = []
+        for cpus in (1, 2, 3):
+            _cpus(monkeypatch, cpus)
+            results.append(empirical_risk(config))
+        assert results[0].failures == 3
+        for res in results[1:]:
+            assert (res.rows, res.failures) == (results[0].rows, results[0].failures)
+        # the finite replications, in order, are what the means are taken over
+        keep = np.ones(config.reps, dtype=bool)
+        keep[list(poison)] = False
+        for row in results[0].rows:
+            sq_theta = theta_sq_error_and_cross(config, row.c)[0][keep]
+            assert (row.emp_mse_theta, row.se_theta) == sim._mean_se(sq_theta)
+
+    def test_worker_exception_propagates(self, monkeypatch):
+        real = sim._generate_batch
+
+        def failing(cfg, first_rep, n_reps):
+            if first_rep == 16:
+                raise RuntimeError("block at 16 failed")
+            return real(cfg, first_rep, n_reps)
+
+        monkeypatch.setattr(sim, "_block_rows", lambda n_units: 8)
+        monkeypatch.setattr(sim, "_generate_batch", failing)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="block at 16 failed"):
+            empirical_risk(make_config(reps=40))
+
     def test_peak_memory_bounded(self, monkeypatch):
-        # each live row chunk holds about 2 MiB of words, so fix the thread count
+        # each live block holds about 2 MiB of words, so fix the thread count
         _cpus(monkeypatch, 2)
         rng = np.random.default_rng(3)
         N, n = 1000, 100
@@ -405,8 +462,9 @@ class TestBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one (reps, N) float64 matrix alone is 153 MiB, and one block 8 MiB;
-        # the block is filled in place, without block-sized temporaries
+        # one (reps, N) float64 matrix alone is 153 MiB; each thread holds one
+        # block of 2 MiB with its words, and only per-replication scalars grow
+        # with reps
         assert peak <= 20 * 2**20
 
 
