@@ -8,7 +8,6 @@ constant, and a reproducible Monte Carlo harness.
 
 from .divergence import (
     GaussianSpec,
-    InfluenceRecord,
     divergence,
     influence,
     symmetrized_divergence,
@@ -56,7 +55,6 @@ __all__ = [
     "EstimationError",
     "FrameTemplate",
     "GaussianSpec",
-    "InfluenceRecord",
     "ModelSpec",
     "ModelValidationError",
     "PopulationFrame",

@@ -19,12 +19,11 @@ from typing import Any
 
 import numpy as np
 
-from .divergence import InfluenceRecord
 from .errors import EstimationError
 from .estimators import RobustEstimate
 from .frame import FAMILIES, FrameTemplate, ModelSpec, PopulationFrame, build_model
 from .risk import RiskReport
-from .simulate import CONTAMINATION_PARAMS, Contamination, SimConfig
+from .simulate import CONTAMINATION_PARAMS, DEFAULT_REPS, Contamination, SimConfig
 
 #: The ``RobustEstimate`` fields of a report's ``robust`` object, in key order.
 _ROBUST_KEYS = ("theta_hat_R", "ybar_P_R", "c_used", "clipped_units", "scaling", "degenerate")
@@ -126,7 +125,7 @@ def build_report(
     classical: float | None = None,
     robust: RobustEstimate | None = None,
     risk: RiskReport | None = None,
-    diagnostics: list[InfluenceRecord] | None = None,
+    diagnostics: list[dict] | None = None,
     flag_c: float | None = None,
 ) -> dict:
     report: dict[str, Any] = {
@@ -140,7 +139,7 @@ def build_report(
         report["robust"] = {k: getattr(robust, k) for k in _ROBUST_KEYS}
     report["risk"] = None if risk is None else risk_to_dict(risk)
     report["diagnostics"] = [
-        {**vars(rec), "flagged": None if flag_c is None else bool(abs(rec.r_k) > flag_c)}
+        {**rec, "flagged": None if flag_c is None else abs(rec["r_k"]) > flag_c}
         for rec in (diagnostics or [])
     ]
     return report
@@ -247,7 +246,7 @@ def sim_config_from_dict(doc: dict, seed_override: int | None = None) -> SimConf
 
     theta = _require(doc, "theta_true", float, "")
     c_grid = _number_array(_require(doc, "c_grid", list, ""), "/c_grid")
-    reps = _require(doc, "reps", int, "") if "reps" in doc else None
+    reps = _require(doc, "reps", int, "") if "reps" in doc else DEFAULT_REPS
 
     cont_doc = doc.get("contamination", {"kind": "none"})
     if not isinstance(cont_doc, dict):
@@ -272,14 +271,13 @@ def sim_config_from_dict(doc: dict, seed_override: int | None = None) -> SimConf
         seed = 0
 
     template = FrameTemplate(tuple(ids), np.array(a), np.array(sigma2), np.array(sampled))
-    kwargs = {} if reps is None else {"reps": reps}
     return SimConfig(
         template=template,
         theta_true=theta,
         contamination=contamination,
         c_grid=tuple(c_grid),
+        reps=reps,
         seed=seed,
-        **kwargs,
     )
 
 

@@ -154,17 +154,6 @@ def symmetrized_divergence(f1: GaussianSpec, f2: GaussianSpec, lam: float) -> fl
     return 0.5 * (divergence(f1, f2, lam) + divergence(f2, f1, lam))
 
 
-@dataclass(frozen=True)
-class InfluenceRecord:
-    """Delete-one diagnostics for one sampled unit."""
-
-    unit_id: object
-    delta_k: float
-    r_k: float
-    v_k: float
-    divergence_k: float
-
-
 def _log1p_minus(z: np.ndarray) -> np.ndarray:
     """``log1p(z) - z`` for z > -1, to a few ulp also where it is O(z^2).
 
@@ -189,15 +178,20 @@ def _require(ok: np.ndarray, unit_ids: tuple, message: str):
         raise DivergenceUndefinedError(f"{message} for unit {unit_ids[k]!r}")
 
 
-def influence(frame: PopulationFrame, lam: float = -0.5) -> list[InfluenceRecord]:
+def influence(frame: PopulationFrame, lam: float = -0.5) -> list[dict]:
     """Delete-one predictive influence of every sampled unit.
 
-    ``delta_k`` is the shift of the weighted average when unit k is removed;
-    ``divergence_k`` compares the full-sample predictive distribution of the
-    unsampled values against the one computed without unit k, through the
-    exact scalar reduction in the module docstring.  The frame must be
-    predictable (``FrameTemplate.require_prediction``, ``DegenerateFrameError``)
-    and its fit finite (``PopulationFrame.fit``, ``ModelValidationError``);
+    Returns one dict per sampled unit, in unit order, with the keys
+    ``unit_id``, ``delta_k``, ``r_k`` (the standardized residual), ``v_k``
+    (its scale ``v``) and ``divergence_k``, in that order, and Python floats
+    as values: a report's diagnostics records without the ``flagged`` key
+    that ``dataio.build_report`` adds.  ``delta_k`` is the shift of the
+    weighted average when unit k is removed; ``divergence_k`` compares the
+    full-sample predictive distribution of the unsampled values against the
+    one computed without unit k, through the exact scalar reduction in the
+    module docstring.  The frame must be predictable
+    (``FrameTemplate.require_prediction``, ``DegenerateFrameError``) and its
+    fit finite (``PopulationFrame.fit``, ``ModelValidationError``);
     ``DivergenceUndefinedError`` is raised where the mixture is not positive
     definite or a value is not finite, so no NaN or inf is returned.
     """
@@ -231,8 +225,6 @@ def influence(frame: PopulationFrame, lam: float = -0.5) -> list[InfluenceRecord
             div = np.expm1(log_e) / coef
         _require(np.isfinite(div), ids, "D_lam is not finite")
     return [
-        InfluenceRecord(unit_id=u, delta_k=d, r_k=rk, v_k=vk, divergence_k=dk)
-        for u, d, rk, vk, dk in zip(
-            ids, delta.tolist(), r.tolist(), frame.v.tolist(), div.tolist()
-        )
+        {"unit_id": u, "delta_k": d, "r_k": rk, "v_k": vk, "divergence_k": dk}
+        for u, d, rk, vk, dk in zip(ids, delta.tolist(), r.tolist(), frame.v.tolist(), div.tolist())
     ]

@@ -12,10 +12,9 @@ draws its blocks this way, one per thread.
 
 Uniforms are built from the top 53 bits of each raw word, offset by half an
 ulp and capped at the largest float64 below 1, so they lie strictly inside
-(0, 1); callers turn them into normals with the inverse normal CDF.  Each
-step is exact or one rounding per element, so writing the uniforms into a
-caller's array (``out=``) gives the same bits as a fresh one.  No rejection
-sampling is used anywhere, so the per-draw consumption count is fixed.
+(0, 1); callers turn them into normals with the inverse normal CDF.  No
+rejection sampling is used anywhere, so the per-draw consumption count is
+fixed.
 """
 
 from __future__ import annotations
@@ -38,25 +37,24 @@ def raw_words(seed: int, start_block: int, n_words: int) -> np.ndarray:
     return np.asarray(bg.random_raw(n_words), dtype=np.uint64)
 
 
-def _to_uniform(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Uniforms from ``words``, written into the float64 array ``out`` when given."""
+def _to_uniform(words: np.ndarray) -> np.ndarray:
+    """Uniforms from the uint64 ``words``, in one fresh float64 array.
+
+    Consumes its input: ``words`` is shifted in place, so only the words and
+    the uniforms are held at once.
+    """
     # The shifted words are below 2**53, so they convert to float64 exactly,
     # and the power-of-two scale is exact too.  A word whose top 53 bits are
     # all ones rounds up to 2**53 (ties to even), so to 1.0, where ndtri
     # gives inf; the cap moves it to the largest float64 below 1.
-    out = np.add(words >> _U64_SHIFT, 0.5, out=out)
-    out *= _INV_2_53
-    return np.minimum(out, _U_MAX, out=out)
+    words >>= _U64_SHIFT
+    u = words + 0.5
+    u *= _INV_2_53
+    return np.minimum(u, _U_MAX, out=u)
 
 
-def batch_rep_uniforms(
-    seed: int, n_reps: int, n: int, first_rep: int = 0, out: np.ndarray | None = None
-) -> np.ndarray:
-    """(n_reps, n) uniforms; row i comes from the counter blocks replication first_rep + i owns.
-
-    ``out``, when given, is an (n_reps, n) float64 array the uniforms are
-    written into.
-    """
+def batch_rep_uniforms(seed: int, n_reps: int, n: int, first_rep: int = 0) -> np.ndarray:
+    """(n_reps, n) uniforms; row i comes from the counter blocks replication first_rep + i owns."""
     per_rep = _blocks(n)
     words = raw_words(seed, first_rep * per_rep, n_reps * per_rep * 4).reshape(n_reps, per_rep * 4)
-    return _to_uniform(words[:, :n], out=out)
+    return _to_uniform(words[:, :n])

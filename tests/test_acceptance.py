@@ -247,7 +247,7 @@ def test_criterion_4_influence():
             )
             delta_direct = fr.fit()[0] - fr2.fit()[0]
             denom = max(abs(delta_direct), 1e-12)
-            worst_rel = max(worst_rel, abs(rec.delta_k - delta_direct) / denom)
+            worst_rel = max(worst_rel, abs(rec["delta_k"] - delta_direct) / denom)
     closed_ok = worst_rel <= 1e-10
 
     base = build_model(
@@ -259,7 +259,7 @@ def test_criterion_4_influence():
     for yk in np.linspace(-6, 8, 41):
         fr = base.with_y(np.array([yk, 3.0, 4.0]))
         sq_resid.append((yk / fr.a[0] - fr.fit()[0]) ** 2)
-        div_k.append(influence(fr)[0].divergence_k)
+        div_k.append(influence(fr)[0]["divergence_k"])
     order = np.argsort(sq_resid)
     monotone_ok = bool(np.all(np.diff(np.array(div_k)[order]) >= -1e-12))
 

@@ -18,7 +18,6 @@ from robust_fps import (
 )
 from robust_fps import dataio
 from robust_fps.cli import main
-from robust_fps.divergence import InfluenceRecord
 
 FIVE_UNIT_CSV = """unit_id,x,y
 u1,1,0
@@ -560,7 +559,8 @@ def test_write_report_refuses_non_finite_values(tmp_path):
         dataio.write_report({"x": math.inf}, path)
     assert not path.exists()
     frame = five_unit_frame()
-    records = [InfluenceRecord("u1", 0.5, 1.0, 1.0, 0.25), InfluenceRecord("u2", 0.5, 1.0, math.nan, 0.25)]
+    records = [{"unit_id": "u1", "delta_k": 0.5, "r_k": 1.0, "v_k": 1.0, "divergence_k": 0.25},
+               {"unit_id": "u2", "delta_k": 0.5, "r_k": 1.0, "v_k": math.nan, "divergence_k": 0.25}]
     report = dataio.build_report(model={"family": "ratio", "sigma": 1.0}, frame=frame,
                                  diagnostics=records, flag_c=1.0)
     with pytest.raises(ValueError):

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from robust_fps import EstimationError, PopulationFrame
 from robust_fps.dataio import build_report, read_frame_csv, write_report
-from robust_fps.divergence import InfluenceRecord
+from robust_fps.divergence import influence
 from robust_fps.estimators import RobustEstimate
 from robust_fps.frame import FAMILIES
 from robust_fps.risk import RiskReport
 
+from conftest import random_frame
 from oracles import read_frame_csv_dictreader
 
 
@@ -146,9 +147,10 @@ _FRAME = PopulationFrame(("u1", "u2", "u3"), np.ones(3), np.ones(3),
 @st.composite
 def reports(draw):
     """``build_report`` dicts with any sections, ids and finite floats."""
-    records = draw(st.lists(st.builds(InfluenceRecord, unit_id=_UNIT_IDS, delta_k=_FINITE,
-                                      r_k=_FINITE, v_k=_FINITE, divergence_k=_FINITE),
-                            max_size=4))
+    # influence's key order, which fixed_dictionaries does not keep
+    keys = ("unit_id", "delta_k", "r_k", "v_k", "divergence_k")
+    record = st.tuples(_UNIT_IDS, *[_FINITE] * 4).map(lambda values: dict(zip(keys, values)))
+    records = draw(st.lists(record, max_size=4))
     robust = st.builds(RobustEstimate, theta_hat_R=_FINITE, ybar_P_R=_FINITE,
                        clipped_units=st.lists(_UNIT_IDS, max_size=3).map(tuple), c_used=_FINITE,
                        scaling=st.sampled_from(["paper_v", "chambers_sigma"]),
@@ -173,7 +175,8 @@ def test_write_report_matches_json_dumps(csv_dir, report):
 
 
 def test_write_report_flags_and_empty_diagnostics(tmp_path):
-    records = [InfluenceRecord("u1", 0.5, -2.0, 1.0, 0.25), InfluenceRecord("u2", -0.5, 0.5, 1.0, 0.0)]
+    records = [{"unit_id": "u1", "delta_k": 0.5, "r_k": -2.0, "v_k": 1.0, "divergence_k": 0.25},
+               {"unit_id": "u2", "delta_k": -0.5, "r_k": 0.5, "v_k": 1.0, "divergence_k": 0.0}]
     path = tmp_path / "r.json"
     for diagnostics, flag_c, flagged in [(records, None, [None, None]),
                                          (records, 1.0, [True, False]), ([], 1.0, [])]:
@@ -183,3 +186,19 @@ def test_write_report_flags_and_empty_diagnostics(tmp_path):
         text = path.read_text()
         assert text == json.dumps(report, indent=2, allow_nan=False) + "\n"
         assert [rec["flagged"] for rec in json.loads(text)["diagnostics"]] == flagged
+
+
+def test_influence_records_are_the_report_diagnostics():
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        frame = random_frame(rng, n_min=3)
+        records = influence(frame)
+        assert all(list(rec) == ["unit_id", "delta_k", "r_k", "v_k", "divergence_k"]
+                   for rec in records)
+        assert all(type(x) is float for rec in records for x in list(rec.values())[1:])
+        c = float(np.median([abs(rec["r_k"]) for rec in records]))
+        report = build_report(model={"family": "custom"}, frame=frame, diagnostics=records,
+                              flag_c=c)
+        flagged = [{**rec, "flagged": abs(rec["r_k"]) > c} for rec in records]
+        assert report["diagnostics"] == flagged
+        assert all(type(rec["flagged"]) is bool for rec in report["diagnostics"])

@@ -207,10 +207,10 @@ class TestInfluence:
             y_sampled=[0, 2],
         )
         recs = influence(fr)
-        assert recs[0].delta_k == pytest.approx(-1.0, rel=1e-12)
+        assert recs[0]["delta_k"] == pytest.approx(-1.0, rel=1e-12)
         # from-scratch check: removing unit 1 leaves ybar_w = 2
-        assert recs[0].delta_k == pytest.approx(1.0 - 2.0, rel=1e-12)
-        assert abs(recs[0].delta_k) == pytest.approx(abs(recs[1].delta_k))
+        assert recs[0]["delta_k"] == pytest.approx(1.0 - 2.0, rel=1e-12)
+        assert abs(recs[0]["delta_k"]) == pytest.approx(abs(recs[1]["delta_k"]))
 
     def test_zero_residual_unit_has_zero_shift(self):
         # equal units with y = (0, 2, 1): the third sits exactly at ybar_w = 1
@@ -220,8 +220,8 @@ class TestInfluence:
             y_sampled=[0.0, 2.0, 1.0],
         )
         recs = influence(fr)
-        assert recs[2].r_k == pytest.approx(0.0, abs=1e-14)
-        assert recs[2].delta_k == pytest.approx(0.0, abs=1e-14)
+        assert recs[2]["r_k"] == pytest.approx(0.0, abs=1e-14)
+        assert recs[2]["delta_k"] == pytest.approx(0.0, abs=1e-14)
 
     def test_closed_form_matches_recomputation(self):
         from robust_fps import PopulationFrame
@@ -237,7 +237,7 @@ class TestInfluence:
                 y2 = np.where(sampled2, fr.y, np.nan)
                 fr2 = PopulationFrame(fr.unit_id, fr.a, fr.sigma2, sampled2, y2)
                 delta_direct = fr.fit()[0] - fr2.fit()[0]
-                assert rec.delta_k == pytest.approx(delta_direct, rel=1e-10, abs=1e-12)
+                assert rec["delta_k"] == pytest.approx(delta_direct, rel=1e-10, abs=1e-12)
 
     def test_divergence_monotone_in_squared_residual(self):
         base = build_model(
@@ -252,7 +252,7 @@ class TestInfluence:
             fr = base.with_y(np.array([yk, 3.0, 4.0]))
             rec = influence(fr)[0]
             sq_resid.append((yk / fr.a[0] - fr.fit()[0]) ** 2)
-            div_k.append(rec.divergence_k)
+            div_k.append(rec["divergence_k"])
         order = np.argsort(sq_resid)
         sorted_div = np.array(div_k)[order]
         assert np.all(np.diff(sorted_div) >= -1e-12)
@@ -276,7 +276,7 @@ class TestInfluence:
             )
             reduced_mu = fr2.fit()[0] * a_u
             reduced_cov = np.diag(fr.sigma2[~fr.sampled]) + np.outer(a_u, a_u) / fr2.S_aa
-            assert np.allclose(full.mu - reduced_mu, rec.delta_k * a_u, atol=1e-12)
+            assert np.allclose(full.mu - reduced_mu, rec["delta_k"] * a_u, atol=1e-12)
             gap = reduced_cov - full.cov
             want = (1.0 / fr2.S_aa - 1.0 / fr.S_aa) * np.outer(a_u, a_u)
             assert np.allclose(gap, want, atol=1e-12)
@@ -357,8 +357,8 @@ class TestInfluenceOracles:
                         influence(fr, lam)
                     continue
                 for rec, (w, cond) in zip(influence(fr, lam), want):
-                    rel = float(abs(rec.divergence_k - w) / abs(w))
-                    assert rel <= 1e-12 + 1e-15 * float(cond), (lam, rec.unit_id)
+                    rel = float(abs(rec["divergence_k"] - w) / abs(w))
+                    assert rel <= 1e-12 + 1e-15 * float(cond), (lam, rec["unit_id"])
         assert undefined > 0
 
     def test_dense_oracle(self):
@@ -372,7 +372,7 @@ class TestInfluenceOracles:
                     with pytest.raises(DivergenceUndefinedError):
                         influence(fr, lam)
                     continue
-                got = [rec.divergence_k for rec in influence(fr, lam)]
+                got = [rec["divergence_k"] for rec in influence(fr, lam)]
                 assert np.allclose(got, want, rtol=1e-6, atol=1e-11)
 
     def test_non_pd_mixture_raises_like_dense_path(self):
@@ -416,7 +416,7 @@ class TestInfluenceOracles:
             ["1", "2", "3", "4", "5"], ModelSpec("custom"), a=[1] * 5, sigma2=[1] * 5,
             sampled=[True, True, True, False, False], y_sampled=[0.0, 1.0, 2000.0],
         )
-        assert all(math.isfinite(r.divergence_k) for r in influence(fr, -0.5))
+        assert all(math.isfinite(r["divergence_k"]) for r in influence(fr, -0.5))
         with pytest.raises(DivergenceUndefinedError, match="overflows"):
             influence(fr, 2.0)
 
@@ -434,5 +434,5 @@ class TestInfluenceOracles:
             recs = influence(fr, lam)
             elapsed = time.perf_counter() - t0
             assert len(recs) == n
-            assert all(math.isfinite(r.divergence_k) and r.divergence_k >= 0 for r in recs)
+            assert all(math.isfinite(r["divergence_k"]) and r["divergence_k"] >= 0 for r in recs)
             assert elapsed < 1.0

@@ -4,7 +4,7 @@ import robust_fps
 
 PUBLIC_NAMES = [
     "Contamination", "DegenerateFrameError", "DegenerateFrameWarning", "DivergenceUndefinedError",
-    "EstimationError", "FrameTemplate", "GaussianSpec", "InfluenceRecord", "ModelSpec",
+    "EstimationError", "FrameTemplate", "GaussianSpec", "ModelSpec",
     "ModelValidationError", "PopulationFrame", "RiskReport", "RobustConfig", "RobustEstimate",
     "SimConfig", "SimResult", "build_model", "calibrate_c", "classical_estimate", "divergence",
     "empirical_risk", "excess_risk", "g_clip", "influence", "max_excess_risk", "mse_closed_form",

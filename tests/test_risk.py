@@ -305,5 +305,5 @@ class TestExtremeLayouts:
                 assert finite(lambda: np.hstack(numbers(robust_estimate(fr, config))))
             assert finite(lambda: vars(mse_closed_form(fr, c)).values())
             assert finite(lambda: [calibrate_c(fr, budget_share * max_excess_risk(fr))])
-            assert finite(lambda: [x for rec in influence(fr)
-                                   for x in (rec.delta_k, rec.r_k, rec.v_k, rec.divergence_k)])
+            keys = ("delta_k", "r_k", "v_k", "divergence_k")
+            assert finite(lambda: [rec[k] for rec in influence(fr) for k in keys])

@@ -73,11 +73,6 @@ class TestStreams:
         words = raw_words(777, first_rep * per_rep // 4, n_reps * per_rep).reshape(n_reps, per_rep)
         want = ((words[:, :n] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
         assert np.array_equal(batch_rep_uniforms(777, n_reps, n, first_rep), want)
-        # out may be a view into a larger array, as a block's rows are
-        big = np.full((n_reps + 2, n), np.nan)
-        got = batch_rep_uniforms(777, n_reps, n, first_rep, out=big[1:-1])
-        assert got.base is big and np.array_equal(big[1:-1], want)
-        assert np.isnan(big[[0, -1]]).all()
 
     def test_uniform_bits_follow_the_formula(self):
         edges = np.array([0, 2**11 - 1, 2**63], dtype=np.uint64)
@@ -89,9 +84,9 @@ class TestStreams:
         # the 2048 words whose top 53 bits are all ones round up to 2**53 in
         # the formula, so to 1.0; then 2048 words below them
         words = np.uint64(2**64 - 1) - np.arange(4096, dtype=np.uint64)
+        formula = ((words[2048:] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
         u = _to_uniform(words)
         assert (u[:2048] == 1.0 - 2.0**-53).all()
-        formula = ((words[2048:] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
         assert np.array_equal(u[2048:], formula) and formula.max() < 1.0
         assert np.isfinite(ndtri(u)).all()
 
