@@ -157,14 +157,22 @@ _RECORD = (
     "    }}"
 )
 _FLAGGED = {None: "null", True: "true", False: "false"}
+_RECORD_KEYS = ("unit_id", "delta_k", "r_k", "v_k", "divergence_k", "flagged")
 
 
 def _diagnostics_json(records: list[dict]) -> str:
-    """A ``build_report`` diagnostics list as ``json.dumps(..., indent=2)`` writes it at depth 1."""
+    """A ``build_report`` diagnostics list as ``json.dumps(..., indent=2)`` writes it at depth 1.
+
+    Each record must hold exactly ``_RECORD_KEYS``, in that order; any other
+    record raises ``ValueError``, since ``_RECORD`` would write it unlike
+    ``json.dumps``.
+    """
     if not records:
         return "[]"
     lines = []
     for rec in records:
+        if tuple(rec) != _RECORD_KEYS:
+            raise ValueError(f"diagnostics record keys {tuple(rec)} are not {_RECORD_KEYS}")
         nums = (rec["delta_k"], rec["r_k"], rec["v_k"], rec["divergence_k"])
         if not all(map(math.isfinite, nums)):
             json.dumps(nums, allow_nan=False)  # raises json's own ValueError
@@ -179,7 +187,8 @@ def write_report(report: dict, path=None) -> None:
     The text is ``json.dumps(report, indent=2, allow_nan=False)`` plus a
     newline.  ``report`` is a ``build_report`` dict, whose last key is the
     diagnostics list; its records are formatted directly rather than through
-    the pure-Python indenting encoder.  A non-finite float raises
+    the pure-Python indenting encoder.  A non-finite float, or a record
+    whose keys are not ``build_report``'s in its order, raises
     ``ValueError`` before the file is opened.
     """
     head = {k: v for k, v in report.items() if k != "diagnostics"}

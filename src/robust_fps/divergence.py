@@ -15,6 +15,9 @@ with ``S = (1+lam)*cov2 - lam*cov1`` required positive definite (the same
 condition that makes the expectation finite).  ``divergence`` evaluates it
 for any pair, with all determinant work in log space via Cholesky factors.
 Where the expectation overflows float64 it raises rather than return inf.
+This dense path (``GaussianSpec``, ``divergence``) is the only user of
+``scipy.linalg`` in the package; it is imported on the first call, so
+``influence`` and everything that only estimates never load scipy.
 
 The delete-one influence of each sampled unit k is the divergence between
 the predictive normals of the M unsampled values with and without that unit.
@@ -45,7 +48,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
 from .errors import DivergenceUndefinedError
 from .frame import PopulationFrame
@@ -56,6 +58,8 @@ _ATANH_TERMS = 18
 
 
 def _chol_lower(mat: np.ndarray, name: str) -> np.ndarray:
+    from scipy.linalg import cholesky
+
     try:
         return cholesky(mat, lower=True, check_finite=True)
     except Exception as exc:
@@ -104,6 +108,8 @@ def _check_dims(f1: GaussianSpec, f2: GaussianSpec):
 
 def _kl(f1: GaussianSpec, f2: GaussianSpec) -> float:
     """KL(f1 || f2) in closed form."""
+    from scipy.linalg import solve_triangular
+
     d = f1.mu - f2.mu
     z = solve_triangular(f2.chol, d, lower=True, check_finite=False)
     maha = float(z @ z)
@@ -129,6 +135,8 @@ def divergence(f1: GaussianSpec, f2: GaussianSpec, lam: float) -> float:
         return _kl(f1, f2)
     if lam == -1.0:
         return _kl(f2, f1)
+    from scipy.linalg import solve_triangular
+
     mix = (1.0 + lam) * f2.cov - lam * f1.cov
     L = _chol_lower(mix, "(1+lam)*cov2 - lam*cov1")
     d = f1.mu - f2.mu

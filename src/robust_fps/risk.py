@@ -22,6 +22,9 @@ unclipped baseline estimator, so the clipping penalty is the closed form's
 price for robustness when the model is true.  ``calibrate_c`` inverts that
 penalty: given a budget on the excess MSE it returns the smallest (most
 robust) clipping constant that stays inside the budget.
+
+Every ``erfc`` here is the C library's on a scalar (``math.erfc``), so this
+module, and with it estimation and calibration, needs numpy but not scipy.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import ModelValidationError
 from .frame import FrameTemplate
@@ -38,8 +40,8 @@ from .frame import FrameTemplate
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-#: Largest float c with g_clip(c) > 0 (erfc underflows just beyond it).
-C_MAX = 37.67712072049519
+#: Largest float c with g_clip(c) > 0 (libm's erfc underflows just beyond it).
+C_MAX = 38.33165253578686
 _MAX_BISECT_ITER = 200
 _G_TAIL_FROM = 2.0
 _G_RATIO_TERMS = 120
@@ -51,7 +53,7 @@ def _phi(c: float) -> float:
 
 def _Phi_neg(c: float) -> float:
     # Phi(-c) through erfc keeps full relative accuracy in the upper tail.
-    return 0.5 * erfc(c / _SQRT2)
+    return 0.5 * math.erfc(c / _SQRT2)
 
 
 def _ierfc_ratios(z: float) -> tuple[float, float]:
@@ -73,7 +75,9 @@ def g_clip(c: float) -> float:
     accurate to about 1e-14.  From there on it cancels, so g is written as
     ``4 i^2erfc(z) = 4 erfc(z) r_1 r_2`` with ``z = c/sqrt(2)`` (see
     ``_ierfc_ratios``); the relative error is then about ``c^2 * 1e-16``, the
-    cost of rounding ``z`` alone.
+    cost of rounding ``z`` alone, while g is a normal float (c up to about
+    37.36).  Beyond, g is subnormal and loses digits until it underflows to
+    0 past ``C_MAX``.
     """
     if not (np.isfinite(c) and c >= 0):
         raise ValueError("clipping constant must be finite and >= 0")
@@ -81,7 +85,7 @@ def g_clip(c: float) -> float:
         return float(2.0 * ((c * c + 1.0) * _Phi_neg(c) - c * _phi(c)))
     z = c / _SQRT2
     r1, r2 = _ierfc_ratios(z)
-    return float(4.0 * erfc(z) * (r1 * r2))
+    return float(4.0 * math.erfc(z) * (r1 * r2))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from functools import cached_property
 from typing import Literal
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ModelValidationError
 from .estimators import weighted_overflow
@@ -136,6 +135,16 @@ def _apply_contamination(config: SimConfig, y: np.ndarray) -> np.ndarray:
     else:
         y[..., idx] = cont.value
     return y
+
+
+def ndtri(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The standard normal quantile, ``scipy.special.ndtri``, imported on the first call.
+
+    Only simulation draws normals, so estimation never loads scipy.
+    """
+    import scipy.special
+
+    return scipy.special.ndtri(u, out=out)
 
 
 def _realize(config: SimConfig, u: np.ndarray) -> np.ndarray:

@@ -188,6 +188,28 @@ def test_write_report_flags_and_empty_diagnostics(tmp_path):
         assert [rec["flagged"] for rec in json.loads(text)["diagnostics"]] == flagged
 
 
+_FULL_RECORD = {"unit_id": "u1", "delta_k": 0.5, "r_k": -2.0, "v_k": 1.0, "divergence_k": 0.25,
+                "flagged": None}
+
+
+def _assert_rejected(tmp_path, record):
+    report = build_report(model={"family": "custom"}, frame=_FRAME, diagnostics=[])
+    report["diagnostics"] = [_FULL_RECORD, record]
+    path = tmp_path / "r.json"
+    with pytest.raises(ValueError, match="diagnostics record keys"):
+        write_report(report, path)
+    assert not path.exists()
+
+
+def test_write_report_rejects_a_record_in_another_key_order(tmp_path):
+    keys = ["r_k", "unit_id", "flagged", "delta_k", "divergence_k", "v_k"]
+    _assert_rejected(tmp_path, {k: _FULL_RECORD[k] for k in keys})
+
+
+def test_write_report_rejects_a_record_with_an_extra_key(tmp_path):
+    _assert_rejected(tmp_path, {**_FULL_RECORD, "note": "extra"})
+
+
 def test_influence_records_are_the_report_diagnostics():
     rng = np.random.default_rng(15)
     for _ in range(20):
