@@ -42,6 +42,8 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 #: Largest float c with g_clip(c) > 0 (libm's erfc underflows just beyond it).
 C_MAX = 38.33165253578686
+#: Largest float c with g_clip(c) a normal float; beyond it g loses digits.
+C_NORMAL = 37.36301503324008
 _MAX_BISECT_ITER = 200
 _G_TAIL_FROM = 2.0
 _G_RATIO_TERMS = 120
@@ -75,9 +77,9 @@ def g_clip(c: float) -> float:
     accurate to about 1e-14.  From there on it cancels, so g is written as
     ``4 i^2erfc(z) = 4 erfc(z) r_1 r_2`` with ``z = c/sqrt(2)`` (see
     ``_ierfc_ratios``); the relative error is then about ``c^2 * 1e-16``, the
-    cost of rounding ``z`` alone, while g is a normal float (c up to about
-    37.36).  Beyond, g is subnormal and loses digits until it underflows to
-    0 past ``C_MAX``.
+    cost of rounding ``z`` alone, while g is a normal float (c up to
+    ``C_NORMAL``).  Beyond, g is subnormal and loses digits until it
+    underflows to 0 past ``C_MAX``.
     """
     if not (np.isfinite(c) and c >= 0):
         raise ValueError("clipping constant must be finite and >= 0")
@@ -151,22 +153,24 @@ def calibrate_c(layout: FrameTemplate, max_excess: float) -> float:
 
     The excess is strictly decreasing in c.  A budget at or above the c = 0
     excess is met by every c and returns 0; a budget below the excess at
-    C_MAX, the last c with g > 0, raises ``ModelValidationError``.  Otherwise
-    one bisection on [0, C_MAX] runs until the bracket reaches float
-    resolution (at most 200 iterations) and returns its upper end, so
-    ``excess_risk`` at the returned c is never over the budget.
+    C_NORMAL, the last c where g is a normal float, raises
+    ``ModelValidationError``: past it g keeps too few digits to tell whether
+    the exact excess is within budget.  Otherwise one bisection on
+    [0, C_NORMAL] runs until the bracket reaches float resolution (at most
+    200 iterations) and returns its upper end, so ``excess_risk`` at the
+    returned c is never over the budget.
     """
     if not (np.isfinite(max_excess) and max_excess > 0):
         raise ValueError("max_excess must be finite and > 0")
     if max_excess >= max_excess_risk(layout):
         return 0.0
-    if excess_risk(layout, C_MAX) > max_excess:
+    if excess_risk(layout, C_NORMAL) > max_excess:
         raise ModelValidationError(
             f"max_excess {max_excess!r} is below the smallest attainable excess "
-            f"{excess_risk(layout, C_MAX)!r} (at c = {C_MAX!r})"
+            f"{excess_risk(layout, C_NORMAL)!r} (at c = {C_NORMAL!r})"
         )
     # Invariant: excess_risk(layout, lo) > max_excess >= excess_risk(layout, hi).
-    lo, hi = 0.0, C_MAX
+    lo, hi = 0.0, C_NORMAL
     for _ in range(_MAX_BISECT_ITER):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:

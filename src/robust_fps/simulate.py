@@ -10,14 +10,18 @@ of that formula can be quantified rather than assumed.
 
 Replication r draws from a counter-based substream derived from (seed, r);
 results are bit-identical however replications are scheduled.  Replications
-run in blocks of about 2 MiB of populations, so memory does not grow with
+run in blocks of about 1 MiB of populations, so memory does not grow with
 reps times N.  A block is the unit of work, and the blocks are spread over
-one thread per CPU this process may run on (at most one per block).  The
-thread that realizes a block reduces it at once, while it is still in cache,
-to its per-replication finite flags, squared errors and cross moments, and
-writes them into reps-long arrays at the block's rows.  Those are reduced
-once after the last block, so neither the block size, the thread count nor
-the reduction order can perturb the output.  Philox, ``ndtri`` and the BLAS
+one thread per CPU this process may run on (at most one per block).  Each
+thread allocates one block buffer per ``empirical_risk`` call, as wide as
+the counter blocks of a replication, and draws each of its blocks straight
+into it: uniforms, then normals and populations, all in place (see
+``streams`` for the uniform identity that needs no array of raw words).
+The thread reduces the block at once, while it is still in cache, to its
+per-replication finite flags, squared errors and cross moments, and writes
+them into reps-long arrays at the block's rows.  Those are reduced once
+after the last block, so neither the block size, the thread count nor the
+reduction order can perturb the output.  Philox, ``ndtri`` and the BLAS
 gemv of the reduction release the GIL.
 """
 
@@ -27,6 +31,7 @@ import csv
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
 from functools import cached_property
@@ -38,12 +43,12 @@ from .errors import ModelValidationError
 from .estimators import weighted_overflow
 from .frame import FrameTemplate
 from .risk import mse_closed_form
-from .streams import batch_rep_uniforms
+from .streams import _blocks, batch_rep_uniforms
 
 DEFAULT_REPS = 100_000
 
 #: Target size of one block of realized populations (rows x N float64).
-_BLOCK_BYTES = 2 * 2**20
+_BLOCK_BYTES = 2**20
 
 #: The parameter field each contamination kind reads, besides its target units.
 CONTAMINATION_PARAMS = {"shift": "delta", "variance_inflation": "factor", "substitution": "value"}
@@ -147,19 +152,6 @@ def ndtri(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return scipy.special.ndtri(u, out=out)
 
 
-def _realize(config: SimConfig, u: np.ndarray) -> np.ndarray:
-    """Turn uniforms of shape (N,) or (reps, N) into populations in place, and return them.
-
-    Model draw ``sd * ndtri(u) + mean``, then contamination.  A value outside
-    float64 gives a non-finite population, with no warning.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        ndtri(u, out=u)
-        u *= config._model_sd
-        u += config._model_mean
-        return _apply_contamination(config, u)
-
-
 def _workers(n_blocks: int) -> int:
     """Threads for ``n_blocks`` blocks: one per CPU this process may use, at most one per block."""
     try:
@@ -169,15 +161,26 @@ def _workers(n_blocks: int) -> int:
     return min(cpus, n_blocks)
 
 
-def _generate_batch(config: SimConfig, first_rep: int = 0, n_reps: int | None = None) -> np.ndarray:
+def _generate_batch(
+    config: SimConfig, first_rep: int = 0, n_reps: int | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """(n_reps, N) realized populations of replications first_rep, first_rep + 1, ...
 
     By default all ``config.reps`` of them.  Row i uses only replication
-    first_rep + i's substream.
+    first_rep + i's substream: model draw ``sd * ndtri(u) + mean``, then
+    contamination, in place on the uniforms.  ``out``, when given, is the
+    buffer ``batch_rep_uniforms`` draws into, and the populations are a view
+    of it.  A value outside float64 gives a non-finite population, with no
+    warning.
     """
     if n_reps is None:
         n_reps = config.reps - first_rep
-    return _realize(config, batch_rep_uniforms(config.seed, n_reps, config.template.n_units, first_rep))
+    u = batch_rep_uniforms(config.seed, n_reps, config.template.n_units, first_rep, out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ndtri(u, out=u)
+        u *= config._model_sd
+        u += config._model_mean
+        return _apply_contamination(config, u)
 
 
 def _block_rows(n_units: int) -> int:
@@ -244,13 +247,12 @@ def empirical_risk(config: SimConfig) -> SimResult:
     rows).  The cross_term column is the empirical value of the pairwise
     overflow moment sum that the closed-form MSE drops.
 
-    Replications run in blocks of ``_block_rows(N)``, each realized and
-    reduced by one worker thread; a replication whose population is not
-    finite counts as a failure.  Memory is
+    Replications run in blocks of ``_block_rows(N)``, each realized in its
+    worker thread's one block buffer and reduced there; a replication whose
+    population is not finite counts as a failure.  Memory is
     O(threads * block * N + reps * len(c_grid)).
     """
     t = config.template
-    theta = config.theta_true
     wv = t.w * t.v
     wv2 = wv**2
     n_c = len(config.c_grid)
@@ -258,13 +260,17 @@ def empirical_risk(config: SimConfig) -> SimResult:
     finite = np.empty(config.reps, dtype=bool)
     sq_classical = np.empty(config.reps)
     sq_theta, sq_pop, cross = (np.empty((n_c, config.reps)) for _ in range(3))
+    blocks = _block_bounds(config.reps, _block_rows(t.n_units))
+    local = threading.local()  # each thread's block buffer, reused for every block it draws
 
     def reduce_block(bounds: tuple[int, int]) -> None:
         lo, hi = bounds
+        if not hasattr(local, "buffer"):
+            local.buffer = np.empty((max(b - a for a, b in blocks), 4 * _blocks(t.n_units)))
         # errstate is per thread.  Squared errors and their sums can overflow
         # on finite draws; a row with a value outside float64 raises below.
         with np.errstate(over="ignore", invalid="ignore"):
-            Y = _generate_batch(config, lo, hi - lo)
+            Y = _generate_batch(config, lo, hi - lo, local.buffer[: hi - lo])
             finite[lo:hi] = np.all(np.isfinite(Y), axis=1)
             Ys = Y[:, t.sampled]
             ybar_w, r = t.residuals(Ys)
@@ -278,13 +284,12 @@ def empirical_risk(config: SimConfig) -> SimResult:
             for j, c in enumerate(config.c_grid):
                 T = weighted_overflow(r, c, wv, out=overflow)[0]
                 theta_R = ybar_w - T
-                sq_theta[j, lo:hi] = (theta_R - theta) ** 2
+                sq_theta[j, lo:hi] = (theta_R - config.theta_true) ** 2
                 sq_pop[j, lo:hi] = (t.fill_in(sum_ys, theta_R) - ybar_pop) ** 2
                 cross[j, lo:hi] = T**2 - np.square(overflow, out=overflow) @ wv2
 
-    bounds = _block_bounds(config.reps, _block_rows(t.n_units))
-    with ThreadPoolExecutor(_workers(len(bounds))) as pool:
-        list(pool.map(reduce_block, bounds))  # re-raises a worker's exception
+    with ThreadPoolExecutor(_workers(len(blocks))) as pool:
+        list(pool.map(reduce_block, blocks))  # re-raises a worker's exception
     if not finite.all():  # keep the finite replications, in replication order
         sq_classical, sq_theta, sq_pop, cross = (
             x[..., finite] for x in (sq_classical, sq_theta, sq_pop, cross))

@@ -8,22 +8,24 @@ the same positions yields bit-identical results (Salmon et al., SC 2011).
 ``batch_rep_uniforms`` takes the index of its first replication, so a block
 of replications ``[r0, r0 + k)`` is drawn from the counters those
 replications own without drawing the ones before it; the simulation harness
-draws its blocks this way, one per thread.
+draws its blocks this way, one per thread, each into a buffer its thread
+reuses.
 
-Uniforms are built from the top 53 bits of each raw word, offset by half an
-ulp and capped at the largest float64 below 1, so they lie strictly inside
-(0, 1); callers turn them into normals with the inverse normal CDF.  No
-rejection sampling is used anywhere, so the per-draw consumption count is
-fixed.
+The uniform at a raw word ``x`` is ``(k + 0.5) * 2**-53`` with
+``k = x >> 11``, the top 53 bits, capped at the largest float64 below 1, so
+uniforms lie strictly inside (0, 1); callers turn them into normals with the
+inverse normal CDF.  numpy's ``Generator.random`` gives ``k * 2**-53``
+exactly, and since ``k < 2**53``, ``(k + 0.5) * 2**-53 == k * 2**-53 + 2**-54``
+exactly too, so the uniforms are written straight into the output with no
+array of raw words.  No rejection sampling is used anywhere, so the
+per-draw consumption count is fixed.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 
-_U64_SHIFT = np.uint64(11)
-_INV_2_53 = 2.0**-53
 _U_MAX = 1.0 - 2.0**-53
 
 
@@ -32,29 +34,22 @@ def _blocks(n_draws: int) -> int:
     return -(-n_draws // 4)
 
 
-def raw_words(seed: int, start_block: int, n_words: int) -> np.ndarray:
-    bg = Philox(key=[int(seed), 0], counter=[int(start_block), 0, 0, 0])
-    return np.asarray(bg.random_raw(n_words), dtype=np.uint64)
+def batch_rep_uniforms(
+    seed: int, n_reps: int, n: int, first_rep: int = 0, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(n_reps, n) uniforms; row i comes from the counter blocks replication first_rep + i owns.
 
-
-def _to_uniform(words: np.ndarray) -> np.ndarray:
-    """Uniforms from the uint64 ``words``, in one fresh float64 array.
-
-    Consumes its input: ``words`` is shifted in place, so only the words and
-    the uniforms are held at once.
+    ``out``, when given, is a C-contiguous (n_reps, 4 * ceil(n / 4)) float64
+    array: a row per replication and a column per word of its counter
+    blocks.  The uniforms are written into it, and its first n columns are
+    returned as a view.
     """
-    # The shifted words are below 2**53, so they convert to float64 exactly,
-    # and the power-of-two scale is exact too.  A word whose top 53 bits are
-    # all ones rounds up to 2**53 (ties to even), so to 1.0, where ndtri
-    # gives inf; the cap moves it to the largest float64 below 1.
-    words >>= _U64_SHIFT
-    u = words + 0.5
-    u *= _INV_2_53
-    return np.minimum(u, _U_MAX, out=u)
-
-
-def batch_rep_uniforms(seed: int, n_reps: int, n: int, first_rep: int = 0) -> np.ndarray:
-    """(n_reps, n) uniforms; row i comes from the counter blocks replication first_rep + i owns."""
     per_rep = _blocks(n)
-    words = raw_words(seed, first_rep * per_rep, n_reps * per_rep * 4).reshape(n_reps, per_rep * 4)
-    return _to_uniform(words[:, :n])
+    bg = Philox(key=[int(seed), 0], counter=[int(first_rep) * per_rep, 0, 0, 0])
+    out = Generator(bg).random((n_reps, 4 * per_rep), out=out)
+    # k * 2**-53 + 2**-54 is (k + 0.5) * 2**-53 exactly.  Where the top 53
+    # bits are all ones it rounds up to 1.0 (ties to even), where ndtri gives
+    # inf; the cap moves it below 1.
+    out += 2.0**-54
+    np.minimum(out, _U_MAX, out=out)
+    return out[:, :n]

@@ -4,8 +4,10 @@ None of this is package API: the Monte Carlo divergence, the dense
 posterior predictive, the single-replication streams and population, and the
 residual covariance probe exist to check closed forms and schedules; the
 ``csv.DictReader`` frame reader is the reference for the streaming one,
-``clipped_theta`` for the estimator's clipping pass, and ``populations`` for
-the harness's in-place, threaded generation.
+``clipped_theta`` for the estimator's clipping pass, the raw Philox words
+and their written-out uniform formula (``raw_words``, ``to_uniform``) for
+``batch_rep_uniforms``, and ``populations`` for the harness's in-place,
+threaded generation.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Philox
 from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
@@ -22,22 +25,50 @@ from robust_fps import DegenerateFrameError, GaussianSpec, ModelValidationError,
 from robust_fps.dataio import CsvFormatError, _parse_cell
 from robust_fps.divergence import _check_dims
 from robust_fps.frame import FAMILIES, ModelSpec, build_model
-from robust_fps.simulate import SimConfig, _apply_contamination, _generate_batch, _realize
-from robust_fps.streams import _blocks, _to_uniform, batch_rep_uniforms, raw_words
+from robust_fps.simulate import SimConfig, _apply_contamination, _generate_batch
+from robust_fps.streams import _blocks
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 
 # --- streams ---------------------------------------------------------------
 
+def raw_words(seed: int, start_block: int, n_words: int) -> np.ndarray:
+    """``n_words`` raw Philox words of the stream keyed by ``seed``, from counter block ``start_block``."""
+    bg = Philox(key=[int(seed), 0], counter=[int(start_block), 0, 0, 0])
+    return np.asarray(bg.random_raw(n_words), dtype=np.uint64)
+
+
+def to_uniform(words: np.ndarray) -> np.ndarray:
+    """The written-out word formula: ``(k + 0.5) * 2**-53`` with ``k = word >> 11``, capped below 1.
+
+    Consumes its input: ``words`` is shifted in place.
+    """
+    # The shifted words are below 2**53, so they convert to float64 exactly,
+    # and the power-of-two scale is exact too.  A word whose top 53 bits are
+    # all ones rounds up to 2**53 (ties to even), so to 1.0, where ndtri
+    # gives inf; the cap moves it to the largest float64 below 1.
+    words >>= np.uint64(11)
+    u = words + 0.5
+    u *= 2.0**-53
+    return np.minimum(u, 1.0 - 2.0**-53, out=u)
+
+
 def uniforms(seed: int, n: int) -> np.ndarray:
     """n uniforms in (0, 1) from the stream keyed by ``seed``."""
-    return _to_uniform(raw_words(seed, 0, n))
+    return to_uniform(raw_words(seed, 0, n))
 
 
 def rep_uniforms(seed: int, rep: int, n: int) -> np.ndarray:
     """Replication substream: n uniforms from blocks owned by replication ``rep``."""
-    return _to_uniform(raw_words(seed, rep * _blocks(n), n))
+    return to_uniform(raw_words(seed, rep * _blocks(n), n))
+
+
+def batch_uniforms(seed: int, n_reps: int, n: int, first_rep: int = 0) -> np.ndarray:
+    """(n_reps, n) uniforms by the word formula; row i from the blocks replication first_rep + i owns."""
+    per_rep = 4 * _blocks(n)
+    words = raw_words(seed, first_rep * per_rep // 4, n_reps * per_rep).reshape(n_reps, per_rep)
+    return to_uniform(words[:, :n])
 
 
 def std_normals(seed: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -194,13 +225,12 @@ def simulate_once(config: SimConfig, rep_index: int) -> SimulatedPopulation:
     """Realize one population from the substream owned by ``rep_index``."""
     if not 0 <= rep_index:
         raise ModelValidationError("rep_index must be >= 0")
-    u = rep_uniforms(config.seed, rep_index, config.template.n_units)
-    return SimulatedPopulation(config, rep_index, _realize(config, u))
+    return SimulatedPopulation(config, rep_index, populations(config, rep_index, 1)[0])
 
 
 def populations(config: SimConfig, first_rep: int, n_reps: int) -> np.ndarray:
     """(n_reps, N) populations as one whole-block expression: model draw, then contamination."""
-    u = batch_rep_uniforms(config.seed, n_reps, config.template.n_units, first_rep)
+    u = batch_uniforms(config.seed, n_reps, config.template.n_units, first_rep)
     with np.errstate(over="ignore", invalid="ignore"):
         return _apply_contamination(config, config._model_mean + config._model_sd * ndtri(u))
 

@@ -1,6 +1,7 @@
 """Tail moment g, MSE decomposition, and budget inversion."""
 
 import math
+import sys
 import warnings
 from operator import attrgetter
 
@@ -30,7 +31,7 @@ from robust_fps import (
     robust_estimate,
 )
 
-from robust_fps.risk import C_MAX
+from robust_fps.risk import C_MAX, C_NORMAL
 
 from conftest import large_layouts, random_frame
 
@@ -94,6 +95,9 @@ class TestGClip:
     def test_c_max_is_last_positive(self):
         assert g_clip(C_MAX) > 0
         assert g_clip(math.nextafter(C_MAX, math.inf)) == 0.0
+
+    def test_c_normal_is_last_normal(self):
+        assert g_clip(C_NORMAL) >= sys.float_info.min > g_clip(math.nextafter(C_NORMAL, math.inf))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -213,6 +217,31 @@ class TestCalibrateC:
         assert excess_risk(frame, C_MAX) > 1e-300
         with pytest.raises(ModelValidationError, match="smallest attainable excess"):
             calibrate_c(frame, 1e-300)
+
+    def test_within_budget_by_mpmath_where_g_is_tiny(self):
+        # g is subnormal past C_NORMAL, where a budget of 3e-25 or 1e-22 on
+        # this frame would fall: either a typed error, or a c whose exact
+        # excess is within the budget
+        frame = build_model(
+            [str(i) for i in range(6)], ModelSpec("custom"), a=[1.0] * 6, sigma2=[1e300] * 6,
+            sampled=[True] * 3 + [False] * 3, y_sampled=[0.0, 1.0, 2.0],
+        )
+        attainable = 1.5 * excess_risk(frame, C_NORMAL)
+        outcomes = []
+        with mp.workdps(60):
+            scale = mp.mpf(frame.sum_w2v2) * mp.mpf(frame.sum_u_a) ** 2 / frame.n_units**2
+            for budget in (3e-25, 1e-22, attainable):
+                try:
+                    c = calibrate_c(frame, budget)
+                except ModelValidationError as exc:
+                    assert "smallest attainable excess" in str(exc)
+                    outcomes.append("raised")
+                    continue
+                cm = mp.mpf(c)
+                g = 2 * ((cm * cm + 1) * mp.ncdf(-cm) - cm * mp.npdf(cm))
+                assert scale * g <= budget * (1 + mp.mpf(1e-12)), budget
+                outcomes.append("within")
+        assert outcomes[-1] == "within"
 
     def test_invalid_budget_rejected(self):
         frame = _five_unit_frame()

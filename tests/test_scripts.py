@@ -28,6 +28,23 @@ def test_script_prints_its_table(script, header):
     assert any(line.split() and line.split()[0].replace(".", "").isdigit() for line in lines[1:])
 
 
+def test_fault_probe_prints_one_row_per_call():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    config = ROOT / "tests" / "data" / "golden" / "sim_shift.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "fault_probe.py"), str(config), "--processes", "1", "--calls", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["process", "call", "wall_s", "minflt", "maxrss_mib"]
+    assert [row.split()[:2] for row in rows] == [["0", "0"], ["0", "1"]]
+    for row in rows:
+        wall, faults, rss = row.split()[2:]
+        assert float(wall) > 0 and int(faults) >= 0 and float(rss) > 0
+
+
 # Code lines: import, class, the two lines of the non-docstring string, def, return.
 CODE_LINES_FIXTURE = '''"""Module docstring
 over two lines."""

@@ -22,15 +22,18 @@ from robust_fps import (
 )
 import robust_fps.simulate as sim
 from robust_fps.simulate import _generate_batch, write_result_csv, write_result_json
-from robust_fps.streams import _to_uniform, batch_rep_uniforms, raw_words
+from robust_fps.streams import batch_rep_uniforms
 
 from oracles import (
+    batch_uniforms,
     covariance_probe,
     populations,
+    raw_words,
     rep_uniforms,
     simulate_once,
     std_normals,
     theta_sq_error_and_cross,
+    to_uniform,
     uniforms,
 )
 
@@ -69,23 +72,42 @@ class TestStreams:
     @pytest.mark.parametrize("n", [1, 3, 4, 5, 1001])
     @pytest.mark.parametrize("first_rep", [0, 5])
     def test_batch_uniforms_bits_with_and_without_out(self, n, first_rep):
-        n_reps, per_rep = 7, 4 * -(-n // 4)
-        words = raw_words(777, first_rep * per_rep // 4, n_reps * per_rep).reshape(n_reps, per_rep)
-        want = ((words[:, :n] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        assert np.array_equal(batch_rep_uniforms(777, n_reps, n, first_rep), want)
+        n_reps, width = 7, 4 * -(-n // 4)
+        want = batch_uniforms(777, n_reps, n, first_rep)
+        assert np.array_equal(batch_rep_uniforms(777, n_reps, n, first_rep).view(np.uint64),
+                              want.view(np.uint64))
+        # a buffer full of NaN is overwritten; the first n columns are returned
+        buf = np.full((n_reps, width), np.nan)
+        got = batch_rep_uniforms(777, n_reps, n, first_rep, out=buf)
+        assert got.base is buf and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert not np.isnan(buf).any()
+        # the same buffer, reused for other replications
+        got = batch_rep_uniforms(777, n_reps, n, first_rep + 3, out=buf)
+        assert np.array_equal(got, batch_uniforms(777, n_reps, n, first_rep + 3))
+        # a view into a larger array, as a worker's buffer serves a shorter block
+        big = np.full((n_reps + 2, width), np.nan)
+        got = batch_rep_uniforms(777, n_reps, n, first_rep, out=big[1:-1])
+        assert got.base is big and np.array_equal(got, want)
+        assert np.isnan(big[[0, -1]]).all()
 
     def test_uniform_bits_follow_the_formula(self):
         edges = np.array([0, 2**11 - 1, 2**63], dtype=np.uint64)
-        words = np.concatenate([raw_words(3, 0, 1000), edges])
-        want = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        assert np.array_equal(_to_uniform(words).view(np.uint64), want.view(np.uint64))
+        words = np.concatenate([raw_words(3, 0, 100_000), edges])
+        k = (words >> np.uint64(11)).astype(np.float64)
+        want = ((k + 0.5) * 2.0**-53).view(np.uint64)
+        # batch_rep_uniforms adds half an ulp to numpy's k * 2**-53: the same bits
+        assert np.array_equal((k * 2.0**-53 + 2.0**-54).view(np.uint64), want)
+        assert np.array_equal(to_uniform(words).view(np.uint64), want)
 
     def test_top_words_stay_below_one(self):
         # the 2048 words whose top 53 bits are all ones round up to 2**53 in
         # the formula, so to 1.0; then 2048 words below them
         words = np.uint64(2**64 - 1) - np.arange(4096, dtype=np.uint64)
-        formula = ((words[2048:] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        u = _to_uniform(words)
+        k = (words >> np.uint64(11)).astype(np.float64)
+        formula = (k[2048:] + 0.5) * 2.0**-53
+        u = to_uniform(words)
+        # batch_rep_uniforms adds half an ulp to numpy's k * 2**-53, then caps the same way
+        assert np.array_equal(np.minimum(k * 2.0**-53 + 2.0**-54, 1.0 - 2.0**-53), u)
         assert (u[:2048] == 1.0 - 2.0**-53).all()
         assert np.array_equal(u[2048:], formula) and formula.max() < 1.0
         assert np.isfinite(ndtri(u)).all()
@@ -312,8 +334,8 @@ class TestEmpiricalRisk:
         real = sim._generate_batch
         poison = {3: (0, np.inf), 11: (2, np.nan)}  # in the first and second block of 8
 
-        def poisoned(cfg, first_rep, n_reps):
-            Y = real(cfg, first_rep, n_reps)
+        def poisoned(cfg, first_rep, n_reps, out=None):
+            Y = real(cfg, first_rep, n_reps, out)
             for rep, (unit, value) in poison.items():
                 if first_rep <= rep < first_rep + n_reps:
                     Y[rep - first_rep, unit] = value
@@ -407,8 +429,8 @@ class TestBlocks:
         real = sim._generate_batch
         poison = {3: (0, np.inf), 50: (2, np.nan), 98: (5, -np.inf)}  # blocks 0-8, 48-56 and 96-100
 
-        def poisoned(cfg, first_rep, n_reps):
-            Y = real(cfg, first_rep, n_reps)
+        def poisoned(cfg, first_rep, n_reps, out=None):
+            Y = real(cfg, first_rep, n_reps, out)
             for rep, (unit, value) in poison.items():
                 if first_rep <= rep < first_rep + n_reps:
                     Y[rep - first_rep, unit] = value
@@ -430,13 +452,48 @@ class TestBlocks:
             sq_theta = theta_sq_error_and_cross(config, row.c)[0][keep]
             assert (row.emp_mse_theta, row.se_theta) == sim._mean_se(sq_theta)
 
+    @pytest.mark.parametrize("N", [7, 1001])
+    def test_reused_block_buffers_leak_nothing_between_blocks(self, monkeypatch, N):
+        # Blocks of 8, 8 and 9 rows: a thread draws each of its blocks into
+        # one buffer, whose rows are padded to whole Philox counter blocks at
+        # these N.  The poison written into one block must not reach another.
+        rng = np.random.default_rng(N)
+        template = make_template(N=N, n=5, a=rng.uniform(0.5, 2.0, N), sigma2=rng.uniform(0.5, 2.0, N))
+        config = make_config(template=template, contamination=Contamination("shift", units=("u1",), delta=6.0),
+                             c_grid=(0.5, 1.0, 2.0), reps=2 * 8 + 9)
+        real = sim._generate_batch
+        poison = {7: (0, np.nan), 8: (N - 1, np.inf), 24: (3, -np.inf)}  # one in each block
+
+        def poisoned(cfg, first_rep, n_reps, out=None):
+            Y = real(cfg, first_rep, n_reps, out)
+            for rep, (unit, value) in poison.items():
+                if first_rep <= rep < first_rep + n_reps:
+                    Y[rep - first_rep, unit] = value
+            return Y
+
+        monkeypatch.setattr(sim, "_block_rows", lambda n_units: 8)
+        monkeypatch.setattr(sim, "_generate_batch", poisoned)
+        results = []
+        for cpus in (1, 2, 3, 4):
+            _cpus(monkeypatch, cpus)
+            results.append(empirical_risk(config))
+        assert results[0].failures == 3
+        for res in results[1:]:
+            assert (res.rows, res.failures) == (results[0].rows, results[0].failures)
+        keep = np.ones(config.reps, dtype=bool)
+        keep[list(poison)] = False
+        for row in results[0].rows:
+            sq_theta, cross = theta_sq_error_and_cross(config, row.c)
+            assert (row.emp_mse_theta, row.se_theta) == sim._mean_se(sq_theta[keep])
+            assert (row.cross_term, row.se_cross) == sim._mean_se(cross[keep])
+
     def test_worker_exception_propagates(self, monkeypatch):
         real = sim._generate_batch
 
-        def failing(cfg, first_rep, n_reps):
+        def failing(cfg, first_rep, n_reps, out=None):
             if first_rep == 16:
                 raise RuntimeError("block at 16 failed")
-            return real(cfg, first_rep, n_reps)
+            return real(cfg, first_rep, n_reps, out)
 
         monkeypatch.setattr(sim, "_block_rows", lambda n_units: 8)
         monkeypatch.setattr(sim, "_generate_batch", failing)
@@ -445,7 +502,7 @@ class TestBlocks:
             empirical_risk(make_config(reps=40))
 
     def test_peak_memory_bounded(self, monkeypatch):
-        # each live block holds about 2 MiB of words, so fix the thread count
+        # each thread holds one block buffer of about 1 MiB, so fix the thread count
         _cpus(monkeypatch, 2)
         rng = np.random.default_rng(3)
         N, n = 1000, 100
@@ -458,9 +515,9 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         # one (reps, N) float64 matrix alone is 153 MiB; each thread holds one
-        # block of 2 MiB with its words, and only per-replication scalars grow
-        # with reps
-        assert peak <= 20 * 2**20
+        # block buffer of 1 MiB and its reduction's temporaries, and only
+        # per-replication scalars grow with reps
+        assert peak <= 8 * 2**20
 
 
 class TestCovarianceProbe:
