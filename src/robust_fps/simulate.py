@@ -260,13 +260,13 @@ def empirical_risk(config: SimConfig) -> SimResult:
     finite = np.empty(config.reps, dtype=bool)
     sq_classical = np.empty(config.reps)
     sq_theta, sq_pop, cross = (np.empty((n_c, config.reps)) for _ in range(3))
-    blocks = _block_bounds(config.reps, _block_rows(t.n_units))
+    bounds = _block_bounds(config.reps, _block_rows(t.n_units))
     local = threading.local()  # each thread's block buffer, reused for every block it draws
 
-    def reduce_block(bounds: tuple[int, int]) -> None:
-        lo, hi = bounds
+    def reduce_block(block: tuple[int, int]) -> None:
+        lo, hi = block
         if not hasattr(local, "buffer"):
-            local.buffer = np.empty((max(b - a for a, b in blocks), 4 * _blocks(t.n_units)))
+            local.buffer = np.empty((max(b - a for a, b in bounds), 4 * _blocks(t.n_units)))
         # errstate is per thread.  Squared errors and their sums can overflow
         # on finite draws; a row with a value outside float64 raises below.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -288,8 +288,8 @@ def empirical_risk(config: SimConfig) -> SimResult:
                 sq_pop[j, lo:hi] = (t.fill_in(sum_ys, theta_R) - ybar_pop) ** 2
                 cross[j, lo:hi] = T**2 - np.square(overflow, out=overflow) @ wv2
 
-    with ThreadPoolExecutor(_workers(len(blocks))) as pool:
-        list(pool.map(reduce_block, blocks))  # re-raises a worker's exception
+    with ThreadPoolExecutor(_workers(len(bounds))) as pool:
+        list(pool.map(reduce_block, bounds))  # re-raises a worker's exception
     if not finite.all():  # keep the finite replications, in replication order
         sq_classical, sq_theta, sq_pop, cross = (
             x[..., finite] for x in (sq_classical, sq_theta, sq_pop, cross))
