@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import sys
 from typing import Any
 
@@ -165,20 +164,20 @@ def _diagnostics_json(records: list[dict]) -> str:
 
     Each record must hold exactly ``_RECORD_KEYS``, in that order; any other
     record raises ``ValueError``, since ``_RECORD`` would write it unlike
-    ``json.dumps``.
+    ``json.dumps``.  Each column is turned into text by one ``json.dumps``
+    call, which raises on a non-finite float.
     """
     if not records:
         return "[]"
-    lines = []
     for rec in records:
         if tuple(rec) != _RECORD_KEYS:
             raise ValueError(f"diagnostics record keys {tuple(rec)} are not {_RECORD_KEYS}")
-        nums = (rec["delta_k"], rec["r_k"], rec["v_k"], rec["divergence_k"])
-        if not all(map(math.isfinite, nums)):
-            json.dumps(nums, allow_nan=False)  # raises json's own ValueError
-        lines.append(_RECORD.format(json.dumps(rec["unit_id"]), *map(float.__repr__, nums),
-                                    _FLAGGED[rec["flagged"]]))
-    return "[\n" + ",\n".join(lines) + "\n  ]"
+    # json escapes every newline inside a string, so "\n" splits only between ids.
+    ids = json.dumps([rec["unit_id"] for rec in records], separators=("\n", ":"))[1:-1].split("\n")
+    nums = [json.dumps([rec[key] for rec in records], allow_nan=False)[1:-1].split(", ")
+            for key in _RECORD_KEYS[1:5]]
+    flags = [_FLAGGED[rec["flagged"]] for rec in records]
+    return "[\n" + ",\n".join(map(_RECORD.format, ids, *nums, flags)) + "\n  ]"
 
 
 def write_report(report: dict, path=None) -> None:

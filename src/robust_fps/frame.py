@@ -164,7 +164,7 @@ class FrameTemplate:
         if self.n_sampled == self.n_units:
             raise DegenerateFrameError(f"census frame has no unsampled units for {what}")
 
-    def residuals(self, ys: np.ndarray):
+    def residuals(self, ys: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None):
         """Weighted average ``ybar_w`` and standardized residuals ``r`` of sampled values.
 
         ``ys`` holds the sampled units' values in unit order, shape ``(n,)`` or
@@ -176,9 +176,11 @@ class FrameTemplate:
         deviations from it makes ``sum w v r`` vanish up to their rounding, not
         that of ``t = y/a``, also where every ``t`` is equal.  One scratch
         array of the shape of ``ys`` is used, and ``r`` overwrites ``t``.
+        ``out`` and ``scratch``, arrays of that shape, hold ``t`` and the
+        scratch when given; ``out`` may be ``ys`` itself.
         """
-        t = ys / self.a[self.sampled]
-        scratch = np.multiply(t, self.h)
+        t = np.divide(ys, self.a[self.sampled], out=out)
+        scratch = np.multiply(t, self.h, out=scratch)
         y0 = scratch.sum(axis=-1) / self.S_aa
         np.multiply(np.subtract(t, y0[..., None], out=scratch), self.w, out=scratch)
         ybar_w = y0 + scratch.sum(axis=-1)

@@ -30,6 +30,7 @@ module, and with it estimation and calibration, needs numpy but not scipy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,30 +153,41 @@ def calibrate_c(layout: FrameTemplate, max_excess: float) -> float:
     """Smallest clipping constant whose excess risk stays within the budget.
 
     The excess is strictly decreasing in c.  A budget at or above the c = 0
-    excess is met by every c and returns 0; a budget below the excess at
-    C_NORMAL, the last c where g is a normal float, raises
-    ``ModelValidationError``: past it g keeps too few digits to tell whether
-    the exact excess is within budget.  Otherwise one bisection on
-    [0, C_NORMAL] runs until the bracket reaches float resolution (at most
-    200 iterations) and returns its upper end, so ``excess_risk`` at the
-    returned c is never over the budget.
+    excess is met by every c and returns 0.  A budget below the excess at
+    C_NORMAL, the last c where g is a normal float, or below where the
+    excess or its product ``sum_w2v2 * g`` leaves the normal floats, raises
+    ``ModelValidationError``: past either the excess keeps too few digits
+    to tell whether the exact one is within budget.  Otherwise one
+    bisection on [0, C_NORMAL] runs until the bracket reaches float
+    resolution (at most 200 iterations) and returns its upper end.  Each
+    step computes the excess as ``mse_closed_form`` does, with no report
+    built, so ``excess_risk`` at the returned c is never over the budget.
     """
     if not (np.isfinite(max_excess) and max_excess > 0):
         raise ValueError("max_excess must be finite and > 0")
     if max_excess >= max_excess_risk(layout):
         return 0.0
-    if excess_risk(layout, C_NORMAL) > max_excess:
+    # The excess as mse_closed_form computes it, in its order of operations.
+    sum_w2v2, sum_au2, N2 = layout.sum_w2v2, layout.sum_u_a * layout.sum_u_a, layout.n_units**2
+
+    def excess(c: float) -> float:
+        return sum_w2v2 * g_clip(c) * sum_au2 / N2
+
+    # Where the excess, or its first product sum_w2v2 * g, would be below the
+    # smallest normal float, it keeps too few digits to be compared.
+    floor = max(excess(C_NORMAL), sys.float_info.min * max(1.0, sum_au2 / N2))
+    if floor > max_excess:
         raise ModelValidationError(
             f"max_excess {max_excess!r} is below the smallest attainable excess "
-            f"{excess_risk(layout, C_NORMAL)!r} (at c = {C_NORMAL!r})"
+            f"{floor!r} (the excess at c = {C_NORMAL!r}, or where it leaves the normal floats)"
         )
-    # Invariant: excess_risk(layout, lo) > max_excess >= excess_risk(layout, hi).
+    # Invariant: excess(lo) > max_excess >= excess(hi).
     lo, hi = 0.0, C_NORMAL
     for _ in range(_MAX_BISECT_ITER):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if excess_risk(layout, mid) > max_excess:
+        if excess(mid) > max_excess:
             lo = mid
         else:
             hi = mid

@@ -10,19 +10,26 @@ of that formula can be quantified rather than assumed.
 
 Replication r draws from a counter-based substream derived from (seed, r);
 results are bit-identical however replications are scheduled.  Replications
-run in blocks of about 1 MiB of populations, so memory does not grow with
-reps times N.  A block is the unit of work, and the blocks are spread over
-one thread per CPU this process may run on (at most one per block).  Each
-thread allocates one block buffer per ``empirical_risk`` call, as wide as
-the counter blocks of a replication, and draws each of its blocks straight
-into it: uniforms, then normals and populations, all in place (see
-``streams`` for the uniform identity that needs no array of raw words).
-The thread reduces the block at once, while it is still in cache, to its
-per-replication finite flags, squared errors and cross moments, and writes
-them into reps-long arrays at the block's rows.  Those are reduced once
-after the last block, so neither the block size, the thread count nor the
-reduction order can perturb the output.  Philox, ``ndtri`` and the BLAS
-gemv of the reduction release the GIL.
+run in chunks of ``_CHUNK_REPS`` (1024), each split into blocks of about
+1 MiB of populations, so memory grows neither with reps times N nor with
+reps times the c grid.  A block is the unit of work, and the blocks are
+spread over one thread per CPU this process may run on (at most one per
+block).  Each thread allocates its buffers once per ``empirical_risk`` call
+and reuses them for every block it draws: one as wide as the counter blocks
+of a replication, into which it draws uniforms, then normals and
+populations, all in place (see ``streams`` for the uniform identity that
+needs no array of raw words), and two of (block, n) for the sampled values,
+the residuals and their overflows.  The thread reduces the block at once,
+while it is still in cache, to its per-replication finite flags, squared
+errors and cross moments, and writes them into its chunk's buffer.  The
+thread that finishes a chunk's last block reduces the chunk to a count, a
+mean and a sum of squared deviations (M2), numpy's two-pass statistics over
+its finite replications, and returns the buffer for reuse.  After the last
+block the chunks are merged in order by the pairwise update of Chan, Golub
+& LeVeque (Am. Stat. 1983), so neither the block size, the thread count nor
+the reduction order can perturb the output; with at most 1024 replications
+it is numpy's two-pass mean and standard error.  Philox, ``ndtri`` and the
+BLAS gemv of the reduction release the GIL.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import json
 import math
 import os
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
 from functools import cached_property
@@ -49,6 +57,8 @@ DEFAULT_REPS = 100_000
 
 #: Target size of one block of realized populations (rows x N float64).
 _BLOCK_BYTES = 2**20
+#: Replications per chunk, reduced to moments at once; part of the output's definition.
+_CHUNK_REPS = 1024
 
 #: The parameter field each contamination kind reads, besides its target units.
 CONTAMINATION_PARAMS = {"shift": "delta", "variance_inflation": "factor", "substitution": "value"}
@@ -205,9 +215,45 @@ def _block_bounds(reps: int, block: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    n = values.shape[0]
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n))
+def _f_view(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """An F-contiguous (rows, cols) view of the head of a flat buffer, leading dimension ``rows``."""
+    return flat[: rows * cols].reshape(cols, rows).T
+
+
+def _chunk_moments(values: np.ndarray, finite: np.ndarray):
+    """``(count, mean, M2)`` of each row of a chunk over its finite replications, or None if none is.
+
+    ``values`` is C-contiguous with a column per replication, and ``finite``
+    flags the columns kept.  The mean is numpy's and ``M2`` the sum of
+    squared deviations from it, numpy's two-pass variance before its
+    division; ``values`` (or its compressed copy) is overwritten.
+    """
+    kept = values if finite.all() else np.compress(finite, values, axis=1)
+    if kept.shape[1] == 0:
+        return None
+    mean = kept.mean(axis=1)
+    kept -= mean[:, None]
+    return kept.shape[1], mean, np.square(kept, out=kept).sum(axis=1)
+
+
+def _merge_moments(moments: list):
+    """Chunk moments merged in order by the pairwise update of Chan, Golub & LeVeque (1983).
+
+    Starts from the first chunk with a finite replication, not from zeros:
+    ``0 * inf`` would turn a huge but finite M2 into NaN.  Returns
+    ``(0, None, None)`` when no chunk has one.
+    """
+    moments = [m for m in moments if m is not None]
+    if not moments:
+        return 0, None, None
+    count, mean, m2 = moments[0]
+    for count_b, mean_b, m2_b in moments[1:]:
+        total = count + count_b
+        delta = mean_b - mean
+        mean = mean + delta * (count_b / total)
+        m2 = m2 + m2_b + delta * delta * (count * count_b / total)
+        count = total
+    return count, mean, m2
 
 
 @dataclass(frozen=True)
@@ -247,76 +293,114 @@ def empirical_risk(config: SimConfig) -> SimResult:
     rows).  The cross_term column is the empirical value of the pairwise
     overflow moment sum that the closed-form MSE drops.
 
-    Replications run in blocks of ``_block_rows(N)``, each realized in its
-    worker thread's one block buffer and reduced there; a replication whose
-    population is not finite counts as a failure.  Memory is
-    O(threads * block * N + reps * len(c_grid)).
+    Replications run in chunks of ``_CHUNK_REPS``, each split into blocks of
+    at most ``_block_rows(N)``; a block is realized in its worker thread's
+    one block buffer and reduced there, and a replication whose population
+    is not finite counts as a failure.  Each chunk's per-replication values
+    are reduced to their count, mean and M2 by the thread that finishes its
+    last block, and the chunks are merged in order (``_merge_moments``), so
+    with ``reps <= _CHUNK_REPS`` every mean and standard error is numpy's
+    two-pass one.  Memory is
+    O(threads * (block * N + _CHUNK_REPS * len(c_grid)) + reps / _CHUNK_REPS * len(c_grid)).
     """
     t = config.template
     wv = t.w * t.v
     wv2 = wv**2
-    n_c = len(config.c_grid)
-    # Per-replication finite flags and scalars; each block fills its own rows.
-    finite = np.empty(config.reps, dtype=bool)
-    sq_classical = np.empty(config.reps)
-    sq_theta, sq_pop, cross = (np.empty((n_c, config.reps)) for _ in range(3))
-    bounds = _block_bounds(config.reps, _block_rows(t.n_units))
-    local = threading.local()  # each thread's block buffer, reused for every block it draws
+    n_c, n = len(config.c_grid), t.n_sampled
+    n_values = 1 + 3 * n_c  # per replication: sq_classical, then sq_theta, sq_pop and cross per c
+    sampled_idx = np.flatnonzero(t.sampled)
+    chunks = [(lo, min(lo + _CHUNK_REPS, config.reps)) for lo in range(0, config.reps, _CHUNK_REPS)]
+    blocks = [(k, first + lo, first + hi) for k, (first, last) in enumerate(chunks)
+              for lo, hi in _block_bounds(last - first, _block_rows(t.n_units))]
+    widest = max(hi - lo for _, lo, hi in blocks)
+    pending = Counter(k for k, _, _ in blocks)  # blocks of each chunk not yet reduced
+    moments = [None] * len(chunks)
+    open_chunks, free = {}, []  # each open chunk's value and flag buffers; buffers for reuse
+    lock = threading.Lock()
+    local = threading.local()  # each thread's buffers, reused for every block it draws
 
-    def reduce_block(block: tuple[int, int]) -> None:
-        lo, hi = block
+    def reduce_block(block: tuple[int, int, int]) -> None:
+        k, lo, hi = block
+        first, last = chunks[k]
+        with lock:
+            if k not in open_chunks:
+                open_chunks[k] = free.pop() if free else (
+                    np.empty(n_values * _CHUNK_REPS), np.empty(_CHUNK_REPS, dtype=bool))
+            flat, finite = open_chunks[k]
+        values = flat[: n_values * (last - first)].reshape(n_values, last - first)
+        sq_classical = values[0]
+        sq_theta, sq_pop, cross = values[1:].reshape(3, n_c, last - first)
+        at, m = slice(lo - first, hi - first), hi - lo
         if not hasattr(local, "buffer"):
-            local.buffer = np.empty((max(b - a for a, b in bounds), 4 * _blocks(t.n_units)))
+            local.buffer = np.empty((widest, 4 * _blocks(t.n_units)))
+            local.ys, local.scratch = np.empty(widest * n), np.empty(widest * n)
         # errstate is per thread.  Squared errors and their sums can overflow
         # on finite draws; a row with a value outside float64 raises below.
         with np.errstate(over="ignore", invalid="ignore"):
-            Y = _generate_batch(config, lo, hi - lo, local.buffer[: hi - lo])
-            finite[lo:hi] = np.all(np.isfinite(Y), axis=1)
-            Ys = Y[:, t.sampled]
-            ybar_w, r = t.residuals(Ys)
-            sum_ys = Ys.sum(axis=1)
+            Y = _generate_batch(config, lo, m, local.buffer[:m])
             ybar_pop = Y.mean(axis=1)
-            del Y, Ys
-            sq_classical[lo:hi] = (t.fill_in(sum_ys, ybar_w) - ybar_pop) ** 2
-            # One (block, n) buffer for every c: fresh temporaries per c would
-            # leave freed blocks in the heap under the next allocation peak.
-            overflow = np.empty_like(r)
+            # A row holding an inf or a NaN has no finite mean, and a finite
+            # row has one unless its sum overflows: only rows without a
+            # finite mean are scanned.
+            finite[at] = np.isfinite(ybar_pop)
+            for row in np.flatnonzero(~finite[at]).tolist():
+                finite[at.start + row] = np.isfinite(Y[row]).all()
+            # No (m, n) array is allocated per block: freed block-sized arrays
+            # move glibc's mmap and trim thresholds and cost page faults.  Ys
+            # is F-ordered with leading dimension m, the layout of
+            # Y[:, t.sampled], by which its row sums and the gemvs round.
+            # take needs a C-ordered out (and mode="clip" to use it in place),
+            # so it gathers from the C-contiguous buffer (Y is a view of its
+            # first N columns) into the scratch; the scratch then serves the
+            # residuals and the overflows.
+            gathered = local.scratch[: m * n].reshape(m, n)
+            np.take(local.buffer[:m], sampled_idx, axis=1, out=gathered, mode="clip")
+            Ys = _f_view(local.ys, m, n)
+            np.copyto(Ys, gathered)
+            sum_ys = Ys.sum(axis=1)
+            scratch = _f_view(local.scratch, m, n)
+            ybar_w, r = t.residuals(Ys, out=Ys, scratch=scratch)
+            sq_classical[at] = (t.fill_in(sum_ys, ybar_w) - ybar_pop) ** 2
             for j, c in enumerate(config.c_grid):
-                T = weighted_overflow(r, c, wv, out=overflow)[0]
+                T = weighted_overflow(r, c, wv, out=scratch)[0]
                 theta_R = ybar_w - T
-                sq_theta[j, lo:hi] = (theta_R - config.theta_true) ** 2
-                sq_pop[j, lo:hi] = (t.fill_in(sum_ys, theta_R) - ybar_pop) ** 2
-                cross[j, lo:hi] = T**2 - np.square(overflow, out=overflow) @ wv2
+                sq_theta[j, at] = (theta_R - config.theta_true) ** 2
+                sq_pop[j, at] = (t.fill_in(sum_ys, theta_R) - ybar_pop) ** 2
+                cross[j, at] = T**2 - np.square(scratch, out=scratch) @ wv2
+        with lock:
+            pending[k] -= 1
+            chunk_done = pending[k] == 0
+        if chunk_done:  # no other thread touches this chunk's buffers now
+            with np.errstate(over="ignore", invalid="ignore"):
+                moments[k] = _chunk_moments(values, finite[: last - first])
+            with lock:
+                free.append(open_chunks.pop(k))
 
-    with ThreadPoolExecutor(_workers(len(bounds))) as pool:
-        list(pool.map(reduce_block, bounds))  # re-raises a worker's exception
-    if not finite.all():  # keep the finite replications, in replication order
-        sq_classical, sq_theta, sq_pop, cross = (
-            x[..., finite] for x in (sq_classical, sq_theta, sq_pop, cross))
-    kept = sq_classical.shape[0]
+    with ThreadPoolExecutor(_workers(len(blocks))) as pool:
+        list(pool.map(reduce_block, blocks))  # re-raises a worker's exception
+    kept, mean, m2 = _merge_moments(moments)
     if kept < 2:
         raise ModelValidationError("fewer than 2 finite replications")
 
     with np.errstate(over="ignore", invalid="ignore"):
-        cls_mean, se_cls = _mean_se(sq_classical)
+        se = np.sqrt(m2 / (kept - 1)) / math.sqrt(kept)
+        emp_theta, emp_pop, cross_mean = mean[1:].reshape(3, n_c)
+        se_theta, se_pop, se_cross = se[1:].reshape(3, n_c)
         rows = []
         for j, c in enumerate(config.c_grid):
-            emp_theta, se_theta = _mean_se(sq_theta[j])
-            emp_pop, se_pop = _mean_se(sq_pop[j])
-            cross_mean, se_cross = _mean_se(cross[j])
             report = mse_closed_form(t, c)
             theo_theta = 1.0 / t.S_aa + t.sum_w2v2 * report.g_of_c
             row = SimRow(
                 c=float(c),
-                emp_mse_theta=emp_theta,
-                se_theta=se_theta,
-                emp_mse_pop=emp_pop,
-                se_pop=se_pop,
+                emp_mse_theta=float(emp_theta[j]),
+                se_theta=float(se_theta[j]),
+                emp_mse_pop=float(emp_pop[j]),
+                se_pop=float(se_pop[j]),
                 theo_mse=report.mse_robust,
-                cross_term=cross_mean,
-                se_cross=se_cross,
-                classical_mse=cls_mean,
-                se_classical=se_cls,
+                cross_term=float(cross_mean[j]),
+                se_cross=float(se_cross[j]),
+                classical_mse=float(mean[0]),
+                se_classical=float(se[0]),
                 theo_mse_theta=theo_theta,
             )
             if not np.isfinite(astuple(row)).all():

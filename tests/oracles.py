@@ -6,8 +6,9 @@ residual covariance probe exist to check closed forms and schedules; the
 ``csv.DictReader`` frame reader is the reference for the streaming one,
 ``clipped_theta`` for the estimator's clipping pass, the raw Philox words
 and their written-out uniform formula (``raw_words``, ``to_uniform``) for
-``batch_rep_uniforms``, and ``populations`` for the harness's in-place,
-threaded generation.
+``batch_rep_uniforms``, ``populations`` for the harness's in-place,
+threaded generation, and ``mean_se`` and ``chunked_mean_se`` for its
+statistics.
 """
 
 from __future__ import annotations
@@ -233,6 +234,38 @@ def populations(config: SimConfig, first_rep: int, n_reps: int) -> np.ndarray:
     u = batch_uniforms(config.seed, n_reps, config.template.n_units, first_rep)
     with np.errstate(over="ignore", invalid="ignore"):
         return _apply_contamination(config, config._model_mean + config._model_sd * ndtri(u))
+
+
+def mean_se(values: np.ndarray) -> tuple[float, float]:
+    """numpy's two-pass mean and standard error ``std(ddof=1) / sqrt(n)`` of a 1-D array."""
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.shape[0]))
+
+
+def chunked_mean_se(values: np.ndarray, keep: np.ndarray, chunk: int) -> tuple[float, float]:
+    """Mean and standard error of ``values[keep]`` from per-chunk moments, written out.
+
+    Each run of ``chunk`` consecutive replications gives the count, numpy's
+    mean and the sum of squared deviations ``M2`` of its kept values; the
+    chunks are merged in order by the pairwise update of Chan, Golub &
+    LeVeque (1983), starting from the first chunk that keeps a value.
+    """
+    merged = None
+    for lo in range(0, values.shape[0], chunk):
+        x = values[lo : lo + chunk][keep[lo : lo + chunk]]
+        if x.size == 0:
+            continue
+        mean = x.mean()
+        m2 = np.square(x - mean).sum()
+        if merged is None:
+            merged = x.size, mean, m2
+            continue
+        n_a, mean_a, m2_a = merged
+        total = n_a + x.size
+        delta = mean - mean_a
+        merged = (total, mean_a + delta * (x.size / total),
+                  m2_a + m2 + delta * delta * (n_a * x.size / total))
+    n, mean, m2 = merged
+    return float(mean), float(math.sqrt(m2 / (n - 1)) / math.sqrt(n))
 
 
 def theta_sq_error_and_cross(config: SimConfig, c: float) -> tuple[np.ndarray, np.ndarray]:

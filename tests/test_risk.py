@@ -243,6 +243,33 @@ class TestCalibrateC:
                 outcomes.append("within")
         assert outcomes[-1] == "within"
 
+    @pytest.mark.parametrize("a, sigma2, budgets", [
+        (1.0, 1e-280, (1e-321, 1e-318, 1e-300)),   # the excess itself is subnormal
+        (1e100, 1e-100, (1e-150, 1e-120, 1e-100)),  # sum_w2v2 * g is, under a normal excess
+    ])
+    def test_within_budget_by_mpmath_where_the_excess_is_subnormal(self, a, sigma2, budgets):
+        # Either a typed error, or a c whose exact excess is within the budget;
+        # the largest budget of each frame is attainable.
+        frame = build_model(
+            [str(i) for i in range(6)], ModelSpec("custom"), a=[a] * 6, sigma2=[sigma2] * 6,
+            sampled=[True] * 3 + [False] * 3, y_sampled=[0.0, 1e-140 * a, 2e-140 * a],
+        )
+        outcomes = []
+        with mp.workdps(60):
+            scale = mp.mpf(frame.sum_w2v2) * mp.mpf(frame.sum_u_a) ** 2 / frame.n_units**2
+            for budget in budgets:
+                try:
+                    c = calibrate_c(frame, budget)
+                except ModelValidationError as exc:
+                    assert "smallest attainable excess" in str(exc)
+                    outcomes.append("raised")
+                    continue
+                cm = mp.mpf(c)
+                g = 2 * ((cm * cm + 1) * mp.ncdf(-cm) - cm * mp.npdf(cm))
+                assert scale * g <= budget * (1 + mp.mpf(1e-12)), budget
+                outcomes.append("within")
+        assert outcomes == ["raised", "raised", "within"]
+
     def test_invalid_budget_rejected(self):
         frame = _five_unit_frame()
         for bad in (0.0, -1.0, math.inf, math.nan):

@@ -45,6 +45,27 @@ def test_fault_probe_prints_one_row_per_call():
         assert float(wall) > 0 and int(faults) >= 0 and float(rss) > 0
 
 
+def test_fault_probe_reps_replaces_the_config_reps(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import fault_probe
+
+    seen = []
+    monkeypatch.setattr(fault_probe, "empirical_risk", lambda config: seen.append(config.reps))
+    config = str(ROOT / "tests" / "data" / "golden" / "sim_shift.json")
+    assert len(fault_probe.probe(config, 2, reps=3000)) == 2
+    fault_probe.probe(config, 1)
+    assert seen == [3000, 3000, 1000]
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    command = [sys.executable, str(ROOT / "scripts" / "fault_probe.py"), config, "--processes", "1", "--calls", "1"]
+    proc = subprocess.run(command + ["--reps", "3000"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert [row.split()[:2] for row in proc.stdout.splitlines()[1:]] == [["0", "0"]]
+    proc = subprocess.run(command + ["--reps", "1"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2 and "--reps must be >= 2" in proc.stderr
+
+
 # Code lines: import, class, the two lines of the non-docstring string, def, return.
 CODE_LINES_FIXTURE = '''"""Module docstring
 over two lines."""

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from robust_fps.streams import batch_rep_uniforms
 
 from oracles import (
     batch_uniforms,
+    chunked_mean_se,
     covariance_probe,
+    mean_se,
     populations,
     raw_words,
     rep_uniforms,
@@ -369,7 +372,8 @@ class TestBlocks:
 
     # reps is a multiple of 8 or one more (1025, 129), which leaves one row
     # after the last whole block of 8 and of 64; numpy sums a lone (1, n) row
-    # by another path once n exceeds 8.  Sizes stay below OpenBLAS's gemv
+    # by another path once n exceeds 8.  At 1025 that row is a chunk of its
+    # own, one row at every block size.  Sizes stay below OpenBLAS's gemv
     # threading threshold (9216 elements): a thread split off a 4-row
     # boundary rounds differently.
     @pytest.mark.parametrize("config_kw", [
@@ -450,7 +454,7 @@ class TestBlocks:
         keep[list(poison)] = False
         for row in results[0].rows:
             sq_theta = theta_sq_error_and_cross(config, row.c)[0][keep]
-            assert (row.emp_mse_theta, row.se_theta) == sim._mean_se(sq_theta)
+            assert (row.emp_mse_theta, row.se_theta) == mean_se(sq_theta)
 
     @pytest.mark.parametrize("N", [7, 1001])
     def test_reused_block_buffers_leak_nothing_between_blocks(self, monkeypatch, N):
@@ -484,8 +488,68 @@ class TestBlocks:
         keep[list(poison)] = False
         for row in results[0].rows:
             sq_theta, cross = theta_sq_error_and_cross(config, row.c)
-            assert (row.emp_mse_theta, row.se_theta) == sim._mean_se(sq_theta[keep])
-            assert (row.cross_term, row.se_cross) == sim._mean_se(cross[keep])
+            assert (row.emp_mse_theta, row.se_theta) == mean_se(sq_theta[keep])
+            assert (row.cross_term, row.se_cross) == mean_se(cross[keep])
+
+    @pytest.mark.parametrize("rows", [8, 64, 2048])
+    def test_chunks_match_the_chunked_oracle(self, monkeypatch, rows):
+        # Three chunks of 1024, 1024 and 9 replications, with failed ones in
+        # the first and the last; blocks of 2048 rows stop at each chunk.
+        # n = 4 keeps the oracle's one (reps, n) gemv below OpenBLAS's
+        # threading threshold (9216 elements).
+        rng = np.random.default_rng(rows)
+        N = 7
+        template = make_template(N=N, n=4, a=rng.uniform(0.5, 2.0, N), sigma2=rng.uniform(0.5, 2.0, N))
+        config = make_config(template=template, contamination=Contamination("shift", units=("u1",), delta=6.0),
+                             c_grid=(0.5, 1.0, 2.0), reps=2 * sim._CHUNK_REPS + 9)
+        real = sim._generate_batch
+        poison = {5: (0, np.nan), 700: (N - 1, np.inf), 2050: (3, -np.inf)}
+
+        def poisoned(cfg, first_rep, n_reps, out=None):
+            Y = real(cfg, first_rep, n_reps, out)
+            for rep, (unit, value) in poison.items():
+                if first_rep <= rep < first_rep + n_reps:
+                    Y[rep - first_rep, unit] = value
+            return Y
+
+        monkeypatch.setattr(sim, "_block_rows", lambda n_units: rows)
+        monkeypatch.setattr(sim, "_generate_batch", poisoned)
+        results = []
+        # Threads share each chunk's pending-block count and the free list of
+        # chunk buffers: a lost update would drop or reduce a chunk early.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 3, 4):
+                _cpus(monkeypatch, cpus)
+                results.append(empirical_risk(config))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0].failures == 3
+        for res in results[1:]:
+            assert (res.rows, res.failures) == (results[0].rows, results[0].failures)
+        keep = np.ones(config.reps, dtype=bool)
+        keep[list(poison)] = False
+        for row in results[0].rows:
+            sq_theta, cross = theta_sq_error_and_cross(config, row.c)
+            assert (row.emp_mse_theta, row.se_theta) == chunked_mean_se(sq_theta, keep, sim._CHUNK_REPS)
+            assert (row.cross_term, row.se_cross) == chunked_mean_se(cross, keep, sim._CHUNK_REPS)
+
+    def test_merged_moments_match_an_exact_two_pass(self):
+        # three chunks whose means differ, so the merge's delta term counts
+        rng = np.random.default_rng(9)
+        chunks = [rng.chisquare(1, 1024) * 1e-3, rng.chisquare(1, 1024) * 1e-3 + 0.01,
+                  rng.chisquare(1, 500) * 1e-3 + 0.002]
+        moments = [sim._chunk_moments(x.reshape(1, -1).copy(), np.ones(x.size, dtype=bool)) for x in chunks]
+        n, mean, m2 = sim._merge_moments(moments)
+        se = math.sqrt(m2[0] / (n - 1)) / math.sqrt(n)
+        exact = [Fraction(float(x)) for x in np.concatenate(chunks)]
+        exact_mean = sum(exact) / len(exact)
+        exact_m2 = sum((x - exact_mean) ** 2 for x in exact)
+        exact_se = math.sqrt(exact_m2 / (len(exact) - 1) / len(exact))
+        assert n == len(exact)
+        assert abs(mean[0] - float(exact_mean)) <= 1e-14 * float(exact_mean)
+        assert abs(se - exact_se) <= 1e-14 * exact_se
 
     def test_worker_exception_propagates(self, monkeypatch):
         real = sim._generate_batch
@@ -515,9 +579,28 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         # one (reps, N) float64 matrix alone is 153 MiB; each thread holds one
-        # block buffer of 1 MiB and its reduction's temporaries, and only
-        # per-replication scalars grow with reps
-        assert peak <= 8 * 2**20
+        # block buffer of 1 MiB, two (block, n) buffers and its reduction's
+        # temporaries, and each open chunk one buffer of its values
+        assert peak <= 4 * 2**20
+
+    def test_peak_memory_does_not_grow_with_reps(self, monkeypatch):
+        # only the moments of each 1024-replication chunk outlive it: 4 times
+        # the reps add a few hundred bytes per chunk, where one value per
+        # replication and c would add 22 MiB
+        _cpus(monkeypatch, 2)
+        rng = np.random.default_rng(4)
+        N = 200
+        template = make_template(N=N, n=150, a=rng.uniform(0.5, 2.0, N), sigma2=rng.uniform(0.5, 2.0, N))
+        peaks = []
+        for reps in (20_000, 80_000):
+            config = make_config(template=template, c_grid=tuple(np.linspace(0.0, 3.0, 16)), reps=reps)
+            tracemalloc.start()
+            try:
+                empirical_risk(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.5 * 2**20
 
 
 class TestCovarianceProbe:
