@@ -87,17 +87,15 @@ def psi_clip(r, c: float, out=None):
 
 
 def weighted_overflow(r, c: float, weights, out=None):
-    """``(T, overflow)``: the overflow ``r - psi_c(r)`` beyond the band and ``T = overflow @ weights``.
+    """``(T, overflow)``: the overflow ``r - psi_c(r)`` beyond the band and its dot with ``weights``.
 
     ``r`` has shape ``(n,)`` or ``(reps, n)``, and ``T`` is a scalar or one
-    value per row.  ``out``, an array of ``r``'s shape, holds the overflow
-    when given, so a caller looping over c reuses one buffer.  A 1-D ``r``
-    takes a dot product and a stack a gemv, which rounds a row differently:
-    each caller keeps its own shape.  The overflow is nonzero exactly where
-    ``|r| > c``.
+    value per row, each row's bit for bit its own 1-D dot.  ``out``, an array
+    of ``r``'s shape, holds the overflow when given, so a caller looping over
+    c reuses one buffer.  The overflow is nonzero exactly where ``|r| > c``.
     """
     overflow = np.subtract(r, psi_clip(r, c, out=out), out=out)
-    return overflow @ weights, overflow
+    return np.vecdot(overflow, weights), overflow
 
 
 def robust_estimate(frame: PopulationFrame, config: RobustConfig) -> RobustEstimate:

@@ -169,7 +169,8 @@ class FrameTemplate:
 
         ``ys`` holds the sampled units' values in unit order, shape ``(n,)`` or
         ``(reps, n)``; ``ybar_w`` has the leading shape.  Each row is reduced
-        on its own, so a stack gives bit for bit the values of its rows.
+        on its own, so a C-ordered stack gives bit for bit the values of its
+        rows.
         ``r`` is None when one unit is sampled.
 
         ``ybar_w`` is anchored at a first average ``y0``: adding the weighted

@@ -20,8 +20,14 @@ which the simulation harness measures as ``SimRow.cross_term``; it is a
 large-c approximation.  Dropping the g(c) term gives the MSE of the
 unclipped baseline estimator, so the clipping penalty is the closed form's
 price for robustness when the model is true.  ``calibrate_c`` inverts that
-penalty: given a budget on the excess MSE it returns the smallest (most
-robust) clipping constant that stays inside the budget.
+penalty: given a budget on the excess MSE it returns the smallest clipping
+constant whose closed-form excess stays inside the budget.  That c is not
+the most robust one.  The one-step estimate is ``ybar_w`` at c = 0 and as
+c grows, so its MSE under an outlier is U-shaped in c: with N = 200,
+n = 150 and one unit substituted 10 residual scales high, it is 2.2315e-3
+at c = 0, 1.9734e-3 at c = 2.13 and 2.0007e-3 at c = 4.  The budget bounds
+the clean-model price of clipping; it does not pick the c that best
+resists an outlier.
 
 Every ``erfc`` here is the C library's on a scalar (``math.erfc``), so this
 module, and with it estimation and calibration, needs numpy but not scipy.

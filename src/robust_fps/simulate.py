@@ -21,15 +21,18 @@ populations, all in place (see ``streams`` for the uniform identity that
 needs no array of raw words), and two of (block, n) for the sampled values,
 the residuals and their overflows.  The thread reduces the block at once,
 while it is still in cache, to its per-replication finite flags, squared
-errors and cross moments, and writes them into its chunk's buffer.  The
-thread that finishes a chunk's last block reduces the chunk to a count, a
-mean and a sum of squared deviations (M2), numpy's two-pass statistics over
-its finite replications, and returns the buffer for reuse.  After the last
+errors and cross moments, and writes them into its chunk's buffer.  Each
+row is reduced as ``robust_estimate`` reduces one frame (C-ordered row sums
+and one dot product per row), so a replication's values are bit for bit
+those of its own frame, whatever the block it falls in.  The thread that
+finishes a chunk's last block reduces the chunk to a count, a mean and a
+sum of squared deviations (M2), numpy's two-pass statistics over its finite
+replications, and returns the buffer for reuse.  After the last
 block the chunks are merged in order by the pairwise update of Chan, Golub
 & LeVeque (Am. Stat. 1983), so neither the block size, the thread count nor
 the reduction order can perturb the output; with at most 1024 replications
 it is numpy's two-pass mean and standard error.  Philox, ``ndtri`` and the
-BLAS gemv of the reduction release the GIL.
+dot products of the reduction release the GIL.
 """
 
 from __future__ import annotations
@@ -84,6 +87,9 @@ class Contamination:
             raise ModelValidationError(f"unknown contamination kind {self.kind!r}")
         if not self.units:
             raise ModelValidationError(f"contamination {self.kind!r} needs target units")
+        repeated = [u for u, count in Counter(self.units).items() if count > 1]
+        if repeated:
+            raise ModelValidationError(f"contamination names units {repeated} more than once")
         if self.kind == "shift" and (self.delta is None or not np.isfinite(self.delta)):
             raise ModelValidationError("shift contamination needs a finite delta")
         if self.kind == "variance_inflation" and (
@@ -194,30 +200,8 @@ def _generate_batch(
 
 
 def _block_rows(n_units: int) -> int:
-    """Replications per block: about ``_BLOCK_BYTES`` of populations, a multiple of 8, at least 8.
-
-    A multiple of 8 keeps each row's position mod 4 the same as in one
-    (reps, N) matrix, and the BLAS gemv of ``overflow @ wv`` rounds a row
-    by that position.
-    """
-    return max(8, _BLOCK_BYTES // (8 * n_units) // 8 * 8)
-
-
-def _block_bounds(reps: int, block: int) -> list[tuple[int, int]]:
-    """[start, stop) of each block; a lone last replication joins the block before it.
-
-    numpy reduces a (1, n) array along its rows by another path than a
-    taller one, which rounds differently.
-    """
-    edges = list(range(0, reps, block)) + [reps]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def _f_view(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """An F-contiguous (rows, cols) view of the head of a flat buffer, leading dimension ``rows``."""
-    return flat[: rows * cols].reshape(cols, rows).T
+    """Replications per block: about ``_BLOCK_BYTES`` of populations, at least 1."""
+    return max(1, _BLOCK_BYTES // (8 * n_units))
 
 
 def _chunk_moments(values: np.ndarray, finite: np.ndarray):
@@ -310,8 +294,9 @@ def empirical_risk(config: SimConfig) -> SimResult:
     n_values = 1 + 3 * n_c  # per replication: sq_classical, then sq_theta, sq_pop and cross per c
     sampled_idx = np.flatnonzero(t.sampled)
     chunks = [(lo, min(lo + _CHUNK_REPS, config.reps)) for lo in range(0, config.reps, _CHUNK_REPS)]
-    blocks = [(k, first + lo, first + hi) for k, (first, last) in enumerate(chunks)
-              for lo, hi in _block_bounds(last - first, _block_rows(t.n_units))]
+    step = _block_rows(t.n_units)
+    blocks = [(k, lo, min(lo + step, last)) for k, (first, last) in enumerate(chunks)
+              for lo in range(first, last, step)]
     widest = max(hi - lo for _, lo, hi in blocks)
     pending = Counter(k for k, _, _ in blocks)  # blocks of each chunk not yet reduced
     moments = [None] * len(chunks)
@@ -333,7 +318,7 @@ def empirical_risk(config: SimConfig) -> SimResult:
         at, m = slice(lo - first, hi - first), hi - lo
         if not hasattr(local, "buffer"):
             local.buffer = np.empty((widest, 4 * _blocks(t.n_units)))
-            local.ys, local.scratch = np.empty(widest * n), np.empty(widest * n)
+            local.ys, local.scratch = np.empty((widest, n)), np.empty((widest, n))
         # errstate is per thread.  Squared errors and their sums can overflow
         # on finite draws; a row with a value outside float64 raises below.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -346,19 +331,10 @@ def empirical_risk(config: SimConfig) -> SimResult:
             for row in np.flatnonzero(~finite[at]).tolist():
                 finite[at.start + row] = np.isfinite(Y[row]).all()
             # No (m, n) array is allocated per block: freed block-sized arrays
-            # move glibc's mmap and trim thresholds and cost page faults.  Ys
-            # is F-ordered with leading dimension m, the layout of
-            # Y[:, t.sampled], by which its row sums and the gemvs round.
-            # take needs a C-ordered out (and mode="clip" to use it in place),
-            # so it gathers from the C-contiguous buffer (Y is a view of its
-            # first N columns) into the scratch; the scratch then serves the
-            # residuals and the overflows.
-            gathered = local.scratch[: m * n].reshape(m, n)
-            np.take(local.buffer[:m], sampled_idx, axis=1, out=gathered, mode="clip")
-            Ys = _f_view(local.ys, m, n)
-            np.copyto(Ys, gathered)
+            # move glibc's mmap and trim thresholds and cost page faults.
+            Ys, scratch = local.ys[:m], local.scratch[:m]
+            np.take(local.buffer[:m], sampled_idx, axis=1, out=Ys, mode="clip")
             sum_ys = Ys.sum(axis=1)
-            scratch = _f_view(local.scratch, m, n)
             ybar_w, r = t.residuals(Ys, out=Ys, scratch=scratch)
             sq_classical[at] = (t.fill_in(sum_ys, ybar_w) - ybar_pop) ** 2
             for j, c in enumerate(config.c_grid):
@@ -366,7 +342,7 @@ def empirical_risk(config: SimConfig) -> SimResult:
                 theta_R = ybar_w - T
                 sq_theta[j, at] = (theta_R - config.theta_true) ** 2
                 sq_pop[j, at] = (t.fill_in(sum_ys, theta_R) - ybar_pop) ** 2
-                cross[j, at] = T**2 - np.square(scratch, out=scratch) @ wv2
+                cross[j, at] = T**2 - np.vecdot(np.square(scratch, out=scratch), wv2)
         with lock:
             pending[k] -= 1
             chunk_done = pending[k] == 0

@@ -272,14 +272,16 @@ def theta_sq_error_and_cross(config: SimConfig, c: float) -> tuple[np.ndarray, n
     """Per-replication ``(theta_R - theta)^2`` and pairwise overflow moment at ``c``.
 
     The cross moment is ``T^2 - sum_s (w v psi~(r))^2`` with ``T = sum_s w v psi~(r)``,
-    the weighted overflow; its mean is what the closed-form MSE drops.
+    the weighted overflow; its mean is what the closed-form MSE drops.  The
+    sampled values are copied C-ordered and each row is reduced by its own
+    dot product, as ``robust_estimate`` reduces one frame.
     """
     t = config.template
-    ybar_w, r = t.residuals(_generate_batch(config)[:, t.sampled])
+    ybar_w, r = t.residuals(np.ascontiguousarray(_generate_batch(config)[:, t.sampled]))
     wv = t.w * t.v
     overflow = r - np.clip(r, -c, c)
-    T = overflow @ wv
-    return (ybar_w - T - config.theta_true) ** 2, T**2 - overflow**2 @ wv**2
+    T = np.vecdot(overflow, wv)
+    return (ybar_w - T - config.theta_true) ** 2, T**2 - np.vecdot(overflow**2, wv**2)
 
 
 @dataclass(frozen=True)

@@ -437,6 +437,13 @@ class TestSimulate:
         assert "S_aa - h_k <= 0 for unit '1'" in capsys.readouterr().err
         assert not (tmp_path / "s.json").exists()
 
+    def test_repeated_contamination_unit_exit_3(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, contamination={"kind": "shift", "units": ["u1", "u1"],
+                                                          "delta": 2.0})
+        assert main(["simulate", "--config", str(cfg), "--out-prefix", str(tmp_path / "s")]) == 3
+        assert "contamination names units ['u1'] more than once" in capsys.readouterr().err
+        assert list(tmp_path.glob("s.*")) == []
+
     def test_overflowing_squared_errors_exit_3(self, tmp_path, capsys):
         frame = {"unit_id": ["1", "2", "3", "4"], "a": [1, 1, 1, 1], "sigma2": [1e307] * 4,
                  "sampled": [True, True, True, False]}

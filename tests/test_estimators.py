@@ -277,7 +277,6 @@ class TestRobustEstimate:
     @settings(max_examples=60, deadline=None)
     @given(large_layouts(), st.floats(0.0, 4.0))
     def test_matches_the_written_out_clip_bit_for_bit(self, layout, c):
-        # The estimator stays on the 1-D dot: a gemv row would round differently.
         try:
             fr = PopulationFrame(*layout)
         except EstimationError:

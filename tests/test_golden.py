@@ -49,7 +49,6 @@ CASES = {
     "calibrate_ht": ["calibrate", "--frame", "ht.csv", "--model", "ht", "--max-excess", "1e-5"],
     "calibrate_generous": ["calibrate", "--frame", "custom.csv", "--model", "custom",
                            "--max-excess", "1"],
-    # reps * n stays below OpenBLAS's gemv threading threshold (9216 elements).
     "simulate_clean": ["simulate", "--config", "sim_clean.json"],
     "simulate_shift": ["simulate", "--config", "sim_shift.json"],
 }

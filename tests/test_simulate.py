@@ -17,9 +17,12 @@ from robust_fps import (
     DegenerateFrameError,
     FrameTemplate,
     ModelValidationError,
+    RobustConfig,
     SimConfig,
+    classical_estimate,
     empirical_risk,
     g_clip,
+    robust_estimate,
 )
 import robust_fps.simulate as sim
 from robust_fps.simulate import _generate_batch, write_result_csv, write_result_json
@@ -180,6 +183,12 @@ class TestSimulateOnce:
     def test_contaminating_unsampled_unit_rejected(self):
         with pytest.raises(ModelValidationError):
             make_config(contamination=Contamination("substitution", units=("u5",), value=1.0))
+
+    def test_repeated_contamination_unit_rejected(self):
+        # A repeated unit would be perturbed once: the populations of naming it once.
+        for kind, param in (("shift", {"delta": 2.0}), ("substitution", {"value": 1.0})):
+            with pytest.raises(ModelValidationError, match=r"\['u1'\] more than once"):
+                Contamination(kind, units=("u1", "u2", "u1"), **param)
 
     def test_reps_below_two_rejected(self):
         with pytest.raises(ModelValidationError):
@@ -358,24 +367,8 @@ class TestEmpiricalRisk:
 class TestBlocks:
     """Replications run in blocks; the block size must not change a bit of the result."""
 
-    def test_block_rows_multiple_of_8_about_block_bytes(self):
-        for n_units in (6, 200, 1000, 10**6):
-            rows = sim._block_rows(n_units)
-            assert rows % 8 == 0 and rows >= 8
-            assert rows == 8 or rows * n_units * 8 <= sim._BLOCK_BYTES < (rows + 8) * n_units * 8
-
-    def test_lone_last_replication_joins_the_block_before(self):
-        assert sim._block_bounds(17, 8) == [(0, 8), (8, 17)]
-        assert sim._block_bounds(16, 8) == [(0, 8), (8, 16)]
-        assert sim._block_bounds(18, 8) == [(0, 8), (8, 16), (16, 18)]
-        assert sim._block_bounds(9, 64) == [(0, 9)]
-
-    # reps is a multiple of 8 or one more (1025, 129), which leaves one row
-    # after the last whole block of 8 and of 64; numpy sums a lone (1, n) row
-    # by another path once n exceeds 8.  At 1025 that row is a chunk of its
-    # own, one row at every block size.  Sizes stay below OpenBLAS's gemv
-    # threading threshold (9216 elements): a thread split off a 4-row
-    # boundary rounds differently.
+    # At 1025 reps the last replication is a chunk of its own, one row at
+    # every block size; at 129 it is a block of its own at 1, 8 and 64 rows.
     @pytest.mark.parametrize("config_kw", [
         {"reps": 1024},
         {"reps": 128, "template": make_template(N=60, n=40, a=np.linspace(0.5, 2.0, 60),
@@ -387,11 +380,35 @@ class TestBlocks:
     def test_block_size_does_not_change_the_result(self, monkeypatch, config_kw, extra_rep):
         config = make_config(**dict(config_kw, reps=config_kw["reps"] + extra_rep))
         results = []
-        for rows in (8, 64, 2048):
+        for rows in (1, 7, 8, 13, 64, 2048):
             monkeypatch.setattr(sim, "_block_rows", lambda n_units, rows=rows: rows)
             results.append(empirical_risk(config))
         for res in results[1:]:
             assert (res.rows, res.failures) == (results[0].rows, results[0].failures)
+
+    @pytest.mark.parametrize("rows", [1, 7, 13])
+    def test_each_replication_is_reduced_as_robust_estimate_reduces_its_frame(self, monkeypatch, rows):
+        # 300 reps leave a last block of 6 rows at 7 and of 1 row at 13.
+        # n = 150 takes numpy's pairwise sums past their 128-element leaf.
+        rng = np.random.default_rng(21)
+        N = 200
+        template = make_template(N=N, n=150, a=rng.uniform(0.5, 2.0, N), sigma2=rng.uniform(0.5, 2.0, N))
+        config = make_config(template=template, contamination=Contamination("shift", units=("u1", "u9"), delta=8.0),
+                             c_grid=(0.5, 1.0, 2.0), reps=300)
+        Y = _generate_batch(config)
+        frames = [template.with_y(y[template.sampled]) for y in Y]
+        ybar_pop = Y.mean(axis=1)
+        sq_classical = np.square([classical_estimate(fr) for fr in frames] - ybar_pop)
+        monkeypatch.setattr(sim, "_block_rows", lambda n_units: rows)
+        res = empirical_risk(config)
+        for row in res.rows:
+            ests = [robust_estimate(fr, RobustConfig(c=row.c)) for fr in frames]
+            sq_theta = np.square([e.theta_hat_R - config.theta_true for e in ests])
+            sq_pop = np.square([e.ybar_P_R for e in ests] - ybar_pop)
+            assert np.array_equal(theta_sq_error_and_cross(config, row.c)[0], sq_theta)
+            assert row.emp_mse_theta == sq_theta.mean()
+            assert row.emp_mse_pop == sq_pop.mean()
+            assert row.classical_mse == sq_classical.mean()
 
     def test_worker_count_does_not_change_the_result(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -495,8 +512,6 @@ class TestBlocks:
     def test_chunks_match_the_chunked_oracle(self, monkeypatch, rows):
         # Three chunks of 1024, 1024 and 9 replications, with failed ones in
         # the first and the last; blocks of 2048 rows stop at each chunk.
-        # n = 4 keeps the oracle's one (reps, n) gemv below OpenBLAS's
-        # threading threshold (9216 elements).
         rng = np.random.default_rng(rows)
         N = 7
         template = make_template(N=N, n=4, a=rng.uniform(0.5, 2.0, N), sigma2=rng.uniform(0.5, 2.0, N))
