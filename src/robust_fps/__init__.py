@@ -4,6 +4,10 @@ Clipped (limited-translation) estimators around a precision-weighted
 average, delete-one predictive influence diagnostics through Gaussian power
 divergences, closed-form risk with budget-based calibration of the clipping
 constant, and a reproducible Monte Carlo harness.
+
+The harness's names (``Contamination``, ``SimConfig``, ``SimResult``,
+``empirical_risk``) load ``robust_fps.simulate`` on first access, so that
+estimation alone never imports ``numpy.random`` or a thread pool.
 """
 
 from .divergence import (
@@ -40,12 +44,6 @@ from .risk import (
     max_excess_risk,
     mse_closed_form,
 )
-from .simulate import (
-    Contamination,
-    SimConfig,
-    SimResult,
-    empirical_risk,
-)
 
 __all__ = [
     "Contamination",
@@ -79,3 +77,17 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_SIMULATE_NAMES = ("Contamination", "SimConfig", "SimResult", "empirical_risk")
+
+
+def __getattr__(name):
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SIMULATE_NAMES))

@@ -7,13 +7,16 @@ corresponding library call returns.
 Exit codes: 0 success, 2 parse error (malformed CSV/JSON/flags), 3
 validation error (model invariants, degenerate frames, non-PD matrices),
 4 conflicting clipping flags.
+
+``simulate`` imports the Monte Carlo harness (``numpy.random``, a thread
+pool, later ``scipy.special``) in its own body, so the estimation
+subcommands start on numpy alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import dataio
@@ -22,7 +25,6 @@ from .errors import DegenerateFrameError, EstimationError
 from .estimators import RobustConfig, robust_estimate
 from .frame import classical_estimate
 from .risk import calibrate_c, mse_closed_form
-from .simulate import empirical_risk, write_result_csv, write_result_json
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -95,6 +97,8 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import empirical_risk, write_result_csv, write_result_json
+
     config = dataio.read_sim_config(args.config, args.seed)
     result = empirical_risk(config)
     write_result_json(result, args.out_prefix + ".json")
@@ -168,8 +172,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # JSONDecodeError is a ValueError, so the parse clause must come first.
-    except (dataio.CsvFormatError, dataio.ConfigSchemaError, json.JSONDecodeError, OSError) as exc:
+    # The parse errors are EstimationErrors too, so their clause must come first.
+    except (dataio.CsvFormatError, dataio.ConfigSchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (EstimationError, ValueError) as exc:

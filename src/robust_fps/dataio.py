@@ -1,9 +1,10 @@
 """File formats: frame CSV ingestion, report JSON emission, sim config parsing.
 
-Frame CSV: header row mandatory, UTF-8, '.' decimal point, one row per unit.
-Columns depend on the model family: ``unit_id,x,y`` (ratio, royall),
-``unit_id,pi,y`` (horvitz_thompson), ``unit_id,a,sigma2,y`` (custom).  An
-empty y cell (or the literal NA) marks an unsampled unit.
+Frame CSV: header row mandatory, UTF-8 (a leading byte order mark is
+skipped), '.' decimal point, one row per unit.  Columns depend on the model
+family: ``unit_id,x,y`` (ratio, royall), ``unit_id,pi,y``
+(horvitz_thompson), ``unit_id,a,sigma2,y`` (custom).  An empty y cell (or
+the literal NA) marks an unsampled unit.
 
 Reports are JSON objects with deterministic (insertion) key order; floats
 use Python's shortest round-trip representation.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -22,7 +23,9 @@ from .errors import EstimationError
 from .estimators import RobustEstimate
 from .frame import FAMILIES, FrameTemplate, ModelSpec, PopulationFrame, build_model
 from .risk import RiskReport
-from .simulate import CONTAMINATION_PARAMS, DEFAULT_REPS, Contamination, SimConfig
+
+if TYPE_CHECKING:
+    from .simulate import SimConfig
 
 #: The ``RobustEstimate`` fields of a report's ``robust`` object, in key order.
 _ROBUST_KEYS = ("theta_hat_R", "ybar_P_R", "c_used", "clipped_units", "scaling", "degenerate")
@@ -61,47 +64,51 @@ def read_frame_csv(path, family: str, sigma: float = 1.0) -> PopulationFrame:
     columns = FAMILIES[family][0]
     needed = ("unit_id",) + columns + ("y",)
 
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, None)
-        if header is None:
-            raise CsvFormatError("row 1: missing header row")
-        missing = [c for c in needed if c not in header]
-        if missing:
-            raise CsvFormatError(f"row 1: header lacks column(s) {missing}")
-        index = {name: i for i, name in enumerate(header)}
-        width = max(index[c] for c in needed) + 1
-        i_id, i_y = index["unit_id"], index["y"]
-        aux = {c: [] for c in columns}
-        aux_cells = [(index[c], aux[c]) for c in columns]
+    # utf-8-sig drops the byte order mark that spreadsheets write before the header.
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            rows = csv.reader(fh)
+            header = next(rows, None)
+            if header is None:
+                raise CsvFormatError("row 1: missing header row")
+            missing = [c for c in needed if c not in header]
+            if missing:
+                raise CsvFormatError(f"row 1: header lacks column(s) {missing}")
+            index = {name: i for i, name in enumerate(header)}
+            width = max(index[c] for c in needed) + 1
+            i_id, i_y = index["unit_id"], index["y"]
+            aux = {c: [] for c in columns}
+            aux_cells = [(index[c], aux[c]) for c in columns]
 
-        unit_id: list[str] = []
-        seen: set[str] = set()
-        sampled: list[bool] = []
-        y_sampled: list[float] = []
-        for row_num, row in enumerate(filter(None, rows), start=2):
-            if len(row) < width:
-                raise CsvFormatError(f"row {row_num}: fewer cells than header columns")
-            uid = row[i_id].strip()
-            if not uid:
-                raise CsvFormatError(f"row {row_num}, column 'unit_id': empty")
-            if uid in seen:
-                raise CsvFormatError(f"row {row_num}, column 'unit_id': duplicate {uid!r}")
-            seen.add(uid)
-            unit_id.append(uid)
-            y_raw = row[i_y].strip()
-            has_y = y_raw != "" and y_raw.upper() != "NA"
-            try:
-                for i, values in aux_cells:
-                    values.append(float(row[i].strip()))
-                if has_y:
-                    y_sampled.append(float(y_raw))
-            except ValueError:
-                # _parse_cell raises the message for the first cell float() rejected.
-                for c in columns:
-                    _parse_cell(row[index[c]].strip(), row_num, c)
-                _parse_cell(y_raw, row_num, "y")
-            sampled.append(has_y)
+            unit_id: list[str] = []
+            seen: set[str] = set()
+            sampled: list[bool] = []
+            y_sampled: list[float] = []
+            for row_num, row in enumerate(filter(None, rows), start=2):
+                if len(row) < width:
+                    raise CsvFormatError(f"row {row_num}: fewer cells than header columns")
+                uid = row[i_id].strip()
+                if not uid:
+                    raise CsvFormatError(f"row {row_num}, column 'unit_id': empty")
+                if uid in seen:
+                    raise CsvFormatError(f"row {row_num}, column 'unit_id': duplicate {uid!r}")
+                seen.add(uid)
+                unit_id.append(uid)
+                y_raw = row[i_y].strip()
+                has_y = y_raw != "" and y_raw.upper() != "NA"
+                try:
+                    for i, values in aux_cells:
+                        values.append(float(row[i].strip()))
+                    if has_y:
+                        y_sampled.append(float(y_raw))
+                except ValueError:
+                    # _parse_cell raises the message for the first cell float() rejected.
+                    for c in columns:
+                        _parse_cell(row[index[c]].strip(), row_num, c)
+                    _parse_cell(y_raw, row_num, "y")
+                sampled.append(has_y)
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
     if not unit_id:
         raise CsvFormatError("row 2: no data rows")
@@ -222,6 +229,15 @@ def _require(obj: dict, key: str, kind, pointer: str):
     return float(val) if kind is float else val
 
 
+def _reject_unknown(obj: dict, known: tuple, pointer: str) -> None:
+    """Raise for the first key of ``obj`` that is not in ``known``, the keys the schema reads."""
+    for key in obj:
+        if key not in known:
+            escaped = key.replace("~", "~0").replace("/", "~1")
+            raise ConfigSchemaError(f"{pointer}/{escaped}",
+                                    f"unknown field; expected one of {list(known)}")
+
+
 def _number_array(values: list, pointer: str) -> list[float]:
     for i, v in enumerate(values):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -238,10 +254,15 @@ def _id_array(values: list, pointer: str) -> list[str]:
 
 def sim_config_from_dict(doc: dict, seed_override: int | None = None) -> SimConfig:
     """Validate a sim config document; structural faults raise ConfigSchemaError
-    (with the offending path), value faults raise ModelValidationError."""
+    (with the offending path), value faults raise ModelValidationError.  A key
+    the schema does not read is a structural fault."""
+    from .simulate import CONTAMINATION_PARAMS, DEFAULT_REPS, Contamination, SimConfig
+
     if not isinstance(doc, dict):
         raise ConfigSchemaError("", "top level must be an object")
+    _reject_unknown(doc, ("frame", "theta_true", "c_grid", "reps", "seed", "contamination"), "")
     frame_doc = _require(doc, "frame", dict, "")
+    _reject_unknown(frame_doc, ("unit_id", "a", "sigma2", "sampled"), "/frame")
     ids = _id_array(_require(frame_doc, "unit_id", list, "/frame"), "/frame/unit_id")
     a = _number_array(_require(frame_doc, "a", list, "/frame"), "/frame/a")
     sigma2 = _number_array(_require(frame_doc, "sigma2", list, "/frame"), "/frame/sigma2")
@@ -261,13 +282,15 @@ def sim_config_from_dict(doc: dict, seed_override: int | None = None) -> SimConf
         raise ConfigSchemaError("/contamination", "expected an object")
     kind = _require(cont_doc, "kind", str, "/contamination")
     if kind == "none":
+        _reject_unknown(cont_doc, ("kind",), "/contamination")
         contamination = Contamination()
     else:
-        units = _id_array(_require(cont_doc, "units", list, "/contamination"),
-                          "/contamination/units")
         if kind not in CONTAMINATION_PARAMS:
             raise ConfigSchemaError("/contamination/kind", f"unknown kind {kind!r}")
         param = CONTAMINATION_PARAMS[kind]
+        _reject_unknown(cont_doc, ("kind", "units", param), "/contamination")
+        units = _id_array(_require(cont_doc, "units", list, "/contamination"),
+                          "/contamination/units")
         contamination = Contamination(kind=kind, units=units,
                                       **{param: _require(cont_doc, param, float, "/contamination")})
 
@@ -295,18 +318,35 @@ def read_sim_config(path, seed_override: int | None = None) -> SimConfig:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigSchemaError("", f"invalid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigSchemaError("", f"{path}: not UTF-8 text ({exc.reason})") from None
     return sim_config_from_dict(doc, seed_override)
 
 
-def _json_file(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        return np.asarray(json.load(fh), dtype=float)
+def _json_file(path, square: bool) -> np.ndarray:
+    """The JSON array of numbers in ``path``, or with ``square`` its square array of arrays."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            # parse_int=float: an integer too large for a float reads as inf, as float() does.
+            doc = json.load(fh, parse_int=float)
+    except json.JSONDecodeError as exc:
+        raise CsvFormatError(f"{path}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    rows = doc if square else [doc]
+    if not (isinstance(rows, list) and rows and all(
+        isinstance(row, list) and (not square or len(row) == len(rows))
+        and all(type(v) is float for v in row) for row in rows
+    )):
+        shape = "a square array of arrays of numbers" if square else "an array of numbers"
+        raise CsvFormatError(f"{path}: expected {shape}")
+    return np.array(doc, dtype=float)
 
 
 def parse_vector(text: str) -> np.ndarray:
     """Inline mean vector: comma-separated numbers, or @FILE with a JSON array."""
     if text.startswith("@"):
-        return _json_file(text[1:])
+        return _json_file(text[1:], square=False)
     try:
         return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
     except ValueError:
@@ -314,9 +354,9 @@ def parse_vector(text: str) -> np.ndarray:
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    """Inline covariance: rows split by ';', entries by ','; or @FILE JSON."""
+    """Inline covariance: rows split by ';', entries by ','; or @FILE with a square JSON array."""
     if text.startswith("@"):
-        return _json_file(text[1:])
+        return _json_file(text[1:], square=True)
     try:
         rows = [
             [float(tok) for tok in row.split(",") if tok.strip() != ""]

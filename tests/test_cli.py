@@ -148,6 +148,24 @@ class TestEstimate:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_non_utf8_frame_exit_2_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("unit_id,x,y\nu1,1,1\nZ\u00fcrich,1,2\nu3,1,\n".encode("latin-1"))
+        code = main(["estimate", "--frame", str(bad), "--model", "ratio", "--c", "1",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
+
+    def test_byte_order_mark_is_skipped(self, frame_csv, tmp_path):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + frame_csv.read_bytes())
+        outs = []
+        for path in (frame_csv, bom):
+            outs.append(tmp_path / f"{path.stem}.json")
+            assert main(["estimate", "--frame", str(path), "--model", "ratio", "--c", "1",
+                         "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_duplicate_unit_id_exit_2(self, tmp_path):
         bad = tmp_path / "dup.csv"
         bad.write_text("unit_id,x,y\nu1,1,1\nu1,2,2\nu3,1,\n")
@@ -429,6 +447,31 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out-prefix", str(tmp_path / "x")]) == 2
         assert "/frame/unit_id/1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, pointer", [
+        ({"rep": 10}, "/rep"),
+        ({"contamination": {"kind": "none", "units": ["u1"], "delta": 50.0}},
+         "/contamination/units"),
+        ({"contamination": {"kind": "shift", "units": ["u1"], "delta": 0.0, "detla": 50.0}},
+         "/contamination/detla"),
+        ({"contamination": {"kind": "substitution", "units": ["u1"], "value": 3.0,
+                            "delta": 1.0}}, "/contamination/delta"),
+        ({"frame": dict(SIM_CONFIG["frame"], y=[1, 2, 3])}, "/frame/y"),
+        ({"c/grid": [1.0]}, "/c~1grid"),
+    ], ids=["misspelt_reps", "units_on_none", "misspelt_delta", "other_kinds_param",
+            "frame_key", "pointer_escape"])
+    def test_unknown_key_exit_2_with_pointer(self, overrides, pointer, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, **overrides)
+        assert main(["simulate", "--config", str(cfg), "--out-prefix", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {pointer}: unknown field; expected one of")
+        assert list(tmp_path.glob("s.*")) == []
+
+    def test_non_utf8_config_exit_2_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(json.dumps(dict(SIM_CONFIG, theta_true="\u00e9"), ensure_ascii=False)
+                        .encode("latin-1"))
+        assert main(["simulate", "--config", str(cfg), "--out-prefix", str(tmp_path / "s")]) == 2
+        assert f"{cfg}: not UTF-8 text" in capsys.readouterr().err
+
     def test_dominated_precision_exit_3(self, tmp_path, capsys):
         frame = {"unit_id": ["1", "2", "3"], "a": [1e8, 1, 1], "sigma2": [1, 1, 1],
                  "sampled": [True, True, False]}
@@ -521,6 +564,34 @@ class TestDivergenceCommand:
         inv = np.linalg.inv(cov2)
         want = 0.5 * (np.trace(inv) - 2 + math.log(np.linalg.det(cov2)))
         assert val == pytest.approx(want, rel=1e-12)
+
+    def test_file_inputs_match_inline(self, tmp_path, capsys):
+        (tmp_path / "mu.json").write_text("[0, 0]")
+        (tmp_path / "cov.json").write_text("[[2, 0.3], [0.3, 1]]")
+        rest = ["--mu2", "0,0", "--cov2", "1,0;0,1", "--lambda", "0"]
+        assert main(["divergence", "--mu1", "0,0", "--cov1", "2,0.3;0.3,1", *rest]) == 0
+        inline = capsys.readouterr().out
+        assert main(["divergence", "--mu1", f"@{tmp_path / 'mu.json'}",
+                     "--cov1", f"@{tmp_path / 'cov.json'}", *rest]) == 0
+        assert capsys.readouterr().out == inline
+
+    @pytest.mark.parametrize("flag, content, message", [
+        ("--mu1", b'{"a": 1}', "expected an array of numbers"),
+        ("--mu1", b"[[1, 0], [0, 1]]", "expected an array of numbers"),
+        ("--mu1", b"[true, 0]", "expected an array of numbers"),
+        ("--cov1", b"[[1, 0, 0], [0, 1, 0]]", "expected a square array of arrays of numbers"),
+        ("--cov1", b"[1, 0]", "expected a square array of arrays of numbers"),
+        ("--cov1", b"[[1, 0], [0, 1]", "invalid JSON: "),
+        ("--cov1", b"[[1, 0], [0, \xff]]", "not UTF-8 text (invalid start byte)"),
+    ], ids=["object", "matrix_as_mean", "boolean", "not_square", "vector_as_cov",
+            "invalid_json", "not_utf8"])
+    def test_malformed_file_exit_2_names_the_file(self, flag, content, message, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_bytes(content)
+        argv = {"--mu1": "0,0", "--cov1": "1,0;0,1", "--mu2": "0,0", "--cov2": "1,0;0,1"}
+        argv[flag] = f"@{path}"
+        assert main(["divergence", *(x for kv in argv.items() for x in kv), "--lambda", "0"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
     def test_non_pd_exit_3_names_matrix(self, capsys):
         code = main([

@@ -1,9 +1,10 @@
 """What a fresh interpreter loads: the CLI starts on numpy alone.
 
-``estimate``, ``calibrate`` and ``diagnose`` never import scipy; only the
-dense ``divergence`` subcommand (``scipy.linalg``) and ``simulate``
-(``scipy.special.ndtri``) load it, on first use.  pytest's own process has
-long since imported scipy, so each check runs in a new interpreter.
+``estimate``, ``calibrate`` and ``diagnose`` never import scipy or the Monte
+Carlo harness (``robust_fps.simulate``, and with it ``numpy.random`` and a
+thread pool); only the dense ``divergence`` subcommand (``scipy.linalg``)
+and ``simulate`` load them, on first use.  pytest's own process has long
+since imported all of these, so each check runs in a new interpreter.
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ def _run(code: str, tmp_path) -> str:
     return proc.stdout
 
 
+#: Modules that only ``simulate`` and ``divergence`` need.
+UNLOADED = ("scipy", "robust_fps.simulate", "robust_fps.streams", "numpy.random",
+            "concurrent.futures")
+
+
 def test_estimate_calibrate_and_diagnose_leave_scipy_unloaded(tmp_path):
+    # The harness stays out too: no module of UNLOADED, nor a submodule of one, is loaded.
     out = _run(f"""
         import contextlib, io, sys
         import robust_fps.cli
@@ -41,9 +48,24 @@ def test_estimate_calibrate_and_diagnose_leave_scipy_unloaded(tmp_path):
         for argv in runs:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert robust_fps.cli.main(argv) == 0, argv
-        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        print(sorted(m for m in sys.modules if m.startswith({UNLOADED!r})))
     """, tmp_path)
     assert out.splitlines()[-1] == "[]"
+
+
+def test_package_resolves_the_harness_names_on_first_access(tmp_path):
+    out = _run("""
+        import sys
+        import robust_fps
+        assert "robust_fps.simulate" not in sys.modules
+        from robust_fps import Contamination, SimConfig, SimResult, empirical_risk
+        assert robust_fps.empirical_risk is robust_fps.simulate.empirical_risk
+        assert (Contamination, SimConfig, SimResult) == (
+            robust_fps.simulate.Contamination, robust_fps.simulate.SimConfig,
+            robust_fps.simulate.SimResult)
+        assert set(robust_fps.__all__) <= set(dir(robust_fps))
+    """, tmp_path)
+    assert out == ""
 
 
 def test_simulate_imports_ndtri_in_its_worker_threads(tmp_path):
