@@ -40,7 +40,7 @@ class ConfigSchemaError(EstimationError):
 
     def __init__(self, pointer: str, detail: str):
         self.pointer = pointer
-        super().__init__(f"{pointer}: {detail}")
+        super().__init__(f"{pointer}: {detail}" if pointer else detail)
 
 
 def _parse_cell(raw: str, row_num: int, column: str) -> float:
@@ -348,7 +348,7 @@ def parse_vector(text: str) -> np.ndarray:
     if text.startswith("@"):
         return _json_file(text[1:], square=False)
     try:
-        return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+        return np.array([float(tok) for tok in text.split(",")])
     except ValueError:
         raise CsvFormatError(f"cannot parse vector {text!r}") from None
 
@@ -358,12 +358,7 @@ def parse_matrix(text: str) -> np.ndarray:
     if text.startswith("@"):
         return _json_file(text[1:], square=True)
     try:
-        rows = [
-            [float(tok) for tok in row.split(",") if tok.strip() != ""]
-            for row in text.split(";")
-            if row.strip() != ""
-        ]
-        mat = np.array(rows, dtype=float)
+        mat = np.array([[float(tok) for tok in row.split(",")] for row in text.split(";")])
     except ValueError:
         raise CsvFormatError(f"cannot parse matrix {text!r}") from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:

@@ -8,31 +8,26 @@ finite population mean.  The harness also measures the cross moment of the
 residual overflows that the closed-form MSE treats as zero, so the accuracy
 of that formula can be quantified rather than assumed.
 
-Replication r draws from a counter-based substream derived from (seed, r);
-results are bit-identical however replications are scheduled.  Replications
-run in chunks of ``_CHUNK_REPS`` (1024), each split into blocks of about
-1 MiB of populations, so memory grows neither with reps times N nor with
-reps times the c grid.  A block is the unit of work, and the blocks are
-spread over one thread per CPU this process may run on (at most one per
-block).  Each thread allocates its buffers once per ``empirical_risk`` call
-and reuses them for every block it draws: one as wide as the counter blocks
-of a replication, into which it draws uniforms, then normals and
-populations, all in place (see ``streams`` for the uniform identity that
-needs no array of raw words), and two of (block, n) for the sampled values,
-the residuals and their overflows.  The thread reduces the block at once,
-while it is still in cache, to its per-replication finite flags, squared
-errors and cross moments, and writes them into its chunk's buffer.  Each
-row is reduced as ``robust_estimate`` reduces one frame (C-ordered row sums
-and one dot product per row), so a replication's values are bit for bit
-those of its own frame, whatever the block it falls in.  The thread that
-finishes a chunk's last block reduces the chunk to a count, a mean and a
-sum of squared deviations (M2), numpy's two-pass statistics over its finite
-replications, and returns the buffer for reuse.  After the last
-block the chunks are merged in order by the pairwise update of Chan, Golub
-& LeVeque (Am. Stat. 1983), so neither the block size, the thread count nor
-the reduction order can perturb the output; with at most 1024 replications
-it is numpy's two-pass mean and standard error.  Philox, ``ndtri`` and the
-dot products of the reduction release the GIL.
+Replication r draws from a counter-based substream derived from (seed, r),
+so results are bit-identical however replications are scheduled.  The unit
+of work is a chunk of ``_CHUNK_REPS`` (1024) consecutive replications, and
+one thread per CPU this process may run on (at most one per chunk) takes
+whole chunks, so a run of at most 1024 replications uses one thread.  The
+thread draws a chunk's populations in blocks of about 1 MiB into a block
+buffer, all in place (see ``streams`` for the uniform identity that needs no
+array of raw words), and reduces each block at once, while it is still in
+cache, into its chunk's buffer of per-replication finite flags, squared
+errors and cross moments.  Each row is reduced as ``robust_estimate``
+reduces one frame (C-ordered row sums and one dot product per row), so a
+replication's values are bit for bit those of its own frame.  The thread
+then reduces the chunk to a count, a mean and a sum of squared deviations
+(M2), numpy's two-pass statistics over its finite replications.  Its
+buffers are allocated once per ``empirical_risk`` call and reused for every
+chunk it takes.  The chunks are merged in order by the pairwise update of
+Chan, Golub & LeVeque (Am. Stat. 1983), so neither the block size nor the
+thread count can perturb the output; with at most 1024 replications it is
+numpy's two-pass mean and standard error.  Philox, ``ndtri`` and the dot
+products of the reduction release the GIL.
 """
 
 from __future__ import annotations
@@ -168,13 +163,13 @@ def ndtri(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return scipy.special.ndtri(u, out=out)
 
 
-def _workers(n_blocks: int) -> int:
-    """Threads for ``n_blocks`` blocks: one per CPU this process may use, at most one per block."""
+def _workers(n_chunks: int) -> int:
+    """Threads for ``n_chunks`` chunks: one per CPU this process may use, at most one per chunk."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         cpus = os.cpu_count() or 1
-    return min(cpus, n_blocks)
+    return min(cpus, n_chunks)
 
 
 def _generate_batch(
@@ -277,15 +272,13 @@ def empirical_risk(config: SimConfig) -> SimResult:
     rows).  The cross_term column is the empirical value of the pairwise
     overflow moment sum that the closed-form MSE drops.
 
-    Replications run in chunks of ``_CHUNK_REPS``, each split into blocks of
-    at most ``_block_rows(N)``; a block is realized in its worker thread's
-    one block buffer and reduced there, and a replication whose population
-    is not finite counts as a failure.  Each chunk's per-replication values
-    are reduced to their count, mean and M2 by the thread that finishes its
-    last block, and the chunks are merged in order (``_merge_moments``), so
-    with ``reps <= _CHUNK_REPS`` every mean and standard error is numpy's
-    two-pass one.  Memory is
-    O(threads * (block * N + _CHUNK_REPS * len(c_grid)) + reps / _CHUNK_REPS * len(c_grid)).
+    Each chunk of ``_CHUNK_REPS`` replications is drawn in blocks of at most
+    ``_block_rows(N)`` rows, reduced and turned into its count, mean and M2
+    (``_chunk_moments``) by one worker thread; a replication whose
+    population is not finite counts as a failure.  The chunks are merged in
+    order (``_merge_moments``), so with ``reps <= _CHUNK_REPS`` (one chunk,
+    one thread) every mean and standard error is numpy's two-pass one.
+    Memory is O(threads * (block * N + _CHUNK_REPS * len(c_grid)) + chunks * len(c_grid)).
     """
     t = config.template
     wv = t.w * t.v
@@ -293,67 +286,53 @@ def empirical_risk(config: SimConfig) -> SimResult:
     n_c, n = len(config.c_grid), t.n_sampled
     n_values = 1 + 3 * n_c  # per replication: sq_classical, then sq_theta, sq_pop and cross per c
     sampled_idx = np.flatnonzero(t.sampled)
-    chunks = [(lo, min(lo + _CHUNK_REPS, config.reps)) for lo in range(0, config.reps, _CHUNK_REPS)]
     step = _block_rows(t.n_units)
-    blocks = [(k, lo, min(lo + step, last)) for k, (first, last) in enumerate(chunks)
-              for lo in range(first, last, step)]
-    widest = max(hi - lo for _, lo, hi in blocks)
-    pending = Counter(k for k, _, _ in blocks)  # blocks of each chunk not yet reduced
-    moments = [None] * len(chunks)
-    open_chunks, free = {}, []  # each open chunk's value and flag buffers; buffers for reuse
-    lock = threading.Lock()
-    local = threading.local()  # each thread's buffers, reused for every block it draws
+    widest = min(step, _CHUNK_REPS, config.reps)
+    moments = [None] * -(-config.reps // _CHUNK_REPS)
+    local = threading.local()  # each thread's buffers, reused for every chunk it reduces
 
-    def reduce_block(block: tuple[int, int, int]) -> None:
-        k, lo, hi = block
-        first, last = chunks[k]
-        with lock:
-            if k not in open_chunks:
-                open_chunks[k] = free.pop() if free else (
-                    np.empty(n_values * _CHUNK_REPS), np.empty(_CHUNK_REPS, dtype=bool))
-            flat, finite = open_chunks[k]
-        values = flat[: n_values * (last - first)].reshape(n_values, last - first)
-        sq_classical = values[0]
-        sq_theta, sq_pop, cross = values[1:].reshape(3, n_c, last - first)
-        at, m = slice(lo - first, hi - first), hi - lo
+    def reduce_chunk(k: int) -> None:
+        first = k * _CHUNK_REPS
+        last = min(first + _CHUNK_REPS, config.reps)
         if not hasattr(local, "buffer"):
             local.buffer = np.empty((widest, 4 * _blocks(t.n_units)))
             local.ys, local.scratch = np.empty((widest, n)), np.empty((widest, n))
+            local.values, local.finite = np.empty(n_values * _CHUNK_REPS), np.empty(_CHUNK_REPS, dtype=bool)
+        values = local.values[: n_values * (last - first)].reshape(n_values, last - first)
+        finite = local.finite[: last - first]
+        sq_classical = values[0]
+        sq_theta, sq_pop, cross = values[1:].reshape(3, n_c, last - first)
         # errstate is per thread.  Squared errors and their sums can overflow
         # on finite draws; a row with a value outside float64 raises below.
         with np.errstate(over="ignore", invalid="ignore"):
-            Y = _generate_batch(config, lo, m, local.buffer[:m])
-            ybar_pop = Y.mean(axis=1)
-            # A row holding an inf or a NaN has no finite mean, and a finite
-            # row has one unless its sum overflows: only rows without a
-            # finite mean are scanned.
-            finite[at] = np.isfinite(ybar_pop)
-            for row in np.flatnonzero(~finite[at]).tolist():
-                finite[at.start + row] = np.isfinite(Y[row]).all()
-            # No (m, n) array is allocated per block: freed block-sized arrays
-            # move glibc's mmap and trim thresholds and cost page faults.
-            Ys, scratch = local.ys[:m], local.scratch[:m]
-            np.take(local.buffer[:m], sampled_idx, axis=1, out=Ys, mode="clip")
-            sum_ys = Ys.sum(axis=1)
-            ybar_w, r = t.residuals(Ys, out=Ys, scratch=scratch)
-            sq_classical[at] = (t.fill_in(sum_ys, ybar_w) - ybar_pop) ** 2
-            for j, c in enumerate(config.c_grid):
-                T = weighted_overflow(r, c, wv, out=scratch)[0]
-                theta_R = ybar_w - T
-                sq_theta[j, at] = (theta_R - config.theta_true) ** 2
-                sq_pop[j, at] = (t.fill_in(sum_ys, theta_R) - ybar_pop) ** 2
-                cross[j, at] = T**2 - np.vecdot(np.square(scratch, out=scratch), wv2)
-        with lock:
-            pending[k] -= 1
-            chunk_done = pending[k] == 0
-        if chunk_done:  # no other thread touches this chunk's buffers now
-            with np.errstate(over="ignore", invalid="ignore"):
-                moments[k] = _chunk_moments(values, finite[: last - first])
-            with lock:
-                free.append(open_chunks.pop(k))
+            for lo in range(first, last, step):
+                hi = min(lo + step, last)
+                at, m = slice(lo - first, hi - first), hi - lo
+                Y = _generate_batch(config, lo, m, local.buffer[:m])
+                ybar_pop = Y.mean(axis=1)
+                # A row holding an inf or a NaN has no finite mean, and a finite
+                # row has one unless its sum overflows: only rows without a
+                # finite mean are scanned.
+                finite[at] = np.isfinite(ybar_pop)
+                for row in np.flatnonzero(~finite[at]).tolist():
+                    finite[at.start + row] = np.isfinite(Y[row]).all()
+                # No (m, n) array is allocated per block: freed block-sized arrays
+                # move glibc's mmap and trim thresholds and cost page faults.
+                Ys, scratch = local.ys[:m], local.scratch[:m]
+                np.take(local.buffer[:m], sampled_idx, axis=1, out=Ys, mode="clip")
+                sum_ys = Ys.sum(axis=1)
+                ybar_w, r = t.residuals(Ys, out=Ys, scratch=scratch)
+                sq_classical[at] = (t.fill_in(sum_ys, ybar_w) - ybar_pop) ** 2
+                for j, c in enumerate(config.c_grid):
+                    T = weighted_overflow(r, c, wv, out=scratch)[0]
+                    theta_R = ybar_w - T
+                    sq_theta[j, at] = (theta_R - config.theta_true) ** 2
+                    sq_pop[j, at] = (t.fill_in(sum_ys, theta_R) - ybar_pop) ** 2
+                    cross[j, at] = T**2 - np.vecdot(np.square(scratch, out=scratch), wv2)
+            moments[k] = _chunk_moments(values, finite)
 
-    with ThreadPoolExecutor(_workers(len(blocks))) as pool:
-        list(pool.map(reduce_block, blocks))  # re-raises a worker's exception
+    with ThreadPoolExecutor(_workers(len(moments))) as pool:
+        list(pool.map(reduce_chunk, range(len(moments))))  # re-raises a worker's exception
     kept, mean, m2 = _merge_moments(moments)
     if kept < 2:
         raise ModelValidationError("fewer than 2 finite replications")

@@ -472,6 +472,18 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out-prefix", str(tmp_path / "s")]) == 2
         assert f"{cfg}: not UTF-8 text" in capsys.readouterr().err
 
+    def test_root_level_errors_print_without_a_pointer(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        try:
+            json.loads("{")
+        except json.JSONDecodeError as exc:
+            invalid = f"invalid JSON: {exc}"
+        for content, message in [(b"{", invalid), (b"\xff", f"{cfg}: not UTF-8 text (invalid start byte)"),
+                                 (b"[]", "top level must be an object")]:
+            cfg.write_bytes(content)
+            assert main(["simulate", "--config", str(cfg), "--out-prefix", str(tmp_path / "s")]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_dominated_precision_exit_3(self, tmp_path, capsys):
         frame = {"unit_id": ["1", "2", "3"], "a": [1e8, 1, 1], "sigma2": [1, 1, 1],
                  "sampled": [True, True, False]}
@@ -592,6 +604,15 @@ class TestDivergenceCommand:
         argv[flag] = f"@{path}"
         assert main(["divergence", *(x for kv in argv.items() for x in kv), "--lambda", "0"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+    @pytest.mark.parametrize("flag, text, kind", [
+        ("--mu1", "1,,2", "vector"), ("--mu1", "1,2,", "vector"), ("--cov1", "1,0;;0,1", "matrix"),
+    ], ids=["empty_token", "trailing_comma", "empty_row"])
+    def test_empty_inline_token_exit_2(self, flag, text, kind, capsys):
+        argv = {"--mu1": "0,0", "--cov1": "1,0;0,1", "--mu2": "0,0", "--cov2": "1,0;0,1"}
+        argv[flag] = text
+        assert main(["divergence", *(x for kv in argv.items() for x in kv), "--lambda", "0"]) == 2
+        assert capsys.readouterr().err == f"error: cannot parse {kind} {text!r}\n"
 
     def test_non_pd_exit_3_names_matrix(self, capsys):
         code = main([

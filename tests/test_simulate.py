@@ -410,12 +410,13 @@ class TestBlocks:
             assert row.emp_mse_pop == sq_pop.mean()
             assert row.classical_mse == sq_classical.mean()
 
-    def test_worker_count_does_not_change_the_result(self, monkeypatch):
+    # One chunk of 1000 replications; then two whole chunks and a chunk of 9.
+    @pytest.mark.parametrize("reps", [1000, 2 * sim._CHUNK_REPS + 9], ids=["one_chunk", "three_chunks"])
+    def test_worker_count_does_not_change_the_result(self, monkeypatch, reps):
         rng = np.random.default_rng(5)
         N = 1000
         template = make_template(N=N, n=100, a=rng.uniform(0.5, 2.0, N), sigma2=rng.uniform(0.5, 2.0, N))
-        # two whole blocks, then a block of 9 rows
-        reps = 2 * sim._block_rows(N) + 9
+        chunks = -(-reps // sim._CHUNK_REPS)
         config = make_config(template=template, contamination=Contamination("shift", units=("u1",), delta=6.0),
                              c_grid=(0.0, 1.0, 2.0), reps=reps)
         pools = []  # [max_workers, tasks] of each pool started
@@ -438,8 +439,8 @@ class TestBlocks:
                 _cpus(monkeypatch, cpus)
                 del pools[:]
                 results.append(empirical_risk(config))
-                # one pool per call, one thread per CPU and at most one per block
-                assert pools == [[min(cpus, 3), 3]]
+                # one pool per call, one thread per CPU and at most one per chunk
+                assert pools == [[min(cpus, chunks), chunks]]
         finally:
             sys.setswitchinterval(interval)
         for res in results[1:]:
@@ -530,8 +531,6 @@ class TestBlocks:
         monkeypatch.setattr(sim, "_block_rows", lambda n_units: rows)
         monkeypatch.setattr(sim, "_generate_batch", poisoned)
         results = []
-        # Threads share each chunk's pending-block count and the free list of
-        # chunk buffers: a lost update would drop or reduce a chunk early.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -594,8 +593,8 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         # one (reps, N) float64 matrix alone is 153 MiB; each thread holds one
-        # block buffer of 1 MiB, two (block, n) buffers and its reduction's
-        # temporaries, and each open chunk one buffer of its values
+        # block buffer of 1 MiB, two (block, n) buffers, its reduction's
+        # temporaries and one chunk's values
         assert peak <= 4 * 2**20
 
     def test_peak_memory_does_not_grow_with_reps(self, monkeypatch):

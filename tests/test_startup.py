@@ -9,6 +9,7 @@ since imported all of these, so each check runs in a new interpreter.
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 import subprocess
@@ -69,19 +70,22 @@ def test_package_resolves_the_harness_names_on_first_access(tmp_path):
 
 
 def test_simulate_imports_ndtri_in_its_worker_threads(tmp_path):
-    # 8-row blocks and 4 CPUs: the first ndtri call, and with it the import of
-    # scipy.special, happens in several worker threads at once.
-    out = _run(f"""
-        import os, sys
-        from robust_fps import simulate
-        from robust_fps.cli import main
-        os.sched_getaffinity = lambda pid: set(range(4))
-        simulate._BLOCK_BYTES = 8 * 12 * 8
-        assert simulate._workers(125) == 4
-        assert "scipy.special" not in sys.modules
-        assert main(["simulate", "--config", {str(DATA / "sim_shift.json")!r},
-                     "--out-prefix", "sim"]) == 0
-    """, tmp_path)
-    assert out == ""
+    # Four chunks on 4 CPUs: the first ndtri call, and with it the import of
+    # scipy.special, happens in several worker threads at once.  The output
+    # must be that of a run on one CPU.
+    doc = json.loads((DATA / "sim_shift.json").read_text())
+    doc["reps"] = 4 * 1024
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    for cpus in (4, 1):
+        out = _run(f"""
+            import os, sys
+            from robust_fps import simulate
+            from robust_fps.cli import main
+            os.sched_getaffinity = lambda pid: set(range({cpus}))
+            assert simulate._workers(4) == {cpus}
+            assert "scipy.special" not in sys.modules
+            assert main(["simulate", "--config", "config.json", "--out-prefix", "sim{cpus}"]) == 0
+        """, tmp_path)
+        assert out == ""
     for ext in (".json", ".csv"):
-        assert (tmp_path / f"sim{ext}").read_bytes() == (DATA / f"simulate_shift{ext}").read_bytes()
+        assert (tmp_path / f"sim4{ext}").read_bytes() == (tmp_path / f"sim1{ext}").read_bytes()
