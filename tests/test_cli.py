@@ -295,6 +295,56 @@ def test_overflow_on_finite_input_exit_3(command, text, tmp_path, capsys):
     assert not out.exists()
 
 
+# A cell longer than csv's default field size limit of 131 072 characters, in row 4.
+LONG_CELL_CSV = "unit_id,x,y\nu1,1,1\nu2,1,2\nu3," + "1" * 200_000 + ",\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["calibrate", "--max-excess", "0.01"], ["estimate", "--c", "1"], ["diagnose"],
+], ids=["calibrate", "estimate", "diagnose"])
+def test_cell_over_the_csv_field_limit_exit_2(command, tmp_path, capsys):
+    path = tmp_path / "frame.csv"
+    path.write_text(LONG_CELL_CSV)
+    out = tmp_path / "out.json"
+    argv = command + ["--frame", str(path), "--model", "ratio"]
+    if command[0] == "estimate":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: row 4: field larger than field limit (131072)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["1e200", "-1", "nan", "inf"])
+def test_ratio_sigma_without_a_finite_square_exit_3(sigma, frame_csv, capsys):
+    argv = ["calibrate", "--frame", str(frame_csv), "--model", "ratio", "--max-excess", "0.01",
+            f"--sigma={sigma}"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: ratio family needs sigma > 0 with a finite square\n"
+
+
+@pytest.mark.parametrize("model, text", [
+    (["ratio", "--sigma", "1e154"], "unit_id,x,y\nu1,2,1\nu2,1,2\nu3,1,\n"),
+    (["royall"], "unit_id,x,y\nu1,1e200,1\nu2,1,2\nu3,1,\n"),
+], ids=["ratio_sigma", "royall_x"])
+def test_family_map_overflow_exit_3(model, text, tmp_path, capsys):
+    path = tmp_path / "frame.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["calibrate", "--max-excess", "0.01", "--frame", str(path), "--model", *model]) == 3
+    assert capsys.readouterr().err == "error: sigma2 must be finite and > 0 for every unit\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_sampled_y_exit_3(value, tmp_path, capsys):
+    path = tmp_path / "frame.csv"
+    path.write_text(f"unit_id,x,y\nu1,1,1\nu2,2.0,{value}\nu3,1,\n")
+    assert main(["calibrate", "--max-excess", "0.01", "--frame", str(path), "--model", "ratio"]) == 3
+    assert capsys.readouterr().err == "error: missing or not finite y for sampled unit(s) ['u2']\n"
+
+
 class TestCalibrate:
     def test_generous_budget_prints_zero(self, frame_csv, capsys):
         big = 10.0 * max_excess_risk(five_unit_frame())

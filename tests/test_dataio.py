@@ -4,6 +4,7 @@ against ``json.dumps(report, indent=2)``."""
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,31 @@ def test_reader_matches_dictreader(csv_dir, case):
     family, text = case
     path = _write(csv_dir / "frame.csv", text)
     assert _outcome(read_frame_csv, path, family) == _outcome(read_frame_csv_dictreader, path, family)
+
+
+def test_reader_peak_memory_on_a_20000_row_frame(tmp_path):
+    """Packed columns and a dict of ids keep the traced peak near the frame's own size.
+
+    The frame is written as the benchmark writes its ratio frames.  Lists of
+    Python floats and sets of ids peaked at 5.55 MiB here.
+    """
+    rng = np.random.default_rng(0)
+    N, n = 20_000, 10_000
+    x = rng.gamma(4.0, 2.5, N) + 0.5
+    sampled = np.zeros(N, dtype=bool)
+    sampled[rng.choice(N, n, replace=False)] = True
+    y = 2.5 * x + np.sqrt(x) * rng.standard_normal(N)
+    lines = [f"u{i},{float(x[i])!r},{repr(float(y[i])) if sampled[i] else ''}\n" for i in range(N)]
+    path = _write(tmp_path / "frame.csv", "unit_id,x,y\n" + "".join(lines))
+    read_frame_csv(path, "ratio")  # the first call fills caches that later calls reuse
+    tracemalloc.start()
+    try:
+        frame = read_frame_csv(path, "ratio")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frame.n_units == N and frame.n_sampled == n
+    assert peak <= 3.5 * 2**20
 
 
 # --- report writer -----------------------------------------------------------

@@ -90,6 +90,14 @@ class TestBuildModel:
                 x=[1, 3], sampled=[True, True], y_sampled=[2.0],
             )
 
+    @pytest.mark.parametrize("sigma", [1e200, 1.5e154, -1.0, 0.0, np.nan, np.inf])
+    def test_ratio_sigma_without_a_finite_square_rejected(self, sigma):
+        with pytest.raises(ModelValidationError, match="ratio family needs sigma > 0"):
+            build_model(
+                ["1", "2"], ModelSpec("ratio", sigma=sigma),
+                x=[1, 3], sampled=[True, False], y_sampled=[2.0],
+            )
+
     def test_custom_passthrough(self):
         fr = build_model(
             ["1", "2"], ModelSpec("custom"),
@@ -199,6 +207,11 @@ class TestFrameTemplate:
     def test_near_dominated_layouts_name_the_unit(self, a1, sigma2_1):
         with pytest.raises(DegenerateFrameError, match="S_aa - h_k <= 0 for unit '1'"):
             FrameTemplate(("1", "2", "3"), [a1, 1, 1], [sigma2_1, 1, 1], [True, True, False])
+
+    @pytest.mark.parametrize("ids", [(1, 1.0, 2), (1, True, 2), (0.0, -0.0, 2)])
+    def test_ids_that_compare_equal_across_types_are_duplicates(self, ids):
+        with pytest.raises(ModelValidationError, match="^duplicate unit_id$"):
+            FrameTemplate(ids, [1, 1, 1], [1, 1, 1], [True, True, False])
 
     def test_prediction_needs_two_sampled_and_one_unsampled_unit(self):
         def layout(*sampled):
