@@ -165,19 +165,11 @@ def build_report(
     return report
 
 
-#: One diagnostics record as ``json.dumps(report, indent=2)`` writes it.
-_RECORD = (
-    "    {{\n"
-    '      "unit_id": {},\n'
-    '      "delta_k": {},\n'
-    '      "r_k": {},\n'
-    '      "v_k": {},\n'
-    '      "divergence_k": {},\n'
-    '      "flagged": {}\n'
-    "    }}"
-)
-_FLAGGED = {None: "null", True: "true", False: "false"}
+#: The keys of a diagnostics record, in ``build_report``'s order.
 _RECORD_KEYS = ("unit_id", "delta_k", "r_k", "v_k", "divergence_k", "flagged")
+#: A ``str.format`` template of one diagnostics record as ``json.dumps(report, indent=2)``
+#: writes it.  The keys are plain ASCII, so json writes each as itself in double quotes.
+_RECORD = "    {{\n" + ",\n".join('      "' + key + '": {}' for key in _RECORD_KEYS) + "\n    }}"
 
 
 def _diagnostics_json(records: list[dict]) -> str:
@@ -185,37 +177,43 @@ def _diagnostics_json(records: list[dict]) -> str:
 
     Each record must hold exactly ``_RECORD_KEYS``, in that order; any other
     record raises ``ValueError``, since ``_RECORD`` would write it unlike
-    ``json.dumps``.  Each column is turned into text by one ``json.dumps``
-    call, which raises on a non-finite float.
+    ``json.dumps``.  Every value must be a JSON scalar (a string, number,
+    bool or None), as ``influence`` and ``build_report`` always give.  Each
+    column is turned into text by one ``json.dumps`` call, which raises on a
+    non-finite float.
     """
     if not records:
         return "[]"
     for rec in records:
         if tuple(rec) != _RECORD_KEYS:
             raise ValueError(f"diagnostics record keys {tuple(rec)} are not {_RECORD_KEYS}")
-    # json escapes every newline inside a string, so "\n" splits only between ids.
-    ids = json.dumps([rec["unit_id"] for rec in records], separators=("\n", ":"))[1:-1].split("\n")
-    nums = [json.dumps([rec[key] for rec in records], allow_nan=False)[1:-1].split(", ")
-            for key in _RECORD_KEYS[1:5]]
-    flags = [_FLAGGED[rec["flagged"]] for rec in records]
-    return "[\n" + ",\n".join(map(_RECORD.format, ids, *nums, flags)) + "\n  ]"
+    # json escapes every newline inside a string, so "\n" splits only between scalars.
+    columns = [json.dumps([rec[key] for rec in records], allow_nan=False,
+                          separators=("\n", ":"))[1:-1].split("\n") for key in _RECORD_KEYS]
+    return "[\n" + ",\n".join(map(_RECORD.format, *columns)) + "\n  ]"
 
 
 def write_report(report: dict, path=None) -> None:
     """Write a report as indented JSON to ``path``, or to stdout when it is None.
 
     The text is ``json.dumps(report, indent=2, allow_nan=False)`` plus a
-    newline.  ``report`` is a ``build_report`` dict, whose last key is the
-    diagnostics list; its records are formatted directly rather than through
-    the pure-Python indenting encoder.  A non-finite float, or a record
-    whose keys are not ``build_report``'s in its order, raises
+    newline, for any dict with no ``diagnostics`` key and any dict whose last
+    key is ``diagnostics`` and whose records are as ``_diagnostics_json``
+    requires, as in every ``build_report`` dict.  The records are formatted
+    directly rather than through the pure-Python indenting encoder.  A
+    ``diagnostics`` key that is not the last key, a non-finite float, or a
+    record whose keys are not ``build_report``'s in its order raises
     ``ValueError`` before the file is opened.
     """
-    head = {k: v for k, v in report.items() if k != "diagnostics"}
-    text = json.dumps(head, indent=2, allow_nan=False)
-    if "diagnostics" in report:
-        diagnostics = _diagnostics_json(report["diagnostics"])
-        text = text[:-2] + f',\n  "diagnostics": {diagnostics}\n}}'
+    if "diagnostics" not in report:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    elif next(reversed(report)) != "diagnostics":
+        raise ValueError("a report's 'diagnostics' key must be its last key")
+    else:
+        records = _diagnostics_json(report["diagnostics"])
+        # A stand-in 0 for the records ends the text with "0\n}"; the records take its place.
+        text = json.dumps({**report, "diagnostics": 0}, indent=2, allow_nan=False)
+        text = text[:-3] + records + "\n}"
     text += "\n"
     if path is None:
         sys.stdout.write(text)

@@ -48,6 +48,16 @@ def _positive_array(name: str, values, N: int) -> np.ndarray:
     return arr
 
 
+def _place_y(y_sampled, sampled: np.ndarray, n: int) -> np.ndarray:
+    """A length-N ``y`` with ``y_sampled`` (unit order) at the ``n`` sampled units, NaN elsewhere."""
+    y_s = np.asarray(y_sampled, dtype=float)
+    if y_s.shape != (n,):
+        raise ModelValidationError(f"expected {n} sampled y values, got {y_s.shape}")
+    y = np.full(sampled.shape, np.nan)
+    y[sampled] = y_s
+    return y
+
+
 @dataclass(frozen=True)
 class FrameTemplate:
     """Population layout: unit ids, auxiliaries and sample membership, no values.
@@ -200,10 +210,12 @@ class FrameTemplate:
         return (sum_s_y + theta * self.sum_u_a) / self.n_units
 
     def with_y(self, y_sampled: Sequence[float]) -> "PopulationFrame":
-        """A frame on this layout with observed values on the sampled units (unit order)."""
-        y = np.full(self.n_units, np.nan)
-        y[self.sampled] = np.asarray(y_sampled, dtype=float)
-        return PopulationFrame(self.unit_id, self.a, self.sigma2, self.sampled, y)
+        """A frame on this layout with observed values on the sampled units (unit order).
+
+        Raises ``ModelValidationError`` unless one value is given per sampled unit.
+        """
+        return PopulationFrame(self.unit_id, self.a, self.sigma2, self.sampled,
+                               _place_y(y_sampled, self.sampled, self.n_sampled))
 
 
 @dataclass(frozen=True)
@@ -309,12 +321,7 @@ def build_model(
     with np.errstate(over="ignore"):
         a_arr, s2_arr = to_model(spec.sigma, *aux)
 
-    y_s = np.asarray(y_sampled, dtype=float)
-    if y_s.shape != (n,):
-        raise ModelValidationError(f"expected {n} sampled y values, got {y_s.shape}")
-    y = np.full(N, np.nan)
-    y[sampled_arr] = y_s
-    return PopulationFrame(unit_id, a_arr, s2_arr, sampled_arr, y)
+    return PopulationFrame(unit_id, a_arr, s2_arr, sampled_arr, _place_y(y_sampled, sampled_arr, n))
 
 
 def classical_estimate(frame: PopulationFrame) -> float:

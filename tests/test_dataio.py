@@ -8,11 +8,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robust_fps import EstimationError, PopulationFrame
-from robust_fps.dataio import build_report, read_frame_csv, write_report
+from robust_fps.cli import main
+from robust_fps.dataio import (
+    ConfigSchemaError,
+    CsvFormatError,
+    build_report,
+    parse_matrix,
+    read_frame_csv,
+    sim_config_from_dict,
+    write_report,
+)
 from robust_fps.divergence import influence
 from robust_fps.estimators import RobustEstimate
 from robust_fps.frame import FAMILIES
@@ -200,6 +209,50 @@ def test_write_report_matches_json_dumps(csv_dir, report):
     assert path.read_bytes() == (json.dumps(report, indent=2, allow_nan=False) + "\n").encode()
 
 
+_RECORD_KEYS = ("unit_id", "delta_k", "r_k", "v_k", "divergence_k", "flagged")
+_SCALARS = st.none() | st.booleans() | st.integers() | _FINITE | _UNIT_IDS
+
+
+@st.composite
+def hand_built_reports(draw):
+    """Dicts of JSON values with ``diagnostics`` at any position or absent.
+
+    Each record holds the report's six keys in order, with any JSON scalar
+    values; ``flagged`` may be None, a bool, an int or a string.
+    """
+    record = st.tuples(_UNIT_IDS, *[_FINITE | st.integers()] * 4, _SCALARS).map(
+        lambda values: dict(zip(_RECORD_KEYS, values)))
+    head = draw(st.dictionaries(st.text(max_size=6).filter(lambda key: key != "diagnostics"),
+                                _SCALARS | st.lists(_SCALARS, max_size=3), max_size=3))
+    if not draw(st.booleans()):
+        return head
+    keys = list(head)
+    keys.insert(draw(st.integers(0, len(keys))), "diagnostics")
+    records = draw(st.lists(record, max_size=4))
+    return {key: records if key == "diagnostics" else head[key] for key in keys}
+
+
+_ONE_RECORD = dict.fromkeys(_RECORD_KEYS[1:5], 0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_built_reports())
+@example({"diagnostics": []})
+@example({"diagnostics": [{"unit_id": "u1", **_ONE_RECORD, "flagged": 1}]})
+@example({"n": 3, "diagnostics": [{"unit_id": "u1", **_ONE_RECORD, "flagged": "yes"}]})
+@example({"diagnostics": [], "n": 3})
+def test_write_report_equals_json_dumps_or_rejects_before_opening(csv_dir, report):
+    path = csv_dir / "hand_built.json"
+    path.unlink(missing_ok=True)
+    if "diagnostics" in report and next(reversed(report)) != "diagnostics":
+        with pytest.raises(ValueError, match="'diagnostics' key must be its last key"):
+            write_report(report, path)
+        assert not path.exists()
+    else:
+        write_report(report, path)
+        assert path.read_bytes() == (json.dumps(report, indent=2, allow_nan=False) + "\n").encode()
+
+
 def test_write_report_flags_and_empty_diagnostics(tmp_path):
     records = [{"unit_id": "u1", "delta_k": 0.5, "r_k": -2.0, "v_k": 1.0, "divergence_k": 0.25},
                {"unit_id": "u2", "delta_k": -0.5, "r_k": 0.5, "v_k": 1.0, "divergence_k": 0.0}]
@@ -250,3 +303,63 @@ def test_influence_records_are_the_report_diagnostics():
         flagged = [{**rec, "flagged": abs(rec["r_k"]) > c} for rec in records]
         assert report["diagnostics"] == flagged
         assert all(type(rec["flagged"]) is bool for rec in report["diagnostics"])
+
+
+# --- sim config schema and inline matrices -----------------------------------
+
+_SIM_DOC = {
+    "frame": {"unit_id": ["u0", "u1", "u2", "u3"], "a": [1, 1, 1, 1], "sigma2": [1, 1, 1, 1],
+              "sampled": [True, True, False, False]},
+    "theta_true": 1.0, "c_grid": [0.0, 1.0], "reps": 100,
+}
+
+
+def _sim_doc(frame=None, **fields):
+    """``_SIM_DOC`` with ``frame`` fields and top-level ``fields`` replaced; a None field is dropped."""
+    doc = {**_SIM_DOC, "frame": {**_SIM_DOC["frame"], **(frame or {})}, **fields}
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+@pytest.mark.parametrize("doc, matrix, message", [
+    (_sim_doc(theta_true=None), None, "/theta_true: missing required field"),
+    (_sim_doc(frame={"a": [1, "2", 1, 1]}), None, "/frame/a/1: expected a number, got str"),
+    (_sim_doc(c_grid=[0.0, None]), None, "/c_grid/1: expected a number, got NoneType"),
+    (_sim_doc(frame={"sampled": [True, 1, False, False]}), None,
+     "/frame/sampled/1: expected true or false"),
+    (_sim_doc(frame={"sigma2": [1, 1, 1]}), None,
+     "/frame: unit_id, a, sigma2, sampled must have equal length"),
+    (_sim_doc(contamination="none"), None, "/contamination: expected an object"),
+    (_sim_doc(contamination={"kind": "drift", "units": ["u0"]}), None,
+     "/contamination/kind: unknown kind 'drift'"),
+    (None, "1,2,3;4,5,6", "matrix '1,2,3;4,5,6' is not square"),
+], ids=["missing_field", "string_in_numbers", "null_in_grid", "integer_flag", "unequal_lengths",
+        "contamination_not_object", "unknown_kind", "matrix_not_square"])
+def test_schema_errors_exit_2(doc, matrix, message, tmp_path, capsys):
+    if doc is not None:
+        with pytest.raises(ConfigSchemaError) as info:
+            sim_config_from_dict(doc)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["simulate", "--config", str(cfg), "--out-prefix", str(tmp_path / "s")]
+    else:
+        with pytest.raises(CsvFormatError) as info:
+            parse_matrix(matrix)
+        argv = ["divergence", "--mu1", "0,0", "--cov1", matrix, "--mu2", "0,0", "--cov2", "1,0;0,1",
+                "--lambda", "0.5"]
+    assert str(info.value) == message
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.glob("s.*")) == []
+
+
+def test_sim_config_without_a_seed_uses_seed_0(tmp_path):
+    assert "seed" not in _SIM_DOC
+    assert sim_config_from_dict(_SIM_DOC).seed == 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_SIM_DOC))
+    for prefix, flags in [("default", []), ("zero", ["--seed", "0"]), ("one", ["--seed", "1"])]:
+        argv = ["simulate", "--config", str(cfg), "--out-prefix", str(tmp_path / prefix)]
+        assert main(argv + flags) == 0
+    default = (tmp_path / "default.csv").read_bytes()
+    assert default == (tmp_path / "zero.csv").read_bytes() != (tmp_path / "one.csv").read_bytes()
+    assert json.loads((tmp_path / "default.json").read_text())["seed"] == 0

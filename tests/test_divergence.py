@@ -20,6 +20,7 @@ from robust_fps import (
     influence,
     symmetrized_divergence,
 )
+from robust_fps.cli import main
 
 from conftest import random_frame
 from oracles import divergence_mc_oracle, gaussian_log_pdf, posterior_predictive
@@ -436,3 +437,28 @@ class TestInfluenceOracles:
             assert len(recs) == n
             assert all(math.isfinite(r["divergence_k"]) and r["divergence_k"] >= 0 for r in recs)
             assert elapsed < 1.0
+
+
+_SPEC_1D = GaussianSpec(np.zeros(1), np.eye(1))
+
+
+@pytest.mark.parametrize("call, message, argv", [
+    (lambda: GaussianSpec(np.zeros(2), np.eye(1)), "cov shape (1, 1) does not match mean length 2",
+     ["--mu1", "0,0", "--cov1", "1", "--mu2", "0,0", "--cov2", "1,0;0,1", "--lambda", "0.5"]),
+    (lambda: GaussianSpec(np.array([math.nan]), np.eye(1)), "mu or cov has nonfinite entries",
+     ["--mu1", "nan", "--cov1", "1", "--mu2", "0", "--cov2", "1", "--lambda", "0.5"]),
+    (lambda: GaussianSpec(np.zeros(1), np.array([[math.inf]])), "mu or cov has nonfinite entries",
+     ["--mu1", "0", "--cov1", "1", "--mu2", "0", "--cov2", "inf", "--lambda", "0.5"]),
+    (lambda: divergence(_SPEC_1D, _SPEC_1D, math.nan), "order lam must be finite, got nan",
+     ["--mu1", "0", "--cov1", "1", "--mu2", "0", "--cov2", "1", "--lambda", "nan"]),
+    (lambda: symmetrized_divergence(_SPEC_1D, _SPEC_1D, -math.inf),
+     "order lam must be finite, got -inf",
+     ["--mu1", "0", "--cov1", "1", "--mu2", "0", "--cov2", "1", "--lambda=-inf",
+      "--symmetrized"]),
+], ids=["cov_shape", "nonfinite_mu", "nonfinite_cov", "nan_order", "infinite_order"])
+def test_undefined_divergence_errors_exit_3(call, message, argv, capsys):
+    with pytest.raises(DivergenceUndefinedError) as info:
+        call()
+    assert str(info.value) == message
+    assert main(["divergence", *argv]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")

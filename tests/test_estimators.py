@@ -359,3 +359,11 @@ class TestRobustConfig:
     def test_nonpositive_budget_rejected(self):
         with pytest.raises(ModelValidationError):
             RobustConfig(max_excess=0.0)
+
+
+@pytest.mark.parametrize("scaling", ["paper", "chambers", "PAPER_V", ""])
+def test_unknown_scaling_rejected_by_name(scaling):
+    # The CLI maps its --scaling choices to these names, so only the library can pass another.
+    with pytest.raises(ModelValidationError) as info:
+        RobustConfig(c=1.0, scaling=scaling)
+    assert str(info.value) == f"unknown scaling {scaling!r}"

@@ -1,5 +1,6 @@
 """Stream determinism, contamination mechanics, and empirical risk agreement."""
 
+import json
 import math
 import os
 import sys
@@ -24,6 +25,7 @@ from robust_fps import (
     g_clip,
     robust_estimate,
 )
+from robust_fps.cli import main
 import robust_fps.simulate as sim
 from robust_fps.simulate import _generate_batch, write_result_csv, write_result_json
 from robust_fps.streams import batch_rep_uniforms
@@ -680,3 +682,54 @@ class TestWriters:
         assert doc["seed"] == 12345
         assert doc["rows"][0]["c"] == 0.0
         assert doc["rows"][0]["emp_mse_theta"] == res.rows[0].emp_mse_theta
+
+
+#: The CLI form of ``make_config(reps=100, seed=1)``.
+_CLI_CONFIG = {
+    "frame": {"unit_id": [f"u{i}" for i in range(6)], "a": [1] * 6, "sigma2": [1] * 6,
+              "sampled": [True] * 3 + [False] * 3},
+    "theta_true": 1.0, "c_grid": [0.0, 1.0, 8.0], "reps": 100, "seed": 1,
+}
+
+
+@pytest.mark.parametrize("build, message, overrides", [
+    (lambda: Contamination(kind="none", units=("u0",)), "contamination 'none' takes no units",
+     None),
+    (lambda: Contamination(kind="drift", units=("u0",)), "unknown contamination kind 'drift'",
+     None),
+    (lambda: Contamination(kind="shift", delta=1.0), "contamination 'shift' needs target units",
+     {"contamination": {"kind": "shift", "units": [], "delta": 1.0}}),
+    (lambda: Contamination(kind="shift", units=("u0",)), "shift contamination needs a finite delta",
+     None),
+    (lambda: Contamination(kind="shift", units=("u0",), delta=math.nan),
+     "shift contamination needs a finite delta",
+     {"contamination": {"kind": "shift", "units": ["u0"], "delta": math.nan}}),
+    (lambda: Contamination(kind="variance_inflation", units=("u0",), factor=1.0),
+     "variance inflation needs factor > 1",
+     {"contamination": {"kind": "variance_inflation", "units": ["u0"], "factor": 1.0}}),
+    (lambda: Contamination(kind="substitution", units=("u0",), value=math.inf),
+     "substitution needs a finite value",
+     {"contamination": {"kind": "substitution", "units": ["u0"], "value": math.inf}}),
+    (lambda: make_config(theta_true=math.nan), "theta_true must be finite",
+     {"theta_true": math.nan}),
+    (lambda: make_config(c_grid=()), "c_grid must be nonempty with finite c >= 0",
+     {"c_grid": []}),
+    (lambda: make_config(c_grid=(1.0, -0.5)), "c_grid must be nonempty with finite c >= 0",
+     {"c_grid": [1.0, -0.5]}),
+    (lambda: make_config(seed=2**64), "seed must fit in 64 bits", {"seed": 2**64}),
+    (lambda: make_config(seed=-(2**63) - 1), "seed must fit in 64 bits", {"seed": -(2**63) - 1}),
+], ids=["units_on_none", "unknown_kind", "no_units", "no_delta", "nan_delta", "factor_one",
+        "infinite_value", "nan_theta", "empty_grid", "negative_c", "seed_too_large",
+        "seed_too_small"])
+def test_invalid_simulation_inputs_exit_3(build, message, overrides, tmp_path, capsys):
+    # The config schema rejects a units field on "none" and an unknown kind first, with exit 2.
+    with pytest.raises(ModelValidationError) as info:
+        build()
+    assert str(info.value) == message
+    if overrides is None:
+        return
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**_CLI_CONFIG, **overrides}))
+    assert main(["simulate", "--config", str(cfg), "--out-prefix", str(tmp_path / "s")]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.glob("s.*")) == []
