@@ -41,15 +41,19 @@ def _add_frame_flags(parser: argparse.ArgumentParser):
         "--model", required=True, choices=sorted(MODEL_NAMES), help="model family"
     )
     parser.add_argument(
-        "--sigma", type=float, default=1.0, help="scale for the ratio family (default 1)"
+        "--sigma", type=float, default=1.0, help="scale of every family's variances (default 1)"
     )
 
 
 def _load_frame(args):
-    """The frame of ``--frame`` under ``--model``, and the report's ``model`` block."""
-    family = MODEL_NAMES[args.model]
-    model = {"family": family, "sigma": args.sigma} if family == "ratio" else {"family": family}
-    return dataio.read_frame_csv(args.frame, family, sigma=args.sigma), model
+    """The frame of ``--frame`` under ``--model``, and the report's ``model`` block.
+
+    The block records ``sigma`` for the ratio family and for any family whose
+    ``sigma`` is not 1.
+    """
+    family, sigma = MODEL_NAMES[args.model], args.sigma
+    model = {"family": family} | ({"sigma": sigma} if family == "ratio" or sigma != 1 else {})
+    return dataio.read_frame_csv(args.frame, family, sigma=sigma), model
 
 
 def cmd_estimate(args) -> int:

@@ -4,7 +4,9 @@ Frame CSV: header row mandatory, UTF-8 (a leading byte order mark is
 skipped), '.' decimal point, one row per unit.  Columns depend on the model
 family: ``unit_id,x,y`` (ratio, royall), ``unit_id,pi,y``
 (horvitz_thompson), ``unit_id,a,sigma2,y`` (custom).  An empty y cell (or
-the literal NA) marks an unsampled unit.
+the literal NA) marks an unsampled unit.  Every family's variances are its
+base variances times ``sigma**2``, for the one scale ``sigma`` the reader is
+given.
 
 Reports are JSON objects with deterministic (insertion) key order; floats
 use Python's shortest round-trip representation.
@@ -54,7 +56,7 @@ def _parse_cell(raw: str, row_num: int, column: str) -> float:
 
 
 def read_frame_csv(path, family: str, sigma: float = 1.0) -> PopulationFrame:
-    """Load a frame CSV and map its auxiliaries through the given model family.
+    """Load a frame CSV and map its auxiliaries through ``family`` at scale ``sigma``.
 
     One streaming pass of ``csv.reader``.  The header is the first row; where
     a name repeats, its last column is read.  Blank lines are skipped and not
@@ -172,48 +174,45 @@ _RECORD_KEYS = ("unit_id", "delta_k", "r_k", "v_k", "divergence_k", "flagged")
 _RECORD = "    {{\n" + ",\n".join('      "' + key + '": {}' for key in _RECORD_KEYS) + "\n    }}"
 
 
-def _diagnostics_json(records: list[dict]) -> str:
-    """A ``build_report`` diagnostics list as ``json.dumps(..., indent=2)`` writes it at depth 1.
+def _template_json(report: dict) -> str | None:
+    """``json.dumps(report, indent=2, allow_nan=False)``, its diagnostics written from ``_RECORD``.
 
-    Each record must hold exactly ``_RECORD_KEYS``, in that order; any other
-    record raises ``ValueError``, since ``_RECORD`` would write it unlike
-    ``json.dumps``.  Every value must be a JSON scalar (a string, number,
-    bool or None), as ``influence`` and ``build_report`` always give.  Each
-    column is turned into text by one ``json.dumps`` call, which raises on a
-    non-finite float.
+    The template writes a last key ``diagnostics`` whose value is a non-empty
+    list of dicts that each hold exactly ``_RECORD_KEYS``, in that order,
+    with JSON scalar values (a string, number, bool or None), as
+    ``build_report`` always gives; for any other report this returns None.
+    Each column is turned into text by one ``json.dumps`` call, which raises
+    on a non-finite float, so the records skip the pure-Python indenting
+    encoder.
     """
-    if not records:
-        return "[]"
-    for rec in records:
-        if tuple(rec) != _RECORD_KEYS:
-            raise ValueError(f"diagnostics record keys {tuple(rec)} are not {_RECORD_KEYS}")
-    # json escapes every newline inside a string, so "\n" splits only between scalars.
-    columns = [json.dumps([rec[key] for rec in records], allow_nan=False,
-                          separators=("\n", ":"))[1:-1].split("\n") for key in _RECORD_KEYS]
-    return "[\n" + ",\n".join(map(_RECORD.format, *columns)) + "\n  ]"
+    records = report["diagnostics"] if next(reversed(report), None) == "diagnostics" else None
+    if not (isinstance(records, list) and records
+            and all(isinstance(rec, dict) and tuple(rec) == _RECORD_KEYS for rec in records)):
+        return None
+    columns = []
+    for key in _RECORD_KEYS:
+        values = [rec[key] for rec in records]
+        text = json.dumps(values, allow_nan=False, separators=("\n", ":"))[1:-1]
+        # Only a list or dict value, or a string that holds a bracket, puts "[" or "{" in the text.
+        if ("[" in text or "{" in text) and any(isinstance(v, (list, tuple, dict)) for v in values):
+            return None
+        # json escapes every newline inside a string, so "\n" splits only between scalars.
+        columns.append(text.split("\n"))
+    del values, text  # the last column's, which the report text below does not need
+    # A stand-in 0 for the records ends the text with "0\n}"; the records take its place.
+    head = json.dumps({**report, "diagnostics": 0}, indent=2, allow_nan=False)
+    return head[:-3] + "[\n" + ",\n".join(map(_RECORD.format, *columns)) + "\n  ]\n}"
 
 
 def write_report(report: dict, path=None) -> None:
     """Write a report as indented JSON to ``path``, or to stdout when it is None.
 
     The text is ``json.dumps(report, indent=2, allow_nan=False)`` plus a
-    newline, for any dict with no ``diagnostics`` key and any dict whose last
-    key is ``diagnostics`` and whose records are as ``_diagnostics_json``
-    requires, as in every ``build_report`` dict.  The records are formatted
-    directly rather than through the pure-Python indenting encoder.  A
-    ``diagnostics`` key that is not the last key, a non-finite float, or a
-    record whose keys are not ``build_report``'s in its order raises
-    ``ValueError`` before the file is opened.
+    newline, for every dict; ``_template_json`` writes it faster for every
+    ``build_report`` dict.  A non-finite float raises ``ValueError`` before
+    the file is opened.
     """
-    if "diagnostics" not in report:
-        text = json.dumps(report, indent=2, allow_nan=False)
-    elif next(reversed(report)) != "diagnostics":
-        raise ValueError("a report's 'diagnostics' key must be its last key")
-    else:
-        records = _diagnostics_json(report["diagnostics"])
-        # A stand-in 0 for the records ends the text with "0\n}"; the records take its place.
-        text = json.dumps({**report, "diagnostics": 0}, indent=2, allow_nan=False)
-        text = text[:-3] + records + "\n}"
+    text = _template_json(report) or json.dumps(report, indent=2, allow_nan=False)
     text += "\n"
     if path is None:
         sys.stdout.write(text)

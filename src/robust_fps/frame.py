@@ -8,12 +8,16 @@ average ``ybar_w``; plugging it into the unsampled part of the population
 gives the baseline (non-robust) estimate of the finite population mean.
 
 The model families are the rows of one table, ``FAMILIES``: each names its
-auxiliary columns and maps them to ``(a, sigma2)``.  With ``a_i = x_i`` and
-``sigma2_i = sigma^2 * x_i`` the baseline estimate is the classical ratio
-estimator; with ``a_i = x_i`` and ``sigma2_i = x_i^2`` it averages the unit
-ratios ``y_i / x_i``; with ``a_i = pi_i`` and ``sigma2_i = pi_i^2 / (1 - pi_i)``
-it reproduces the Horvitz-Thompson estimator exactly; ``custom`` reads ``a``
-and ``sigma2`` as given.
+auxiliary columns and maps them to ``a`` and a base variance, and every
+family's ``sigma2_i = sigma^2 * base_i`` for one scale ``sigma`` (default 1).
+With ``a_i = x_i`` and ``base_i = x_i`` the baseline estimate is the classical
+ratio estimator; with ``a_i = x_i`` and ``base_i = x_i^2`` it averages the
+unit ratios ``y_i / x_i``; with ``a_i = pi_i`` and
+``base_i = pi_i^2 / (1 - pi_i)`` it reproduces the Horvitz-Thompson estimator
+exactly; ``custom`` reads ``a`` and ``base = sigma2`` as given.  Scaling every
+``sigma2`` by ``s^2`` leaves ``w`` alone and scales every ``v`` by ``s``, so
+the baseline estimate does not depend on ``sigma``, and the clipped one at
+``y -> s*y`` and ``sigma -> s*sigma`` scales by ``s``.
 """
 
 from __future__ import annotations
@@ -29,12 +33,12 @@ from .errors import DegenerateFrameError, ModelValidationError
 HT_PI_SUM_TOL = 1e-9
 
 #: Each model family: its auxiliary columns in frame CSV order, and the map
-#: ``(sigma, *aux) -> (a, sigma2)``.  Only ``ratio`` reads ``sigma``.
+#: ``*aux -> (a, base)``; ``build_model`` sets ``sigma2 = sigma**2 * base``.
 FAMILIES = {
-    "ratio": (("x",), lambda sigma, x: (x, sigma**2 * x)),
-    "royall": (("x",), lambda sigma, x: (x, x**2)),
-    "horvitz_thompson": (("pi",), lambda sigma, pi: (pi, pi**2 / (1.0 - pi))),
-    "custom": (("a", "sigma2"), lambda sigma, a, sigma2: (a, sigma2)),
+    "ratio": (("x",), lambda x: (x, x)),
+    "royall": (("x",), lambda x: (x, x**2)),
+    "horvitz_thompson": (("pi",), lambda pi: (pi, pi**2 / (1.0 - pi))),
+    "custom": (("a", "sigma2"), lambda a, sigma2: (a, sigma2)),
 }
 
 
@@ -271,7 +275,7 @@ class PopulationFrame(FrameTemplate):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Auxiliary-to-(a, sigma2) mapping for one of the named model families."""
+    """One of the named model families and the scale ``sigma`` of its variances."""
 
     family: Literal["ratio", "royall", "horvitz_thompson", "custom"]
     sigma: float = 1.0
@@ -280,8 +284,8 @@ class ModelSpec:
         if self.family not in FAMILIES:
             raise ModelValidationError(f"unknown family {self.family!r}")
         # sigma**2 raises OverflowError above about 1.34e154; sigma * sigma gives inf.
-        if self.family == "ratio" and not (self.sigma > 0 and np.isfinite(self.sigma * self.sigma)):
-            raise ModelValidationError("ratio family needs sigma > 0 with a finite square")
+        if not (self.sigma > 0 and np.isfinite(self.sigma * self.sigma)):
+            raise ModelValidationError(f"{self.family} family needs sigma > 0 with a finite square")
 
 
 def build_model(
@@ -297,7 +301,9 @@ def build_model(
 ) -> PopulationFrame:
     """Map family auxiliaries to (a_i, sigma2_i) through ``FAMILIES`` and assemble a frame.
 
-    ``y_sampled`` lists observed values for the sampled units, in unit order.
+    Every family's ``sigma2_i`` is ``spec.sigma**2`` times its base variance;
+    at ``sigma = 1`` that product is exact.  ``y_sampled`` lists observed
+    values for the sampled units, in unit order.
     """
     unit_id = tuple(unit_id)
     N = len(unit_id)
@@ -319,7 +325,8 @@ def build_model(
             )
     # An a or sigma2 that overflows is left inf, for FrameTemplate to reject.
     with np.errstate(over="ignore"):
-        a_arr, s2_arr = to_model(spec.sigma, *aux)
+        a_arr, base = to_model(*aux)
+        s2_arr = spec.sigma**2 * base
 
     return PopulationFrame(unit_id, a_arr, s2_arr, sampled_arr, _place_y(y_sampled, sampled_arr, n))
 

@@ -111,6 +111,16 @@ class RiskReport:
     clipping_penalty: float
 
 
+def _clipping_excess(layout: FrameTemplate, g: float) -> float:
+    """The clipping penalty ``sum_w2v2 * g * (sum_u a)^2 / N^2``, in one order of operations.
+
+    ``mse_closed_form`` and ``calibrate_c`` both compute it here, so the c
+    that calibration returns is within budget bit for bit.
+    """
+    # sum_u_a * sum_u_a overflows to inf; Python's ** would raise OverflowError.
+    return layout.sum_w2v2 * g * (layout.sum_u_a * layout.sum_u_a) / layout.n_units**2
+
+
 def mse_closed_form(layout: FrameTemplate, c: float) -> RiskReport:
     """Closed-form model MSE of the robust estimate, split into its three parts.
 
@@ -129,7 +139,7 @@ def mse_closed_form(layout: FrameTemplate, c: float) -> RiskReport:
     unseen = layout.sum_u_sigma2 / N**2
     # sum_au * sum_au overflows to inf; Python's ** would raise OverflowError.
     estimation = (sum_au * sum_au / layout.S_aa) / N**2
-    penalty = layout.sum_w2v2 * g * (sum_au * sum_au) / N**2
+    penalty = _clipping_excess(layout, g)
     baseline = unseen + estimation
     if not math.isfinite(baseline + penalty):
         raise ModelValidationError("the model MSE of this layout overflows float64")
@@ -173,15 +183,10 @@ def calibrate_c(layout: FrameTemplate, max_excess: float) -> float:
         raise ValueError("max_excess must be finite and > 0")
     if max_excess >= max_excess_risk(layout):
         return 0.0
-    # The excess as mse_closed_form computes it, in its order of operations.
-    sum_w2v2, sum_au2, N2 = layout.sum_w2v2, layout.sum_u_a * layout.sum_u_a, layout.n_units**2
-
-    def excess(c: float) -> float:
-        return sum_w2v2 * g_clip(c) * sum_au2 / N2
-
     # Where the excess, or its first product sum_w2v2 * g, would be below the
     # smallest normal float, it keeps too few digits to be compared.
-    floor = max(excess(C_NORMAL), sys.float_info.min * max(1.0, sum_au2 / N2))
+    au2_N2 = layout.sum_u_a * layout.sum_u_a / layout.n_units**2
+    floor = max(_clipping_excess(layout, g_clip(C_NORMAL)), sys.float_info.min * max(1.0, au2_N2))
     if floor > max_excess:
         raise ModelValidationError(
             f"max_excess {max_excess!r} is below the smallest attainable excess "
@@ -193,7 +198,7 @@ def calibrate_c(layout: FrameTemplate, max_excess: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if excess(mid) > max_excess:
+        if _clipping_excess(layout, g_clip(mid)) > max_excess:
             lo = mid
         else:
             hi = mid

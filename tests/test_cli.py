@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -17,8 +18,10 @@ from robust_fps import (
     robust_estimate,
 )
 from robust_fps import dataio
-from robust_fps.cli import main
+from robust_fps.cli import MODEL_NAMES, main
+from robust_fps.frame import FAMILIES
 
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 FIVE_UNIT_CSV = """unit_id,x,y
 u1,1,0
 u2,1,0
@@ -316,12 +319,52 @@ def test_cell_over_the_csv_field_limit_exit_2(command, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sigma", ["1e200", "-1", "nan", "inf"])
-def test_ratio_sigma_without_a_finite_square_exit_3(sigma, frame_csv, capsys):
-    argv = ["calibrate", "--frame", str(frame_csv), "--model", "ratio", "--max-excess", "0.01",
+@pytest.mark.parametrize("model, sigma", [
+    pytest.param(model, sigma, id=sigma if model == "ratio" else f"{model}-{sigma}")
+    for model in ("ratio", "ht", "royall", "custom") for sigma in ["1e200", "-1", "nan", "inf"]
+])
+def test_ratio_sigma_without_a_finite_square_exit_3(model, sigma, frame_csv, capsys):
+    frame = {"ht": GOLDEN / "ht.csv", "custom": GOLDEN / "custom.csv"}.get(model, frame_csv)
+    argv = ["calibrate", "--frame", str(frame), "--model", model, "--max-excess", "0.01",
             f"--sigma={sigma}"]
     assert main(argv) == 3
-    assert capsys.readouterr().err == "error: ratio family needs sigma > 0 with a finite square\n"
+    family = MODEL_NAMES[model]
+    assert capsys.readouterr().err == f"error: {family} family needs sigma > 0 with a finite square\n"
+
+
+def test_every_family_has_a_model_name():
+    assert set(MODEL_NAMES.values()) == set(FAMILIES)
+
+
+def _ht_report(tmp_path, y_factor, sigma):
+    """``estimate --model ht --c 1.5`` on the HT golden frame with every y times ``y_factor``."""
+    header, *rows = (GOLDEN / "ht.csv").read_text().splitlines()
+    lines = [header]
+    for row in rows:
+        uid, pi, y = row.split(",")
+        lines.append(f"{uid},{pi},{y and repr(y_factor * float(y))}")
+    path = tmp_path / f"ht_{y_factor}_{sigma}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / f"ht_{y_factor}_{sigma}.json"
+    argv = ["estimate", "--frame", str(path), "--model", "ht", "--c", "1.5", "--out", str(out)]
+    assert main(argv + ["--sigma", sigma]) == 0
+    return json.loads(out.read_text())
+
+
+def test_ht_frame_in_other_units_at_the_matching_sigma(tmp_path):
+    base = _ht_report(tmp_path, 1, "1")
+    scaled = _ht_report(tmp_path, 8, "8")
+    assert base["model"] == {"family": "horvitz_thompson"}
+    assert scaled["model"] == {"family": "horvitz_thompson", "sigma": 8.0}
+    assert scaled["classical"] == 8 * base["classical"]
+    for key in ("theta_hat_R", "ybar_P_R"):
+        assert scaled["robust"][key] == 8 * base["robust"][key]
+    assert scaled["robust"]["clipped_units"] == base["robust"]["clipped_units"]
+    assert len(base["robust"]["clipped_units"]) == 1
+    assert scaled["risk"]["mse_robust"] == 64 * base["risk"]["mse_robust"]
+    assert [rec["r_k"] for rec in scaled["diagnostics"]] == [rec["r_k"] for rec in base["diagnostics"]]
+    # At the default scale the same values in other units clip 8 of the 14 sampled units.
+    assert len(_ht_report(tmp_path, 8, "1")["robust"]["clipped_units"]) == 8
 
 
 @pytest.mark.parametrize("model, text", [

@@ -11,12 +11,24 @@ from robust_fps import (
     ModelSpec,
     ModelValidationError,
     PopulationFrame,
+    RobustConfig,
     build_model,
+    calibrate_c,
     classical_estimate,
+    max_excess_risk,
+    mse_closed_form,
+    robust_estimate,
 )
+from robust_fps.frame import FAMILIES
+from robust_fps.risk import C_NORMAL
 
 from conftest import frames, random_frame
 from oracles import posterior_predictive
+
+
+#: Auxiliaries of a two-unit frame with one unit sampled, for each family.
+_AUX = {"ratio": {"x": [1, 3]}, "royall": {"x": [1, 3]}, "horvitz_thompson": {"pi": [0.5, 0.5]},
+        "custom": {"a": [1, 3], "sigma2": [1, 3]}}
 
 
 class TestBuildModel:
@@ -90,12 +102,15 @@ class TestBuildModel:
                 x=[1, 3], sampled=[True, True], y_sampled=[2.0],
             )
 
-    @pytest.mark.parametrize("sigma", [1e200, 1.5e154, -1.0, 0.0, np.nan, np.inf])
-    def test_ratio_sigma_without_a_finite_square_rejected(self, sigma):
-        with pytest.raises(ModelValidationError, match="ratio family needs sigma > 0"):
+    @pytest.mark.parametrize("family, sigma", [
+        pytest.param(family, sigma, id=str(sigma) if family == "ratio" else f"{family}-{sigma}")
+        for family in FAMILIES for sigma in [1e200, 1.5e154, -1.0, 0.0, np.nan, np.inf]
+    ])
+    def test_ratio_sigma_without_a_finite_square_rejected(self, family, sigma):
+        with pytest.raises(ModelValidationError, match=f"^{family} family needs sigma > 0"):
             build_model(
-                ["1", "2"], ModelSpec("ratio", sigma=sigma),
-                x=[1, 3], sampled=[True, False], y_sampled=[2.0],
+                ["1", "2"], ModelSpec(family, sigma=sigma), sampled=[True, False], y_sampled=[2.0],
+                **_AUX[family],
             )
 
     def test_custom_passthrough(self):
@@ -105,6 +120,74 @@ class TestBuildModel:
         )
         assert np.allclose(fr.a, [1.5, 2.5])
         assert np.allclose(fr.sigma2, [0.5, 0.7])
+
+
+def _family_layout(family, N=40, n=15, seed=26):
+    """Unit ids, auxiliaries, sampled flags and sampled ``y`` for ``family``; two units are outliers."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.5, 3.0, N)
+    sampled = np.arange(N) < n
+    if family == "horvitz_thompson":
+        x = n * x / x.sum()
+        aux = {"pi": x}
+    elif family == "custom":
+        aux = {"a": x, "sigma2": rng.uniform(0.2, 2.0, N)}
+    else:
+        aux = {"x": x}
+    y = 2.0 * x[sampled] + 0.3 * rng.standard_normal(n)
+    y[:2] += [4.0, -3.0]
+    return [f"u{i}" for i in range(N)], aux, sampled, y
+
+
+#: ``(a, sigma2)`` of each family before ``sigma2 = sigma**2 * base`` was applied to every family.
+_OLD_MAPS = {
+    "ratio": lambda sigma, x: (x, sigma**2 * x),
+    "royall": lambda sigma, x: (x, x**2),
+    "horvitz_thompson": lambda sigma, pi: (pi, pi**2 / (1.0 - pi)),
+    "custom": lambda sigma, a, sigma2: (a, sigma2),
+}
+
+
+class TestScaleFactor:
+    """``sigma2 = sigma**2 * base`` for every family: a power-of-two scale moves no bit."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_sigma_one_keeps_the_old_bits(self, family):
+        ids, aux, sampled, y = _family_layout(family)
+        fr = build_model(ids, ModelSpec(family), sampled=sampled, y_sampled=y, **aux)
+        a, sigma2 = _OLD_MAPS[family](1.0, *(np.asarray(aux[c]) for c in FAMILIES[family][0]))
+        assert fr.a.tobytes() == np.asarray(a, dtype=float).tobytes()
+        assert fr.sigma2.tobytes() == np.asarray(sigma2, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_y_and_sigma_times_a_power_of_two(self, family):
+        ids, aux, sampled, y = _family_layout(family)
+        c = 1.2
+
+        def answers(j):
+            s = 2.0**j
+            fr = build_model(ids, ModelSpec(family, sigma=s), sampled=sampled, y_sampled=s * y,
+                             **aux)
+            robust = robust_estimate(fr, RobustConfig(c=c))
+            return fr, robust, classical_estimate(fr), mse_closed_form(fr, c)
+
+        fr0, robust0, classical0, risk0 = answers(0)
+        assert 0 < len(robust0.clipped_units) < fr0.n_sampled
+        budget = 0.3 * max_excess_risk(fr0)
+        c0 = calibrate_c(fr0, budget)
+        assert 0 < c0 < C_NORMAL
+        for j in range(-3, 4):
+            fr, robust, classical, risk = answers(j)
+            s, s2 = 2.0**j, 4.0**j
+            assert robust.theta_hat_R == s * robust0.theta_hat_R
+            assert robust.ybar_P_R == s * robust0.ybar_P_R
+            assert robust.clipped_units == robust0.clipped_units
+            assert classical == s * classical0
+            for name in ("mse_robust", "mse_baseline", "excess", "unseen_variance",
+                         "estimation_variance", "clipping_penalty"):
+                assert getattr(risk, name) == s2 * getattr(risk0, name), name
+            assert (risk.g_of_c, risk.c) == (risk0.g_of_c, risk0.c)
+            assert calibrate_c(fr, s2 * budget) == c0
 
 
 def _outlier_at_first(N=1005, n=1000):
