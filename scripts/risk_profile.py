@@ -12,7 +12,7 @@ import argparse
 import numpy as np
 
 from robust_fps import Contamination, FrameTemplate, SimConfig, empirical_risk
-from robust_fps.simulate import write_result_csv, write_result_json
+from robust_fps.dataio import write_result_csv, write_result_json
 
 
 def build_template(N: int, n: int, seed: int) -> FrameTemplate:

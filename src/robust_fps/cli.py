@@ -101,12 +101,12 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .simulate import empirical_risk, write_result_csv, write_result_json
+    from .simulate import empirical_risk
 
     config = dataio.read_sim_config(args.config, args.seed)
     result = empirical_risk(config)
-    write_result_json(result, args.out_prefix + ".json")
-    write_result_csv(result, args.out_prefix + ".csv")
+    dataio.write_result_json(result, args.out_prefix + ".json")
+    dataio.write_result_csv(result, args.out_prefix + ".csv")
     return EXIT_OK
 
 

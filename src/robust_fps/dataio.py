@@ -1,4 +1,5 @@
-"""File formats: frame CSV ingestion, report JSON emission, sim config parsing.
+"""File formats: frame CSV ingestion, report JSON emission, sim config parsing,
+and the simulation result files.
 
 Frame CSV: header row mandatory, UTF-8 (a leading byte order mark is
 skipped), '.' decimal point, one row per unit.  Columns depend on the model
@@ -9,7 +10,9 @@ base variances times ``sigma**2``, for the one scale ``sigma`` the reader is
 given.
 
 Reports are JSON objects with deterministic (insertion) key order; floats
-use Python's shortest round-trip representation.
+use Python's shortest round-trip representation.  A simulation result is
+written as such a report (``<prefix>.json``) and as a CSV of its rows
+(``<prefix>.csv``).  Every output file is written here.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import csv
 import json
 import sys
 from array import array
+from dataclasses import asdict, fields
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -28,7 +32,7 @@ from .frame import FAMILIES, FrameTemplate, ModelSpec, PopulationFrame, build_mo
 from .risk import RiskReport
 
 if TYPE_CHECKING:
-    from .simulate import SimConfig
+    from .simulate import SimConfig, SimResult
 
 #: The ``RobustEstimate`` fields of a report's ``robust`` object, in key order.
 _ROBUST_KEYS = ("theta_hat_R", "ybar_P_R", "c_used", "clipped_units", "scaling", "degenerate")
@@ -219,6 +223,34 @@ def write_report(report: dict, path=None) -> None:
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def result_to_dict(result: SimResult) -> dict:
+    return {
+        "reps": result.reps,
+        "seed": result.seed,
+        "failures": result.failures,
+        "rows": [asdict(row) for row in result.rows],
+    }
+
+
+def write_result_json(result: SimResult, path) -> None:
+    """Write a simulation result with ``write_report``; a non-finite float raises ``ValueError`` first."""
+    write_report(result_to_dict(result), path)
+
+
+def write_result_csv(result: SimResult, path) -> None:
+    """Write a simulation result's rows as CSV, every ``SimRow`` field but ``theo_mse_theta``.
+
+    ``theo_mse_theta`` is in the JSON file only.  Each value is written as its ``repr``.
+    """
+    from .simulate import SimRow
+
+    columns = [f.name for f in fields(SimRow) if f.name != "theo_mse_theta"]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([repr(getattr(row, col)) for col in columns] for row in result.rows)
 
 
 _KINDS = {

@@ -10,6 +10,7 @@ gives the baseline (non-robust) estimate of the finite population mean.
 The model families are the rows of one table, ``FAMILIES``: each names its
 auxiliary columns and maps them to ``a`` and a base variance, and every
 family's ``sigma2_i = sigma^2 * base_i`` for one scale ``sigma`` (default 1).
+``build_model`` takes a family's columns by those names and rejects others.
 With ``a_i = x_i`` and ``base_i = x_i`` the baseline estimate is the classical
 ratio estimator; with ``a_i = x_i`` and ``base_i = x_i^2`` it averages the
 unit ratios ``y_i / x_i``; with ``a_i = pi_i`` and
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +34,8 @@ from .errors import DegenerateFrameError, ModelValidationError
 HT_PI_SUM_TOL = 1e-9
 
 #: Each model family: its auxiliary columns in frame CSV order, and the map
-#: ``*aux -> (a, base)``; ``build_model`` sets ``sigma2 = sigma**2 * base``.
+#: ``*aux -> (a, base)``.  These are the only names of the columns: ``build_model``
+#: takes them as keywords, and sets ``sigma2 = sigma**2 * base``.
 FAMILIES = {
     "ratio": (("x",), lambda x: (x, x)),
     "royall": (("x",), lambda x: (x, x**2)),
@@ -275,35 +277,38 @@ class PopulationFrame(FrameTemplate):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One of the named model families and the scale ``sigma`` of its variances."""
+    """One of the model families of ``FAMILIES`` and the scale ``sigma`` of its variances."""
 
-    family: Literal["ratio", "royall", "horvitz_thompson", "custom"]
+    family: str
     sigma: float = 1.0
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ModelValidationError(f"unknown family {self.family!r}")
-        # sigma**2 raises OverflowError above about 1.34e154; sigma * sigma gives inf.
-        if not (self.sigma > 0 and np.isfinite(self.sigma * self.sigma)):
-            raise ModelValidationError(f"{self.family} family needs sigma > 0 with a finite square")
+        # sigma**2 raises OverflowError above about 1.34e154, where sigma * sigma gives
+        # inf; below about 1e-162 the square is 0, and so would every sigma2 be.
+        if not (self.sigma > 0 and 0 < self.sigma * self.sigma < np.inf):
+            raise ModelValidationError(
+                f"{self.family} family needs sigma > 0 with a finite, nonzero square")
 
 
 def build_model(
     unit_id: Sequence,
     spec: ModelSpec,
     *,
-    x: Sequence[float] | None = None,
-    pi: Sequence[float] | None = None,
-    a: Sequence[float] | None = None,
-    sigma2: Sequence[float] | None = None,
     sampled: Sequence[bool],
     y_sampled: Sequence[float],
+    **columns: Sequence[float] | None,
 ) -> PopulationFrame:
-    """Map family auxiliaries to (a_i, sigma2_i) through ``FAMILIES`` and assemble a frame.
+    """Map the family's auxiliary columns to (a_i, sigma2_i) through ``FAMILIES`` and assemble a frame.
 
-    Every family's ``sigma2_i`` is ``spec.sigma**2`` times its base variance;
-    at ``sigma = 1`` that product is exact.  ``y_sampled`` lists observed
-    values for the sampled units, in unit order.
+    ``columns`` holds the family's columns by their ``FAMILIES`` names, for
+    example ``x=...`` for ``ratio`` or ``a=..., sigma2=...`` for ``custom``.
+    A column the family does not read raises ``ModelValidationError`` unless
+    it is None, and a missing one fails its shape check.  Every family's
+    ``sigma2_i`` is ``spec.sigma**2`` times its base variance; at
+    ``sigma = 1`` that product is exact.  ``y_sampled`` lists observed values
+    for the sampled units, in unit order.
     """
     unit_id = tuple(unit_id)
     N = len(unit_id)
@@ -312,9 +317,11 @@ def build_model(
         raise ModelValidationError("sampled flags must align with unit_id")
     n = int(sampled_arr.sum())
 
-    columns, to_model = FAMILIES[spec.family]
-    given = {"x": x, "pi": pi, "a": a, "sigma2": sigma2}
-    aux = [_positive_array(c, given[c], N) for c in columns]
+    names, to_model = FAMILIES[spec.family]
+    unread = [c for c, values in columns.items() if c not in names and values is not None]
+    if unread:
+        raise ModelValidationError(f"{spec.family} family does not read column(s) {unread}")
+    aux = [_positive_array(c, columns.get(c), N) for c in names]
     if spec.family == "horvitz_thompson":
         pv = aux[0]
         if np.any(pv >= 1):

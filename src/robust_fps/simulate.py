@@ -32,24 +32,25 @@ products of the reduction release the GIL.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from typing import Literal
 
 import numpy as np
 
+# The result files are written by dataio.  perfbench/stages.py times the writers
+# under these names here, and tests/test_trace_hooks.py checks that they are there.
+from .dataio import write_result_csv, write_result_json  # noqa: F401
 from .errors import ModelValidationError
 from .estimators import weighted_overflow
 from .frame import FrameTemplate
 from .risk import mse_closed_form
-from .streams import _blocks, batch_rep_uniforms
+from .streams import SEEDS, _blocks, batch_rep_uniforms
 
 DEFAULT_REPS = 100_000
 
@@ -113,8 +114,8 @@ class SimConfig:
             raise ModelValidationError("c_grid must be nonempty with finite c >= 0")
         if int(self.reps) != self.reps or self.reps < 2:
             raise ModelValidationError("reps must be an integer >= 2")
-        if not (-(2**63) <= int(self.seed) < 2**64):
-            raise ModelValidationError("seed must fit in 64 bits")
+        if int(self.seed) not in SEEDS:
+            raise ModelValidationError("seed must fit in a signed 64-bit integer")
         sampled_ids = set(self.template.sampled_ids)
         stray = [u for u in self.contamination.units if u not in sampled_ids]
         if stray:
@@ -252,10 +253,6 @@ class SimRow:
     theo_mse_theta: float
 
 
-#: Columns of the CSV output: every ``SimRow`` field but ``theo_mse_theta`` (JSON only).
-CSV_COLUMNS = tuple(f.name for f in fields(SimRow) if f.name != "theo_mse_theta")
-
-
 @dataclass(frozen=True)
 class SimResult:
     rows: tuple
@@ -362,27 +359,3 @@ def empirical_risk(config: SimConfig) -> SimResult:
                 raise ModelValidationError(f"the empirical risk at c = {c!r} overflows float64")
             rows.append(row)
     return SimResult(rows=tuple(rows), reps=config.reps, seed=int(config.seed), failures=config.reps - kept)
-
-
-def result_to_dict(result: SimResult) -> dict:
-    return {
-        "reps": result.reps,
-        "seed": result.seed,
-        "failures": result.failures,
-        "rows": [asdict(row) for row in result.rows],
-    }
-
-
-def write_result_json(result: SimResult, path) -> None:
-    """Write the result as indented JSON; a non-finite float raises ``ValueError`` first."""
-    text = json.dumps(result_to_dict(result), indent=2, allow_nan=False) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def write_result_csv(result: SimResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for row in result.rows:
-            writer.writerow([repr(getattr(row, col)) for col in CSV_COLUMNS])

@@ -28,6 +28,11 @@ from numpy.random import Generator, Philox
 
 _U_MAX = 1.0 - 2.0**-53
 
+#: The seeds that name a stream: a signed 64-bit integer is the first word of
+#: the Philox key.  numpy rounds an integer of 2**63 or more through float64, so
+#: above this range distinct seeds would share one key.
+SEEDS = range(-(2**63), 2**63)
+
 
 def _blocks(n_draws: int) -> int:
     # Philox emits 4 uint64 words per counter increment.

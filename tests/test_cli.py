@@ -321,7 +321,8 @@ def test_cell_over_the_csv_field_limit_exit_2(command, tmp_path, capsys):
 
 @pytest.mark.parametrize("model, sigma", [
     pytest.param(model, sigma, id=sigma if model == "ratio" else f"{model}-{sigma}")
-    for model in ("ratio", "ht", "royall", "custom") for sigma in ["1e200", "-1", "nan", "inf"]
+    for model in ("ratio", "ht", "royall", "custom")
+    for sigma in ["1e200", "-1", "nan", "inf", "1e-200"]
 ])
 def test_ratio_sigma_without_a_finite_square_exit_3(model, sigma, frame_csv, capsys):
     frame = {"ht": GOLDEN / "ht.csv", "custom": GOLDEN / "custom.csv"}.get(model, frame_csv)
@@ -329,7 +330,8 @@ def test_ratio_sigma_without_a_finite_square_exit_3(model, sigma, frame_csv, cap
             f"--sigma={sigma}"]
     assert main(argv) == 3
     family = MODEL_NAMES[model]
-    assert capsys.readouterr().err == f"error: {family} family needs sigma > 0 with a finite square\n"
+    assert capsys.readouterr().err == (
+        f"error: {family} family needs sigma > 0 with a finite, nonzero square\n")
 
 
 def test_every_family_has_a_model_name():

@@ -1,5 +1,7 @@
 """Model mappings, the frame's model sums and residuals, and the baseline estimator."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -104,14 +106,42 @@ class TestBuildModel:
 
     @pytest.mark.parametrize("family, sigma", [
         pytest.param(family, sigma, id=str(sigma) if family == "ratio" else f"{family}-{sigma}")
-        for family in FAMILIES for sigma in [1e200, 1.5e154, -1.0, 0.0, np.nan, np.inf]
+        for family in FAMILIES for sigma in [1e200, 1.5e154, -1.0, 0.0, np.nan, np.inf, 1e-200]
     ])
     def test_ratio_sigma_without_a_finite_square_rejected(self, family, sigma):
-        with pytest.raises(ModelValidationError, match=f"^{family} family needs sigma > 0"):
+        with pytest.raises(ModelValidationError) as info:
             build_model(
                 ["1", "2"], ModelSpec(family, sigma=sigma), sampled=[True, False], y_sampled=[2.0],
                 **_AUX[family],
             )
+        assert str(info.value) == f"{family} family needs sigma > 0 with a finite, nonzero square"
+
+    @pytest.mark.parametrize("family, column", [
+        (family, column) for family in FAMILIES for column in ("x", "pi", "a", "sigma2")
+        if column not in FAMILIES[family][0]
+    ])
+    def test_a_column_the_family_does_not_read_is_rejected(self, family, column):
+        with pytest.raises(ModelValidationError) as info:
+            build_model(["1", "2"], ModelSpec(family), sampled=[True, False], y_sampled=[2.0],
+                        **_AUX[family], **{column: [9.0, 9.0]})
+        assert str(info.value) == f"{family} family does not read column(s) [{column!r}]"
+        # None stands for a column not given.
+        fr = build_model(["1", "2"], ModelSpec(family), sampled=[True, False], y_sampled=[2.0],
+                         **_AUX[family], **{column: None})
+        assert fr.n_units == 2
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_missing_column_fails_its_shape_check(self, family):
+        columns = FAMILIES[family][0]
+        kept = {c: v for c, v in _AUX[family].items() if c != columns[-1]}
+        with pytest.raises(ModelValidationError) as info:
+            build_model(["1", "2"], ModelSpec(family), sampled=[True, False], y_sampled=[2.0],
+                        **kept)
+        assert str(info.value) == f"field {columns[-1]!r} has shape (), expected (2,)"
+
+    def test_the_signature_names_no_column(self):
+        params = inspect.signature(build_model).parameters
+        assert not {c for columns, _ in FAMILIES.values() for c in columns} & set(params)
 
     def test_custom_passthrough(self):
         fr = build_model(

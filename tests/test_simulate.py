@@ -1,5 +1,6 @@
 """Stream determinism, contamination mechanics, and empirical risk agreement."""
 
+import dataclasses
 import json
 import math
 import os
@@ -27,8 +28,9 @@ from robust_fps import (
 )
 from robust_fps.cli import main
 import robust_fps.simulate as sim
-from robust_fps.simulate import _generate_batch, write_result_csv, write_result_json
-from robust_fps.streams import batch_rep_uniforms
+from robust_fps.dataio import result_to_dict, write_result_csv, write_result_json
+from robust_fps.simulate import _generate_batch
+from robust_fps.streams import SEEDS, batch_rep_uniforms
 
 from oracles import (
     batch_uniforms,
@@ -127,6 +129,15 @@ class TestStreams:
 
     def test_determinism(self):
         assert np.array_equal(uniforms(3, 64), uniforms(3, 64))
+
+    def test_seeds_across_the_range_name_distinct_streams(self):
+        # numpy rounds a key word of 2**63 or more through float64, so the range stops below it.
+        assert (SEEDS.start, SEEDS.stop) == (-(2**63), 2**63)
+        seeds = (-1, 0, 2**63 - 1, -(2**63))
+        draws = [batch_rep_uniforms(seed, 2, 8) for seed in seeds]
+        for i in range(len(seeds)):
+            for j in range(i):
+                assert not np.array_equal(draws[i], draws[j]), (seeds[i], seeds[j])
         assert np.array_equal(std_normals(3, (16,)), std_normals(3, (16,)))
 
     def test_normals_moments(self):
@@ -671,8 +682,6 @@ class TestWriters:
         )
 
     def test_json_round_trip(self, tmp_path):
-        import json
-
         config = make_config(reps=2_000)
         res = empirical_risk(config)
         path = tmp_path / "out.json"
@@ -682,7 +691,23 @@ class TestWriters:
         assert doc["seed"] == 12345
         assert doc["rows"][0]["c"] == 0.0
         assert doc["rows"][0]["emp_mse_theta"] == res.rows[0].emp_mse_theta
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            result_to_dict(res), indent=2, allow_nan=False) + "\n"
 
+    def test_json_with_a_nan_raises_and_leaves_no_file(self, tmp_path):
+        res = empirical_risk(make_config(reps=100))
+        bad = dataclasses.replace(res, rows=(dataclasses.replace(res.rows[0], se_cross=math.nan),))
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError):
+            write_result_json(bad, path)
+        assert not path.exists()
+
+    def test_simulate_re_exports_the_dataio_writers(self):
+        assert sim.write_result_json is write_result_json
+        assert sim.write_result_csv is write_result_csv
+
+
+_SEED_RANGE = "seed must fit in a signed 64-bit integer"
 
 #: The CLI form of ``make_config(reps=100, seed=1)``.
 _CLI_CONFIG = {
@@ -716,11 +741,13 @@ _CLI_CONFIG = {
      {"c_grid": []}),
     (lambda: make_config(c_grid=(1.0, -0.5)), "c_grid must be nonempty with finite c >= 0",
      {"c_grid": [1.0, -0.5]}),
-    (lambda: make_config(seed=2**64), "seed must fit in 64 bits", {"seed": 2**64}),
-    (lambda: make_config(seed=-(2**63) - 1), "seed must fit in 64 bits", {"seed": -(2**63) - 1}),
+    (lambda: make_config(seed=2**64), _SEED_RANGE, {"seed": 2**64}),
+    (lambda: make_config(seed=-(2**63) - 1), _SEED_RANGE, {"seed": -(2**63) - 1}),
+    (lambda: make_config(seed=2**63), _SEED_RANGE, {"seed": 2**63}),
+    (lambda: make_config(seed=2**64 - 1), _SEED_RANGE, {"seed": 2**64 - 1}),
 ], ids=["units_on_none", "unknown_kind", "no_units", "no_delta", "nan_delta", "factor_one",
         "infinite_value", "nan_theta", "empty_grid", "negative_c", "seed_too_large",
-        "seed_too_small"])
+        "seed_too_small", "seed_2_63", "seed_2_64_minus_1"])
 def test_invalid_simulation_inputs_exit_3(build, message, overrides, tmp_path, capsys):
     # The config schema rejects a units field on "none" and an unknown kind first, with exit 2.
     with pytest.raises(ModelValidationError) as info:
@@ -732,4 +759,14 @@ def test_invalid_simulation_inputs_exit_3(build, message, overrides, tmp_path, c
     cfg.write_text(json.dumps({**_CLI_CONFIG, **overrides}))
     assert main(["simulate", "--config", str(cfg), "--out-prefix", str(tmp_path / "s")]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.glob("s.*")) == []
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**64 - 1, -(2**63) - 1])
+def test_seed_flag_outside_the_signed_64_bit_range_exit_3(seed, tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_CLI_CONFIG))
+    argv = ["simulate", "--config", str(cfg), "--out-prefix", str(tmp_path / "s"), f"--seed={seed}"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {_SEED_RANGE}\n"
     assert list(tmp_path.glob("s.*")) == []
