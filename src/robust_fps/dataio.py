@@ -13,6 +13,11 @@ Reports are JSON objects with deterministic (insertion) key order; floats
 use Python's shortest round-trip representation.  A simulation result is
 written as such a report (``<prefix>.json``) and as a CSV of its rows
 (``<prefix>.csv``).  Every output file is written here.
+
+A sim config is checked against one ordered table, ``_SIM_CONFIG``, and its
+fields are passed by name to the dataclasses, so a field left out takes the
+dataclass default.  A JSON number is read as a float, and an integer too
+large for a float as inf or -inf, which the dataclasses reject.
 """
 
 from __future__ import annotations
@@ -253,106 +258,131 @@ def write_result_csv(result: SimResult, path) -> None:
         writer.writerows([repr(getattr(row, col)) for col in columns] for row in result.rows)
 
 
-_KINDS = {
-    float: ((int, float), "a number"),
-    int: (int, "an integer"),
-    list: (list, "an array"),
-    dict: (dict, "an object"),
-    str: (str, "a string"),
+#: Each kind of scalar in a sim config: the types it may hold (a bool is only a
+#: bool, never a number or an id) and the message for a value of another type.
+_SCALARS = {
+    float: ((int, float), "expected a number, got {}"),
+    int: (int, "expected an integer, got {}"),
+    str: (str, "expected a string, got {}"),
+    bool: (bool, "expected true or false"),
+    "id": ((str, int), "expected a string or integer id"),
+    list: (list, "expected an array, got {}"),
+    dict: (dict, "expected an object, got {}"),
 }
 
 
-def _require(obj: dict, key: str, kind, pointer: str):
-    if key not in obj:
+def _contamination_fields(doc: dict, pointer: str) -> dict:
+    """A contamination object's fields: ``kind``, then for any kind but ``none``
+    ``units`` and the parameter ``CONTAMINATION_PARAMS`` names for the kind."""
+    from .simulate import CONTAMINATION_PARAMS
+
+    kind = _field(doc, "kind", str, pointer)
+    if kind == "none":
+        return {"kind": str}
+    if kind not in CONTAMINATION_PARAMS:
+        raise ConfigSchemaError(f"{pointer}/kind", f"unknown kind {kind!r}")
+    return {"kind": str, "units": ["id"], CONTAMINATION_PARAMS[kind]: float}
+
+
+#: The sim config schema: each object's fields, in the order they are checked, and
+#: each field's kind: a key of ``_SCALARS``, ``[kind]`` for an array of that scalar,
+#: or a nested object, given by its own table or by a function that picks the table
+#: from the object.  An object whose fields are all arrays is a set of columns, which
+#: must have equal length.  The keys are the init fields of ``FrameTemplate``,
+#: ``SimConfig`` (``frame`` is its ``template``) and ``Contamination``, whose
+#: defaults are the only ones.
+_SIM_CONFIG = {
+    "frame": {"unit_id": ["id"], "a": [float], "sigma2": [float], "sampled": [bool]},
+    "theta_true": float,
+    "c_grid": [float],
+    "reps": int,
+    "contamination": _contamination_fields,
+    "seed": int,
+}
+#: The top-level fields a sim config may leave out; each then takes its ``SimConfig`` default.
+_OPTIONAL = ("reps", "contamination", "seed")
+
+
+def _number(value) -> float:
+    """``float(value)``, but an int too large for a float is inf or -inf, as its text reads."""
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf
+
+
+def _scalars(values: list, kind, pointer: str) -> list:
+    """``values`` checked against the scalar ``kind`` in one loop, and converted: a number
+    to float by ``_number``, an id to str.  ``pointer.format(i)`` names ``values[i]``."""
+    types, message = _SCALARS[kind]
+    for i, v in enumerate(values):
+        if isinstance(v, bool) is not (kind is bool) or not isinstance(v, types):
+            raise ConfigSchemaError(pointer.format(i), message.format(type(v).__name__))
+    if kind is float:
+        try:
+            return list(map(float, values))  # _number, without a call per value
+        except OverflowError:
+            return list(map(_number, values))
+    return list(map(str, values)) if kind == "id" else values
+
+
+def _check(value, kind, pointer: str):
+    """``value`` checked against the schema ``kind`` at ``pointer``, and converted; an
+    object becomes the dict of its fields."""
+    if isinstance(kind, list):
+        return _scalars(_check(value, list, pointer), kind[0], pointer + "/{}")
+    if isinstance(kind, (type, str)):
+        return _scalars([value], kind, pointer)[0]
+    doc = _check(value, dict, pointer)
+    return _object(doc, kind if isinstance(kind, dict) else kind(doc, pointer), pointer)
+
+
+def _field(doc: dict, key: str, kind, pointer: str):
+    if key not in doc:
         raise ConfigSchemaError(f"{pointer}/{key}", "missing required field")
-    val = obj[key]
-    types, expected = _KINDS[kind]
-    if isinstance(val, bool) or not isinstance(val, types):
-        raise ConfigSchemaError(f"{pointer}/{key}", f"expected {expected}, got {type(val).__name__}")
-    return float(val) if kind is float else val
+    return _check(doc[key], kind, f"{pointer}/{key}")
 
 
-def _reject_unknown(obj: dict, known: tuple, pointer: str) -> None:
-    """Raise for the first key of ``obj`` that is not in ``known``, the keys the schema reads."""
-    for key in obj:
-        if key not in known:
+def _object(doc: dict, fields: dict, pointer: str, optional: tuple = ()) -> dict:
+    """The fields of ``doc`` by name, each checked in the order of ``fields``.
+
+    A key ``fields`` does not name is a fault, and is found first.  A field
+    in ``optional`` may be left out, and is then not in the result.  Where
+    every field is an array, they must have equal length.
+    """
+    for key in doc:
+        if key not in fields:
             escaped = key.replace("~", "~0").replace("/", "~1")
             raise ConfigSchemaError(f"{pointer}/{escaped}",
-                                    f"unknown field; expected one of {list(known)}")
-
-
-def _number_array(values: list, pointer: str) -> list[float]:
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigSchemaError(f"{pointer}/{i}", f"expected a number, got {type(v).__name__}")
-    return [float(v) for v in values]
-
-
-def _id_array(values: list, pointer: str) -> list[str]:
-    for i, u in enumerate(values):
-        if isinstance(u, bool) or not isinstance(u, (str, int)):
-            raise ConfigSchemaError(f"{pointer}/{i}", "expected a string or integer id")
-    return [str(u) for u in values]
+                                    f"unknown field; expected one of {list(fields)}")
+    out = {key: _field(doc, key, kind, pointer)
+           for key, kind in fields.items() if key in doc or key not in optional}
+    columns = all(isinstance(kind, list) for kind in fields.values())
+    if columns and len(set(map(len, out.values()))) > 1:
+        raise ConfigSchemaError(pointer, f"{', '.join(fields)} must have equal length")
+    return out
 
 
 def sim_config_from_dict(doc: dict, seed_override: int | None = None) -> SimConfig:
-    """Validate a sim config document; structural faults raise ConfigSchemaError
-    (with the offending path), value faults raise ModelValidationError.  A key
-    the schema does not read is a structural fault."""
-    from .simulate import CONTAMINATION_PARAMS, DEFAULT_REPS, Contamination, SimConfig
+    """Validate a sim config document against ``_SIM_CONFIG`` and build its ``SimConfig``.
+
+    Structural faults raise ConfigSchemaError with the offending path, the
+    first in the table's order; a key the schema does not read is one.  The
+    fields are then passed by name to ``Contamination``, ``FrameTemplate`` and
+    ``SimConfig``, whose value faults raise ModelValidationError, and a field
+    left out takes its dataclass default.  ``seed_override`` replaces the
+    config's ``seed``, which is still checked.
+    """
+    from .simulate import Contamination, SimConfig
 
     if not isinstance(doc, dict):
         raise ConfigSchemaError("", "top level must be an object")
-    _reject_unknown(doc, ("frame", "theta_true", "c_grid", "reps", "seed", "contamination"), "")
-    frame_doc = _require(doc, "frame", dict, "")
-    _reject_unknown(frame_doc, ("unit_id", "a", "sigma2", "sampled"), "/frame")
-    ids = _id_array(_require(frame_doc, "unit_id", list, "/frame"), "/frame/unit_id")
-    a = _number_array(_require(frame_doc, "a", list, "/frame"), "/frame/a")
-    sigma2 = _number_array(_require(frame_doc, "sigma2", list, "/frame"), "/frame/sigma2")
-    sampled = _require(frame_doc, "sampled", list, "/frame")
-    for i, flag in enumerate(sampled):
-        if not isinstance(flag, bool):
-            raise ConfigSchemaError(f"/frame/sampled/{i}", "expected true or false")
-    if not (len(a) == len(sigma2) == len(sampled) == len(ids)):
-        raise ConfigSchemaError("/frame", "unit_id, a, sigma2, sampled must have equal length")
-
-    theta = _require(doc, "theta_true", float, "")
-    c_grid = _number_array(_require(doc, "c_grid", list, ""), "/c_grid")
-    reps = _require(doc, "reps", int, "") if "reps" in doc else DEFAULT_REPS
-
-    cont_doc = doc.get("contamination", {"kind": "none"})
-    if not isinstance(cont_doc, dict):
-        raise ConfigSchemaError("/contamination", "expected an object")
-    kind = _require(cont_doc, "kind", str, "/contamination")
-    if kind == "none":
-        _reject_unknown(cont_doc, ("kind",), "/contamination")
-        contamination = Contamination()
-    else:
-        if kind not in CONTAMINATION_PARAMS:
-            raise ConfigSchemaError("/contamination/kind", f"unknown kind {kind!r}")
-        param = CONTAMINATION_PARAMS[kind]
-        _reject_unknown(cont_doc, ("kind", "units", param), "/contamination")
-        units = _id_array(_require(cont_doc, "units", list, "/contamination"),
-                          "/contamination/units")
-        contamination = Contamination(kind=kind, units=units,
-                                      **{param: _require(cont_doc, param, float, "/contamination")})
-
+    fields = _object(doc, _SIM_CONFIG, "", _OPTIONAL)
     if seed_override is not None:
-        seed = int(seed_override)
-    elif "seed" in doc:
-        seed = _require(doc, "seed", int, "")
-    else:
-        seed = 0
-
-    template = FrameTemplate(tuple(ids), np.array(a), np.array(sigma2), np.array(sampled))
-    return SimConfig(
-        template=template,
-        theta_true=theta,
-        contamination=contamination,
-        c_grid=tuple(c_grid),
-        reps=reps,
-        seed=seed,
-    )
+        fields["seed"] = int(seed_override)
+    if "contamination" in fields:
+        fields["contamination"] = Contamination(**fields["contamination"])
+    return SimConfig(template=FrameTemplate(**fields.pop("frame")), **fields)
 
 
 def read_sim_config(path, seed_override: int | None = None) -> SimConfig:

@@ -285,11 +285,16 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ModelValidationError(f"unknown family {self.family!r}")
+        message = f"{self.family} family needs sigma > 0 with a finite, nonzero square"
+        # sigma is held as a float, so an int such as 10**200 meets the check below as 1e200.
+        try:
+            object.__setattr__(self, "sigma", float(self.sigma))
+        except (TypeError, ValueError, OverflowError):
+            raise ModelValidationError(message) from None
         # sigma**2 raises OverflowError above about 1.34e154, where sigma * sigma gives
         # inf; below about 1e-162 the square is 0, and so would every sigma2 be.
         if not (self.sigma > 0 and 0 < self.sigma * self.sigma < np.inf):
-            raise ModelValidationError(
-                f"{self.family} family needs sigma > 0 with a finite, nonzero square")
+            raise ModelValidationError(message)
 
 
 def build_model(

@@ -39,7 +39,6 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 from functools import cached_property
-from typing import Literal
 
 import numpy as np
 
@@ -67,7 +66,7 @@ CONTAMINATION_PARAMS = {"shift": "delta", "variance_inflation": "factor", "subst
 class Contamination:
     """Departure applied to designated sampled units after generation."""
 
-    kind: Literal["none", "shift", "variance_inflation", "substitution"] = "none"
+    kind: str = "none"    # "none" or a key of CONTAMINATION_PARAMS
     units: tuple = ()
     delta: float | None = None    # shift, in multiples of each unit's sigma
     factor: float | None = None   # variance inflation, > 1

@@ -5,17 +5,23 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from dataclasses import MISSING
+from dataclasses import fields as dataclass_fields
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from robust_fps import EstimationError, PopulationFrame
+from robust_fps import EstimationError, FrameTemplate, ModelValidationError, PopulationFrame
 from robust_fps.cli import main
 from robust_fps.dataio import (
+    _OPTIONAL,
+    _SIM_CONFIG,
     ConfigSchemaError,
     CsvFormatError,
+    _contamination_fields,
+    _number,
     build_report,
     parse_matrix,
     read_frame_csv,
@@ -26,6 +32,7 @@ from robust_fps.divergence import influence
 from robust_fps.estimators import RobustEstimate
 from robust_fps.frame import FAMILIES
 from robust_fps.risk import RiskReport
+from robust_fps.simulate import CONTAMINATION_PARAMS, DEFAULT_REPS, Contamination, SimConfig
 
 from conftest import random_frame
 from oracles import read_frame_csv_dictreader
@@ -325,12 +332,25 @@ def _sim_doc(frame=None, **fields):
      "/frame/sampled/1: expected true or false"),
     (_sim_doc(frame={"sigma2": [1, 1, 1]}), None,
      "/frame: unit_id, a, sigma2, sampled must have equal length"),
-    (_sim_doc(contamination="none"), None, "/contamination: expected an object"),
+    (_sim_doc(contamination="none"), None, "/contamination: expected an object, got str"),
     (_sim_doc(contamination={"kind": "drift", "units": ["u0"]}), None,
      "/contamination/kind: unknown kind 'drift'"),
+    (_sim_doc(frame={"unit_id": [1.5, "u1", "u2", "u3"]}), None,
+     "/frame/unit_id/0: expected a string or integer id"),
+    (_sim_doc(contamination={"kind": "shift", "units": [None], "delta": 1.0}), None,
+     "/contamination/units/0: expected a string or integer id"),
+    (_sim_doc(contamination={"units": ["u0"], "delta": 1.0}), None,
+     "/contamination/kind: missing required field"),
+    (_sim_doc(contamination={"kind": "none", "units": ["u0"]}), None,
+     "/contamination/units: unknown field; expected one of ['kind']"),
+    (_sim_doc(rep=10), None, "/rep: unknown field; expected one of "
+     "['frame', 'theta_true', 'c_grid', 'reps', 'contamination', 'seed']"),
+    (_sim_doc(seed="x"), None, "/seed: expected an integer, got str"),
     (None, "1,2,3;4,5,6", "matrix '1,2,3;4,5,6' is not square"),
 ], ids=["missing_field", "string_in_numbers", "null_in_grid", "integer_flag", "unequal_lengths",
-        "contamination_not_object", "unknown_kind", "matrix_not_square"])
+        "contamination_not_object", "unknown_kind", "float_unit_id", "null_contamination_unit",
+        "missing_kind", "units_on_none", "unknown_top_level_key", "string_seed",
+        "matrix_not_square"])
 def test_schema_errors_exit_2(doc, matrix, message, tmp_path, capsys):
     if doc is not None:
         with pytest.raises(ConfigSchemaError) as info:
@@ -360,3 +380,84 @@ def test_sim_config_without_a_seed_uses_seed_0(tmp_path):
     default = (tmp_path / "default.csv").read_bytes()
     assert default == (tmp_path / "zero.csv").read_bytes() != (tmp_path / "one.csv").read_bytes()
     assert json.loads((tmp_path / "default.json").read_text())["seed"] == 0
+
+
+def test_left_out_fields_take_the_dataclass_defaults():
+    left_out = sim_config_from_dict(_sim_doc(reps=None))
+    written = sim_config_from_dict(_sim_doc(reps=DEFAULT_REPS, seed=0,
+                                            contamination={"kind": "none"}))
+    for cfg in (left_out, written):
+        assert (cfg.reps, cfg.seed, cfg.contamination) == (DEFAULT_REPS, 0, Contamination())
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_sim_doc(frame={"a": [1, "2", 1, 1]}, theta_true=None),
+     "/frame/a/1: expected a number, got str"),
+    (_sim_doc(frame={"a": [1, 1, 1]}, c_grid="all", rep=10),
+     "/rep: unknown field; expected one of "
+     "['frame', 'theta_true', 'c_grid', 'reps', 'contamination', 'seed']"),
+    (_sim_doc(frame={"a": [1, 1, 1]}, theta_true="one"),
+     "/frame: unit_id, a, sigma2, sampled must have equal length"),
+    (_sim_doc(c_grid=["0"], reps=2.5), "/c_grid/0: expected a number, got str"),
+    (_sim_doc(contamination={"kind": "drift"}, seed="x"),
+     "/contamination/kind: unknown kind 'drift'"),
+    (_sim_doc(contamination={"kind": "shift", "units": [], "delta": 1.0}, seed="x"),
+     "/seed: expected an integer, got str"),
+], ids=["frame_before_theta", "unknown_key_first", "lengths_before_theta", "grid_before_reps",
+        "contamination_before_seed", "every_schema_fault_before_a_value_fault"])
+def test_the_first_fault_in_schema_order_is_reported(doc, message):
+    with pytest.raises(ConfigSchemaError) as info:
+        sim_config_from_dict(doc)
+    assert str(info.value) == message
+
+
+def test_config_seed_is_checked_under_the_seed_flag(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_sim_doc(seed="x")))
+    argv = ["simulate", "--config", str(cfg), "--out-prefix", str(tmp_path / "s"), "--seed", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: /seed: expected an integer, got str\n")
+    assert list(tmp_path.glob("s.*")) == []
+    assert sim_config_from_dict(_sim_doc(seed=5), seed_override=1).seed == 1
+
+
+_HUGE = 10**400  # no float holds it; json.dumps writes its 401 digits
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_sim_doc(theta_true=_HUGE), "theta_true must be finite"),
+    (_sim_doc(theta_true=-_HUGE), "theta_true must be finite"),
+    (_sim_doc(frame={"a": [_HUGE, 1, 1, 1]}), "a must be finite and > 0 for every unit"),
+    (_sim_doc(c_grid=[0, _HUGE]), "c_grid must be nonempty with finite c >= 0"),
+    (_sim_doc(contamination={"kind": "shift", "units": ["u0"], "delta": -_HUGE}),
+     "shift contamination needs a finite delta"),
+], ids=["theta_true", "negative_theta_true", "frame_a", "c_grid", "contamination_delta"])
+def test_an_integer_too_large_for_a_float_reads_as_inf_and_exits_3(doc, message, tmp_path, capsys):
+    with pytest.raises(ModelValidationError) as info:
+        sim_config_from_dict(doc)
+    assert str(info.value) == message
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg), "--out-prefix", str(tmp_path / "s")]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.glob("s.*")) == []
+
+
+def test_number_rule_reads_an_oversized_integer_as_its_text_does():
+    for value in (10**400, -(10**400), 10**308 * 2, 3, 2.5, 2**53 + 1):
+        assert _number(value) == float(str(value))
+
+
+def test_schema_keys_are_the_dataclass_fields():
+    """Every schema key is an init field of its dataclass, and every optional one has a default."""
+    def init_fields(cls):
+        return {f.name: f for f in dataclass_fields(cls) if f.init}
+
+    frame, top = _SIM_CONFIG["frame"], {k: v for k, v in _SIM_CONFIG.items() if k != "frame"}
+    assert list(frame) == list(init_fields(FrameTemplate))
+    assert set(top) | {"template"} == set(init_fields(SimConfig))
+    contamination = {key for kind in ("none", *CONTAMINATION_PARAMS)
+                     for key in _contamination_fields({"kind": kind}, "/contamination")}
+    assert contamination == set(init_fields(Contamination))
+    assert set(_OPTIONAL) <= set(top)
+    assert all(init_fields(SimConfig)[key].default is not MISSING for key in _OPTIONAL)

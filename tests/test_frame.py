@@ -116,6 +116,22 @@ class TestBuildModel:
             )
         assert str(info.value) == f"{family} family needs sigma > 0 with a finite, nonzero square"
 
+    @pytest.mark.parametrize("sigma", [10**200, 10**400, -(10**400), "two", None],
+                             ids=["int_1e200", "int_1e400", "int_-1e400", "str", "None"])
+    def test_sigma_that_is_no_finite_float_rejected(self, sigma):
+        # 10**200 is held as 1e200, whose square is inf; 10**400 has no float at all
+        with pytest.raises(ModelValidationError) as info:
+            ModelSpec("ratio", sigma=sigma)
+        assert str(info.value) == "ratio family needs sigma > 0 with a finite, nonzero square"
+
+    def test_int_sigma_builds_the_float_sigma_bits(self):
+        frames = [build_model(["1", "2", "3"], ModelSpec("ratio", sigma=s), x=[1.5, 2.0, 3.0],
+                              sampled=[True, True, False], y_sampled=[2.0, 3.5])
+                  for s in (2, 2.0)]
+        assert type(ModelSpec("ratio", sigma=2).sigma) is float
+        assert frames[0].sigma2.tobytes() == frames[1].sigma2.tobytes()
+        assert frames[0].a.tobytes() == frames[1].a.tobytes()
+
     @pytest.mark.parametrize("family, column", [
         (family, column) for family in FAMILIES for column in ("x", "pi", "a", "sigma2")
         if column not in FAMILIES[family][0]
