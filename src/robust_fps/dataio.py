@@ -379,7 +379,7 @@ def sim_config_from_dict(doc: dict, seed_override: int | None = None) -> SimConf
         raise ConfigSchemaError("", "top level must be an object")
     fields = _object(doc, _SIM_CONFIG, "", _OPTIONAL)
     if seed_override is not None:
-        fields["seed"] = int(seed_override)
+        fields["seed"] = seed_override
     if "contamination" in fields:
         fields["contamination"] = Contamination(**fields["contamination"])
     return SimConfig(template=FrameTemplate(**fields.pop("frame")), **fields)
@@ -389,10 +389,10 @@ def read_sim_config(path, seed_override: int | None = None) -> SimConfig:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigSchemaError("", f"invalid JSON: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ConfigSchemaError("", f"{path}: not UTF-8 text ({exc.reason})") from None
+        except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
+            raise ConfigSchemaError("", f"invalid JSON: {exc}") from None
     return sim_config_from_dict(doc, seed_override)
 
 

@@ -13,21 +13,28 @@ clipping penalty proportional to g(c):
     mse = N^-2 * [ sum_u sigma2_j
                    + ( 1/S_aa + (sum_s w_i^2 v_i^2) * g(c) ) * (sum_u a_j)^2 ].
 
+The unsampled values are independent of the sample, so any estimate of
+theta whose MSE is ``1/S_aa + x`` gives the population-mean MSE
+``N^-2 * [sum_u sigma2_j + (sum_u a_j)^2 * (1/S_aa + x)]``.  That one
+population-MSE composition is written once, in ``_population_mse``, which
+takes the location excess x; the closed form supplies
+``x = sum_s w_i^2 v_i^2 g(c)``, and every model MSE here goes through it.
+
 It is not exact.  Of ``E[T^2]``, with ``T = sum_s w_i v_i psi_tilde(r_i)``
 the weighted overflow, it keeps only the diagonal ``sum_s w_i^2 v_i^2 g(c)``
 and drops the pairwise cross term between the overflows of distinct units,
 which the simulation harness measures as ``SimRow.cross_term``; it is a
 large-c approximation.  Dropping the g(c) term gives the MSE of the
 unclipped baseline estimator, so the clipping penalty is the closed form's
-price for robustness when the model is true.  ``calibrate_c`` inverts that
-penalty: given a budget on the excess MSE it returns the smallest clipping
-constant whose closed-form excess stays inside the budget.  That c is not
-the most robust one.  The one-step estimate is ``ybar_w`` at c = 0 and as
-c grows, so its MSE under an outlier is U-shaped in c: with N = 200,
-n = 150 and one unit substituted 10 residual scales high, it is 2.2315e-3
-at c = 0, 1.9734e-3 at c = 2.13 and 2.0007e-3 at c = 4.  The budget bounds
-the clean-model price of clipping; it does not pick the c that best
-resists an outlier.
+price for robustness when the model is true.  ``calibrate_c`` inverts the
+composition's penalty: given a budget on the excess MSE it returns the
+smallest clipping constant whose closed-form excess stays inside the
+budget.  That c is not the most robust one.  The one-step estimate is
+``ybar_w`` at c = 0 and as c grows, so its MSE under an outlier is
+U-shaped in c: with N = 200, n = 150 and one unit substituted 10 residual
+scales high, it is 2.2315e-3 at c = 0, 1.9734e-3 at c = 2.13 and
+2.0007e-3 at c = 4.  The budget bounds the clean-model price of clipping;
+it does not pick the c that best resists an outlier.
 
 Every ``erfc`` here is the C library's on a scalar (``math.erfc``), so this
 module, and with it estimation and calibration, needs numpy but not scipy.
@@ -111,14 +118,21 @@ class RiskReport:
     clipping_penalty: float
 
 
-def _clipping_excess(layout: FrameTemplate, g: float) -> float:
-    """The clipping penalty ``sum_w2v2 * g * (sum_u a)^2 / N^2``, in one order of operations.
+def _population_mse(layout: FrameTemplate, excess_theta: float) -> tuple[float, float, float]:
+    """The population-mean MSE at a location excess, as ``(unseen, estimation, penalty)``.
 
-    ``mse_closed_form`` and ``calibrate_c`` both compute it here, so the c
-    that calibration returns is within budget bit for bit.
+    The three parts sum to
+    ``[sum_u sigma2 + (sum_u a)^2 (1/S_aa + excess_theta)] / N^2``.  The
+    unsampled values are independent of the sample, so this is the model
+    MSE of the prediction from any estimate of theta whose MSE is
+    ``1/S_aa + excess_theta``.  A form supplies only that excess, since
+    ``(1/S_aa + x) - 1/S_aa`` is not ``x`` in floating point.  Every model
+    MSE in this module is composed here, in one order of operations, so the
+    c that ``calibrate_c`` returns is within budget bit for bit.
     """
     # sum_u_a * sum_u_a overflows to inf; Python's ** would raise OverflowError.
-    return layout.sum_w2v2 * g * (layout.sum_u_a * layout.sum_u_a) / layout.n_units**2
+    au2, N2 = layout.sum_u_a * layout.sum_u_a, layout.n_units**2
+    return layout.sum_u_sigma2 / N2, au2 / layout.S_aa / N2, excess_theta * au2 / N2
 
 
 def mse_closed_form(layout: FrameTemplate, c: float) -> RiskReport:
@@ -134,12 +148,8 @@ def mse_closed_form(layout: FrameTemplate, c: float) -> RiskReport:
     predicted (``FrameTemplate.require_prediction``).
     """
     layout.require_prediction("the model risk")
-    N, sum_au = layout.n_units, layout.sum_u_a
     g = g_clip(c)
-    unseen = layout.sum_u_sigma2 / N**2
-    # sum_au * sum_au overflows to inf; Python's ** would raise OverflowError.
-    estimation = (sum_au * sum_au / layout.S_aa) / N**2
-    penalty = _clipping_excess(layout, g)
+    unseen, estimation, penalty = _population_mse(layout, layout.sum_w2v2 * g)
     baseline = unseen + estimation
     if not math.isfinite(baseline + penalty):
         raise ModelValidationError("the model MSE of this layout overflows float64")
@@ -176,17 +186,19 @@ def calibrate_c(layout: FrameTemplate, max_excess: float) -> float:
     to tell whether the exact one is within budget.  Otherwise one
     bisection on [0, C_NORMAL] runs until the bracket reaches float
     resolution (at most 200 iterations) and returns its upper end.  Each
-    step computes the excess as ``mse_closed_form`` does, with no report
-    built, so ``excess_risk`` at the returned c is never over the budget.
+    step, and the floor, takes the penalty from the one composition that
+    ``mse_closed_form`` uses, with no report built, so ``excess_risk`` at
+    the returned c is never over the budget.
     """
     if not (np.isfinite(max_excess) and max_excess > 0):
         raise ValueError("max_excess must be finite and > 0")
     if max_excess >= max_excess_risk(layout):
         return 0.0
     # Where the excess, or its first product sum_w2v2 * g, would be below the
-    # smallest normal float, it keeps too few digits to be compared.
-    au2_N2 = layout.sum_u_a * layout.sum_u_a / layout.n_units**2
-    floor = max(_clipping_excess(layout, g_clip(C_NORMAL)), sys.float_info.min * max(1.0, au2_N2))
+    # smallest normal float, it keeps too few digits to be compared.  The
+    # penalty at excess 1.0 is (sum_u a)^2 / N^2 exactly.
+    tiny = sys.float_info.min * max(1.0, _population_mse(layout, 1.0)[2])
+    floor = max(_population_mse(layout, layout.sum_w2v2 * g_clip(C_NORMAL))[2], tiny)
     if floor > max_excess:
         raise ModelValidationError(
             f"max_excess {max_excess!r} is below the smallest attainable excess "
@@ -198,7 +210,7 @@ def calibrate_c(layout: FrameTemplate, max_excess: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if _clipping_excess(layout, g_clip(mid)) > max_excess:
+        if _population_mse(layout, layout.sum_w2v2 * g_clip(mid))[2] > max_excess:
             lo = mid
         else:
             hi = mid

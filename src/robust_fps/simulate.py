@@ -111,10 +111,14 @@ class SimConfig:
             raise ModelValidationError("theta_true must be finite")
         if not self.c_grid or any(c < 0 or not np.isfinite(c) for c in self.c_grid):
             raise ModelValidationError("c_grid must be nonempty with finite c >= 0")
-        if int(self.reps) != self.reps or self.reps < 2:
+        # reps and seed are held as Python ints, as ModelSpec holds sigma as a float;
+        # a float such as 2048.0 or 1.5 is rejected, not truncated.
+        if not isinstance(self.reps, (int, np.integer)) or self.reps < 2:
             raise ModelValidationError("reps must be an integer >= 2")
-        if int(self.seed) not in SEEDS:
+        if not isinstance(self.seed, (int, np.integer)) or int(self.seed) not in SEEDS:
             raise ModelValidationError("seed must fit in a signed 64-bit integer")
+        object.__setattr__(self, "reps", int(self.reps))
+        object.__setattr__(self, "seed", int(self.seed))
         sampled_ids = set(self.template.sampled_ids)
         stray = [u for u in self.contamination.units if u not in sampled_ids]
         if stray:
@@ -357,4 +361,4 @@ def empirical_risk(config: SimConfig) -> SimResult:
             if not np.isfinite(astuple(row)).all():
                 raise ModelValidationError(f"the empirical risk at c = {c!r} overflows float64")
             rows.append(row)
-    return SimResult(rows=tuple(rows), reps=config.reps, seed=int(config.seed), failures=config.reps - kept)
+    return SimResult(rows=tuple(rows), reps=config.reps, seed=config.seed, failures=config.reps - kept)

@@ -25,6 +25,7 @@ from robust_fps.dataio import (
     build_report,
     parse_matrix,
     read_frame_csv,
+    read_sim_config,
     sim_config_from_dict,
     write_report,
 )
@@ -419,6 +420,8 @@ def test_config_seed_is_checked_under_the_seed_flag(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: /seed: expected an integer, got str\n")
     assert list(tmp_path.glob("s.*")) == []
     assert sim_config_from_dict(_sim_doc(seed=5), seed_override=1).seed == 1
+    with pytest.raises(ModelValidationError, match="seed must fit in a signed 64-bit integer"):
+        sim_config_from_dict(_sim_doc(seed=5), seed_override=1.5)
 
 
 _HUGE = 10**400  # no float holds it; json.dumps writes its 401 digits
@@ -440,6 +443,21 @@ def test_an_integer_too_large_for_a_float_reads_as_inf_and_exits_3(doc, message,
     cfg.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(cfg), "--out-prefix", str(tmp_path / "s")]) == 3
     assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.glob("s.*")) == []
+
+
+def test_an_integer_past_the_int_string_digit_limit_exits_2(tmp_path, capsys):
+    # json.load refuses a JSON integer of more than 4300 digits with a plain ValueError.
+    text = json.dumps(_sim_doc(theta_true=0)).replace('"theta_true": 0', '"theta_true": ' + "9" * 5001)
+    with pytest.raises(ValueError) as refused:
+        json.loads(text)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    with pytest.raises(ConfigSchemaError) as info:
+        read_sim_config(cfg)
+    assert str(info.value) == f"invalid JSON: {refused.value}"
+    assert main(["simulate", "--config", str(cfg), "--out-prefix", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr() == ("", f"error: invalid JSON: {refused.value}\n")
     assert list(tmp_path.glob("s.*")) == []
 
 

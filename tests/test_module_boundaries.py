@@ -4,6 +4,10 @@ Every file the package writes or parses (frame CSV, report JSON, sim config,
 simulation result files) is formatted in ``dataio``, so it is the one module
 that imports ``json`` or ``csv``.  A second writer elsewhere would show up
 here as a new importer.
+
+The population MSE ``[sum_u sigma2 + (sum_u a)^2 E(theta_hat - theta)^2] / N^2``
+is composed in one function of ``risk``, so the unsampled sums it reads are
+read there and in ``frame``, which computes them, and nowhere else.
 """
 
 import ast
@@ -35,3 +39,39 @@ def test_the_scan_sees_every_form_of_import(tmp_path):
     src.write_text("import os, json as j\ndef f():\n    from csv import writer\n"
                    "from . import dataio\nimport json.decoder\n")
     assert _imported_roots(src) == {"os", "json", "csv"}
+
+
+_UNSAMPLED_SUMS = {"sum_u_sigma2", "sum_u_a"}
+
+
+def _functions_reading(path: pathlib.Path, names: set[str]) -> list[str]:
+    """For each read of an attribute or name in ``names``, its innermost function or ``<module>``."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            where = getattr(node, "name", "<lambda>")
+        read = (isinstance(node, ast.Attribute) and node.attr in names
+                or isinstance(node, ast.Name) and node.id in names)
+        if read and isinstance(node.ctx, ast.Load):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_the_unsampled_sums_are_read_in_one_risk_function():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem not in ("frame", "risk"):
+            assert _functions_reading(path, _UNSAMPLED_SUMS) == [], path.stem
+    readers = [set(_functions_reading(PACKAGE / "risk.py", {name})) for name in sorted(_UNSAMPLED_SUMS)]
+    assert len(readers[0]) == 1 and readers[0] == readers[1]
+
+
+def test_the_read_scan_sees_attributes_names_and_their_function(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("def f(t):\n    return t.sum_u_a * 2\nx = sum_u_sigma2\nsum_u_a = 1\n"
+                   "class C:\n    def g(self):\n        h = lambda: self.sum_u_a\n")
+    assert _functions_reading(src, _UNSAMPLED_SUMS) == ["f", "<module>", "<lambda>"]

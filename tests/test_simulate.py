@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
 import sys
 import tracemalloc
 import warnings
@@ -28,7 +29,8 @@ from robust_fps import (
 )
 from robust_fps.cli import main
 import robust_fps.simulate as sim
-from robust_fps.dataio import result_to_dict, write_result_csv, write_result_json
+from robust_fps.dataio import read_sim_config, result_to_dict, write_result_csv, write_result_json
+from robust_fps.risk import mse_closed_form
 from robust_fps.simulate import _generate_batch
 from robust_fps.streams import SEEDS, batch_rep_uniforms
 
@@ -707,6 +709,17 @@ class TestWriters:
         assert sim.write_result_csv is write_result_csv
 
 
+@pytest.mark.parametrize("name", ["sim_clean.json", "sim_shift.json"])
+def test_the_two_theory_columns_are_one_model(name):
+    """``theo_mse`` is the closed form, and ``theo_mse_theta`` composes to it."""
+    config = read_sim_config(pathlib.Path(__file__).parent / "data" / "golden" / name)
+    t = config.template
+    for row in empirical_risk(config).rows:
+        assert row.theo_mse == mse_closed_form(t, row.c).mse_robust
+        composed = (t.sum_u_sigma2 + t.sum_u_a**2 * row.theo_mse_theta) / t.n_units**2
+        assert abs(composed - row.theo_mse) <= 1e-14 * row.theo_mse
+
+
 _SEED_RANGE = "seed must fit in a signed 64-bit integer"
 
 #: The CLI form of ``make_config(reps=100, seed=1)``.
@@ -745,9 +758,14 @@ _CLI_CONFIG = {
     (lambda: make_config(seed=-(2**63) - 1), _SEED_RANGE, {"seed": -(2**63) - 1}),
     (lambda: make_config(seed=2**63), _SEED_RANGE, {"seed": 2**63}),
     (lambda: make_config(seed=2**64 - 1), _SEED_RANGE, {"seed": 2**64 - 1}),
+    # The config schema takes only JSON integers for reps and seed, so these have no CLI form.
+    (lambda: make_config(reps=2048.0), "reps must be an integer >= 2", None),
+    (lambda: make_config(seed=1.5), _SEED_RANGE, None),
+    (lambda: make_config(seed=1.0), _SEED_RANGE, None),
 ], ids=["units_on_none", "unknown_kind", "no_units", "no_delta", "nan_delta", "factor_one",
         "infinite_value", "nan_theta", "empty_grid", "negative_c", "seed_too_large",
-        "seed_too_small", "seed_2_63", "seed_2_64_minus_1"])
+        "seed_too_small", "seed_2_63", "seed_2_64_minus_1", "float_reps", "fractional_seed",
+        "float_seed"])
 def test_invalid_simulation_inputs_exit_3(build, message, overrides, tmp_path, capsys):
     # The config schema rejects a units field on "none" and an unknown kind first, with exit 2.
     with pytest.raises(ModelValidationError) as info:
@@ -760,6 +778,16 @@ def test_invalid_simulation_inputs_exit_3(build, message, overrides, tmp_path, c
     assert main(["simulate", "--config", str(cfg), "--out-prefix", str(tmp_path / "s")]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.glob("s.*")) == []
+
+
+def test_numpy_integer_reps_and_seed_are_held_as_python_ints(tmp_path):
+    config = make_config(reps=np.int64(50), seed=np.uint64(3))
+    assert (type(config.reps), type(config.seed)) == (int, int)
+    result = empirical_risk(config)
+    assert (type(result.reps), type(result.seed)) == (int, int)
+    write_result_json(result, tmp_path / "out.json")
+    assert json.loads((tmp_path / "out.json").read_text())["reps"] == 50
+    assert result == empirical_risk(make_config(reps=50, seed=3))
 
 
 @pytest.mark.parametrize("seed", [2**63, 2**64 - 1, -(2**63) - 1])
