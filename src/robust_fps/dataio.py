@@ -16,8 +16,9 @@ written as such a report (``<prefix>.json``) and as a CSV of its rows
 
 A sim config is checked against one ordered table, ``_SIM_CONFIG``, and its
 fields are passed by name to the dataclasses, so a field left out takes the
-dataclass default.  A JSON number is read as a float, and an integer too
-large for a float as inf or -inf, which the dataclasses reject.
+dataclass default.  The schema checks only types: a JSON number reaches the
+dataclasses as given, an integer too large for a float included, and they
+read its value by the one rule of ``frame._scalar``.
 """
 
 from __future__ import annotations
@@ -303,26 +304,13 @@ _SIM_CONFIG = {
 _OPTIONAL = ("reps", "contamination", "seed")
 
 
-def _number(value) -> float:
-    """``float(value)``, but an int too large for a float is inf or -inf, as its text reads."""
-    try:
-        return float(value)
-    except OverflowError:
-        return np.inf if value > 0 else -np.inf
-
-
 def _scalars(values: list, kind, pointer: str) -> list:
-    """``values`` checked against the scalar ``kind`` in one loop, and converted: a number
-    to float by ``_number``, an id to str.  ``pointer.format(i)`` names ``values[i]``."""
+    """``values`` checked against the scalar ``kind`` in one loop; an id is converted to str,
+    and a number is left as given.  ``pointer.format(i)`` names ``values[i]``."""
     types, message = _SCALARS[kind]
     for i, v in enumerate(values):
         if isinstance(v, bool) is not (kind is bool) or not isinstance(v, types):
             raise ConfigSchemaError(pointer.format(i), message.format(type(v).__name__))
-    if kind is float:
-        try:
-            return list(map(float, values))  # _number, without a call per value
-        except OverflowError:
-            return list(map(_number, values))
     return list(map(str, values)) if kind == "id" else values
 
 

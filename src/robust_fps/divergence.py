@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceUndefinedError
-from .frame import PopulationFrame
+from .frame import PopulationFrame, _float_array, _scalar
 
 #: Largest ``log E`` whose ``exp`` is finite in float64.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -74,15 +74,16 @@ class GaussianSpec:
     cov: np.ndarray
 
     def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+        message = "mu or cov has nonfinite entries"
+        mu = np.atleast_1d(_float_array(self.mu, message, DivergenceUndefinedError))
+        cov = np.atleast_2d(_float_array(self.cov, message, DivergenceUndefinedError))
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "cov", cov)
         p = mu.shape[0]
         if mu.ndim != 1 or cov.shape != (p, p):
             raise DivergenceUndefinedError(f"cov shape {cov.shape} does not match mean length {p}")
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(cov))):
-            raise DivergenceUndefinedError("mu or cov has nonfinite entries")
+            raise DivergenceUndefinedError(message)
         scale = np.abs(cov).max()
         if scale > 0 and np.abs(cov - cov.T).max() > 1e-12 * scale:
             raise DivergenceUndefinedError("cov is not symmetric within 1e-12 relative")
@@ -119,10 +120,7 @@ def _kl(f1: GaussianSpec, f2: GaussianSpec) -> float:
 
 
 def _check_order(lam) -> float:
-    lam = float(lam)
-    if not math.isfinite(lam):
-        raise DivergenceUndefinedError(f"order lam must be finite, got {lam!r}")
-    return lam
+    return _scalar(lam, f"order lam must be finite, got {lam!r}", error=DivergenceUndefinedError)
 
 
 def divergence(f1: GaussianSpec, f2: GaussianSpec, lam: float) -> float:

@@ -32,7 +32,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import ModelValidationError
-from .frame import PopulationFrame
+from .frame import PopulationFrame, _scalar
 from .risk import calibrate_c
 
 
@@ -51,10 +51,12 @@ class RobustConfig:
     def __post_init__(self):
         if (self.c is None) == (self.max_excess is None):
             raise ModelValidationError("exactly one of c and max_excess must be given")
-        if self.c is not None and not (np.isfinite(self.c) and self.c >= 0):
-            raise ModelValidationError("c must be finite and >= 0")
-        if self.max_excess is not None and not (np.isfinite(self.max_excess) and self.max_excess > 0):
-            raise ModelValidationError("max_excess must be finite and > 0")
+        if self.c is not None:
+            object.__setattr__(self, "c", _scalar(
+                self.c, "c must be finite and >= 0", lambda c: c >= 0))
+        if self.max_excess is not None:
+            object.__setattr__(self, "max_excess", _scalar(
+                self.max_excess, "max_excess must be finite and > 0", lambda m: m > 0))
         if self.scaling not in ("paper_v", "chambers_sigma"):
             raise ModelValidationError(f"unknown scaling {self.scaling!r}")
         if self.max_excess is not None and self.scaling != "paper_v":
@@ -81,8 +83,7 @@ def psi_clip(r, c: float, out=None):
     The one place the band is applied.  ``out``, an array of ``r``'s shape,
     receives the result when given.
     """
-    if not (np.isfinite(c) and c >= 0):
-        raise ValueError("clipping constant must be finite and >= 0")
+    c = _scalar(c, "clipping constant must be finite and >= 0", lambda c: c >= 0)
     return np.clip(r, -c, c, out=out)
 
 
@@ -111,7 +112,6 @@ def robust_estimate(frame: PopulationFrame, config: RobustConfig) -> RobustEstim
     """
     if config.c is None:
         config = RobustConfig(c=calibrate_c(frame, config.max_excess), scaling=config.scaling)
-    c = float(config.c)
     ybar_w, resid = frame.fit()
     theta, clipped_units = float(ybar_w), ()
     if resid is None:
@@ -122,7 +122,7 @@ def robust_estimate(frame: PopulationFrame, config: RobustConfig) -> RobustEstim
             s = frame.sampled
             scale = np.sqrt(frame.sigma2[s]) / frame.a[s]
             resid = (frame.y[s] / frame.a[s] - ybar_w) / scale
-        T, overflow = weighted_overflow(resid, c, frame.w * scale)
+        T, overflow = weighted_overflow(resid, config.c, frame.w * scale)
         theta -= float(T)
         ids = frame.sampled_ids
         clipped_units = tuple([ids[i] for i in np.flatnonzero(overflow).tolist()])
@@ -130,7 +130,7 @@ def robust_estimate(frame: PopulationFrame, config: RobustConfig) -> RobustEstim
         theta_hat_R=theta,
         ybar_P_R=frame.population_mean(theta),
         clipped_units=clipped_units,
-        c_used=c,
+        c_used=config.c,
         scaling=config.scaling,
         degenerate=resid is None,
     )

@@ -19,10 +19,18 @@ exactly; ``custom`` reads ``a`` and ``base = sigma2`` as given.  Scaling every
 ``sigma2`` by ``s^2`` leaves ``w`` alone and scales every ``v`` by ``s``, so
 the baseline estimate does not depend on ``sigma``, and the clipped one at
 ``y -> s*y`` and ``sigma -> s*sigma`` scales by ``s``.
+
+Every number a caller passes, here and in the other modules (``sigma``,
+``c``, the excess budget, ``theta_true``, the c grid, a contamination's
+parameter and the divergence order), is read by one rule, ``_scalar``:
+``float`` of it must exist and be finite and in the parameter's range, and
+the parameter's typed error is raised otherwise.  Arrays are read by
+``_float_array``, which gives an entry with no float a typed error as well.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -32,6 +40,7 @@ import numpy as np
 from .errors import DegenerateFrameError, ModelValidationError
 
 HT_PI_SUM_TOL = 1e-9
+_Y_VALUES = "y values must be numbers that fit in a float64"
 
 #: Each model family: its auxiliary columns in frame CSV order, and the map
 #: ``*aux -> (a, base)``.  These are the only names of the columns: ``build_model``
@@ -44,19 +53,47 @@ FAMILIES = {
 }
 
 
+def _scalar(value, message: str, ok=math.isfinite, error=ModelValidationError) -> float:
+    """``float(value)``, checked to be finite and to pass ``ok``; else ``error(message)``.
+
+    The one rule for a number a caller passes.  A numeric string is read as
+    ``float`` reads it (``"2"`` is 2.0), and an int too large for a float is
+    rejected, as are None, a non-numeric string, nan and inf.
+    """
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(message) from None
+    if not (math.isfinite(x) and ok(x)):
+        raise error(message)
+    return x
+
+
+def _float_array(values, message: str, error=ModelValidationError) -> np.ndarray:
+    """``values`` as a float array, or ``error(message)`` where an entry has no float.
+
+    Entries are read as ``_scalar`` reads one, but not checked: nan and inf pass.
+    """
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise error(message) from None
+
+
 def _positive_array(name: str, values, N: int) -> np.ndarray:
     """``values`` as a float array, checked to have shape ``(N,)`` and finite entries > 0."""
-    arr = np.asarray(values, dtype=float)
+    message = f"{name} must be finite and > 0 for every unit"
+    arr = _float_array(values, message)
     if arr.shape != (N,):
         raise ModelValidationError(f"field {name!r} has shape {arr.shape}, expected ({N},)")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise ModelValidationError(f"{name} must be finite and > 0 for every unit")
+        raise ModelValidationError(message)
     return arr
 
 
 def _place_y(y_sampled, sampled: np.ndarray, n: int) -> np.ndarray:
     """A length-N ``y`` with ``y_sampled`` (unit order) at the ``n`` sampled units, NaN elsewhere."""
-    y_s = np.asarray(y_sampled, dtype=float)
+    y_s = _float_array(y_sampled, _Y_VALUES)
     if y_s.shape != (n,):
         raise ModelValidationError(f"expected {n} sampled y values, got {y_s.shape}")
     y = np.full(sampled.shape, np.nan)
@@ -236,7 +273,7 @@ class PopulationFrame(FrameTemplate):
 
     def __post_init__(self):
         super().__post_init__()
-        y = np.asarray(self.y, dtype=float)
+        y = _float_array(self.y, _Y_VALUES)
         object.__setattr__(self, "y", y)
         sampled = self.sampled
         if y.shape != (self.n_units,):
@@ -285,16 +322,12 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ModelValidationError(f"unknown family {self.family!r}")
-        message = f"{self.family} family needs sigma > 0 with a finite, nonzero square"
-        # sigma is held as a float, so an int such as 10**200 meets the check below as 1e200.
-        try:
-            object.__setattr__(self, "sigma", float(self.sigma))
-        except (TypeError, ValueError, OverflowError):
-            raise ModelValidationError(message) from None
+        # sigma is held as a float, so an int such as 10**200 meets the check as 1e200.
         # sigma**2 raises OverflowError above about 1.34e154, where sigma * sigma gives
         # inf; below about 1e-162 the square is 0, and so would every sigma2 be.
-        if not (self.sigma > 0 and 0 < self.sigma * self.sigma < np.inf):
-            raise ModelValidationError(message)
+        object.__setattr__(self, "sigma", _scalar(
+            self.sigma, f"{self.family} family needs sigma > 0 with a finite, nonzero square",
+            lambda s: s > 0 and 0 < s * s < math.inf))
 
 
 def build_model(

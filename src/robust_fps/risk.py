@@ -46,10 +46,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ModelValidationError
-from .frame import FrameTemplate
+from .frame import FrameTemplate, _scalar
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -95,8 +93,7 @@ def g_clip(c: float) -> float:
     ``C_NORMAL``).  Beyond, g is subnormal and loses digits until it
     underflows to 0 past ``C_MAX``.
     """
-    if not (np.isfinite(c) and c >= 0):
-        raise ValueError("clipping constant must be finite and >= 0")
+    c = _scalar(c, "clipping constant must be finite and >= 0", lambda c: c >= 0)
     if c < _G_TAIL_FROM:
         return float(2.0 * ((c * c + 1.0) * _Phi_neg(c) - c * _phi(c)))
     z = c / _SQRT2
@@ -190,8 +187,7 @@ def calibrate_c(layout: FrameTemplate, max_excess: float) -> float:
     ``mse_closed_form`` uses, with no report built, so ``excess_risk`` at
     the returned c is never over the budget.
     """
-    if not (np.isfinite(max_excess) and max_excess > 0):
-        raise ValueError("max_excess must be finite and > 0")
+    max_excess = _scalar(max_excess, "max_excess must be finite and > 0", lambda m: m > 0)
     if max_excess >= max_excess_risk(layout):
         return 0.0
     # Where the excess, or its first product sum_w2v2 * g, would be below the

@@ -47,7 +47,7 @@ import numpy as np
 from .dataio import write_result_csv, write_result_json  # noqa: F401
 from .errors import ModelValidationError
 from .estimators import weighted_overflow
-from .frame import FrameTemplate
+from .frame import FrameTemplate, _scalar
 from .risk import mse_closed_form
 from .streams import SEEDS, _blocks, batch_rep_uniforms
 
@@ -60,6 +60,12 @@ _CHUNK_REPS = 1024
 
 #: The parameter field each contamination kind reads, besides its target units.
 CONTAMINATION_PARAMS = {"shift": "delta", "variance_inflation": "factor", "substitution": "value"}
+#: Each kind's message for a parameter that is missing or out of range, and its range.
+_PARAM_RULES = {
+    "shift": ("shift contamination needs a finite delta", math.isfinite),
+    "variance_inflation": ("variance inflation needs factor > 1", lambda factor: factor > 1),
+    "substitution": ("substitution needs a finite value", math.isfinite),
+}
 
 
 @dataclass(frozen=True)
@@ -85,14 +91,8 @@ class Contamination:
         repeated = [u for u, count in Counter(self.units).items() if count > 1]
         if repeated:
             raise ModelValidationError(f"contamination names units {repeated} more than once")
-        if self.kind == "shift" and (self.delta is None or not np.isfinite(self.delta)):
-            raise ModelValidationError("shift contamination needs a finite delta")
-        if self.kind == "variance_inflation" and (
-            self.factor is None or not np.isfinite(self.factor) or self.factor <= 1
-        ):
-            raise ModelValidationError("variance inflation needs factor > 1")
-        if self.kind == "substitution" and (self.value is None or not np.isfinite(self.value)):
-            raise ModelValidationError("substitution needs a finite value")
+        name = CONTAMINATION_PARAMS[self.kind]
+        object.__setattr__(self, name, _scalar(getattr(self, name), *_PARAM_RULES[self.kind]))
 
 
 @dataclass(frozen=True)
@@ -105,12 +105,14 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "c_grid", tuple(float(c) for c in self.c_grid))
         self.template.require_prediction("simulation")
-        if not np.isfinite(self.theta_true):
-            raise ModelValidationError("theta_true must be finite")
-        if not self.c_grid or any(c < 0 or not np.isfinite(c) for c in self.c_grid):
-            raise ModelValidationError("c_grid must be nonempty with finite c >= 0")
+        theta_true = _scalar(self.theta_true, "theta_true must be finite")
+        object.__setattr__(self, "theta_true", theta_true)
+        message = "c_grid must be nonempty with finite c >= 0"
+        c_grid = tuple(_scalar(c, message, lambda c: c >= 0) for c in self.c_grid)
+        if not c_grid:
+            raise ModelValidationError(message)
+        object.__setattr__(self, "c_grid", c_grid)
         # reps and seed are held as Python ints, as ModelSpec holds sigma as a float;
         # a float such as 2048.0 or 1.5 is rejected, not truncated.
         if not isinstance(self.reps, (int, np.integer)) or self.reps < 2:

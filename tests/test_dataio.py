@@ -21,7 +21,6 @@ from robust_fps.dataio import (
     ConfigSchemaError,
     CsvFormatError,
     _contamination_fields,
-    _number,
     build_report,
     parse_matrix,
     read_frame_csv,
@@ -459,11 +458,6 @@ def test_an_integer_past_the_int_string_digit_limit_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out-prefix", str(tmp_path / "s")]) == 2
     assert capsys.readouterr() == ("", f"error: invalid JSON: {refused.value}\n")
     assert list(tmp_path.glob("s.*")) == []
-
-
-def test_number_rule_reads_an_oversized_integer_as_its_text_does():
-    for value in (10**400, -(10**400), 10**308 * 2, 3, 2.5, 2**53 + 1):
-        assert _number(value) == float(str(value))
 
 
 def test_schema_keys_are_the_dataclass_fields():

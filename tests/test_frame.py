@@ -1,6 +1,8 @@
-"""Model mappings, the frame's model sums and residuals, and the baseline estimator."""
+"""Model mappings, the frame's model sums and residuals, the baseline estimator, and the
+one rule by which every number a caller passes is read."""
 
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -8,17 +10,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robust_fps import (
+    Contamination,
     DegenerateFrameError,
+    DivergenceUndefinedError,
     FrameTemplate,
+    GaussianSpec,
     ModelSpec,
     ModelValidationError,
     PopulationFrame,
     RobustConfig,
+    SimConfig,
     build_model,
     calibrate_c,
     classical_estimate,
+    divergence,
+    g_clip,
+    influence,
     max_excess_risk,
     mse_closed_form,
+    psi_clip,
     robust_estimate,
 )
 from robust_fps.frame import FAMILIES
@@ -507,3 +517,85 @@ def test_model_validation_errors_name_their_cause(build, message):
         build()
     assert str(info.value) == message
 
+
+_UNIT_1 = ("u1",)
+_FRAME_3 = _THREE_SAMPLED.with_y([1.0, 2.0, 4.0])
+_SPEC_1 = GaussianSpec([0.0], [[1.0]])
+#: Every entry point that reads a number a caller passes: the call, its error and its message.
+_SCALAR_ENTRY_POINTS = {
+    "ModelSpec": (lambda v: ModelSpec("ratio", sigma=v), ModelValidationError,
+                  "ratio family needs sigma > 0 with a finite, nonzero square"),
+    "RobustConfig_c": (lambda v: RobustConfig(c=v), ModelValidationError,
+                       "c must be finite and >= 0"),
+    "RobustConfig_max_excess": (lambda v: RobustConfig(max_excess=v), ModelValidationError,
+                                "max_excess must be finite and > 0"),
+    "psi_clip": (lambda v: psi_clip(np.ones(2), v), ModelValidationError,
+                 "clipping constant must be finite and >= 0"),
+    "g_clip": (g_clip, ModelValidationError, "clipping constant must be finite and >= 0"),
+    "calibrate_c": (lambda v: calibrate_c(_FRAME_3, v), ModelValidationError,
+                    "max_excess must be finite and > 0"),
+    "SimConfig_theta_true": (lambda v: SimConfig(_THREE_SAMPLED, v), ModelValidationError,
+                             "theta_true must be finite"),
+    "SimConfig_c_grid": (lambda v: SimConfig(_THREE_SAMPLED, 0.0, c_grid=(1.0, v)),
+                         ModelValidationError, "c_grid must be nonempty with finite c >= 0"),
+    "shift": (lambda v: Contamination("shift", _UNIT_1, delta=v), ModelValidationError,
+              "shift contamination needs a finite delta"),
+    "variance_inflation": (lambda v: Contamination("variance_inflation", _UNIT_1, factor=v),
+                           ModelValidationError, "variance inflation needs factor > 1"),
+    "substitution": (lambda v: Contamination("substitution", _UNIT_1, value=v),
+                     ModelValidationError, "substitution needs a finite value"),
+    "divergence": (lambda v: divergence(_SPEC_1, _SPEC_1, v), DivergenceUndefinedError,
+                   "order lam must be finite, got {!r}"),
+    "influence": (lambda v: influence(_FRAME_3, v), DivergenceUndefinedError,
+                  "order lam must be finite, got {!r}"),
+}
+_NO_FINITE_FLOAT = {"int_1e400": 10**400, "int_-1e400": -(10**400), "None": None, "str": "x",
+                    "object": object(), "nan": math.nan, "inf": math.inf}
+
+
+@pytest.mark.parametrize("entry", list(_SCALAR_ENTRY_POINTS))
+@pytest.mark.parametrize("value", list(_NO_FINITE_FLOAT.values()), ids=list(_NO_FINITE_FLOAT))
+def test_every_scalar_entry_point_rejects_a_value_with_no_finite_float(entry, value):
+    call, error, message = _SCALAR_ENTRY_POINTS[entry]
+    if value is None and entry.startswith("RobustConfig"):
+        message = "exactly one of c and max_excess must be given"  # None leaves the field out
+    with pytest.raises(error) as info:
+        call(value)
+    assert type(info.value) is error
+    assert str(info.value) == message.format(value)
+
+
+def test_a_scalar_is_held_as_the_float_of_the_value_given():
+    held = [RobustConfig(c=2).c, RobustConfig(max_excess=10**300).max_excess,
+            SimConfig(_THREE_SAMPLED, 3).theta_true, *SimConfig(_THREE_SAMPLED, 0, c_grid=[1]).c_grid,
+            Contamination("shift", _UNIT_1, delta=2).delta, RobustConfig(c=10**300).c]
+    assert [type(x) for x in held] == [float] * 6
+    assert held == [2.0, 1e300, 3.0, 1.0, 2.0, 1e300]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: build_model(["a", "b"], ModelSpec("ratio"), sampled=[True, False],
+                         y_sampled=[10**400], x=[1, 1]),
+     ModelValidationError, "y values must be numbers that fit in a float64"),
+    (lambda: _THREE_SAMPLED.with_y([10**400, 1, 1]), ModelValidationError,
+     "y values must be numbers that fit in a float64"),
+    (lambda: _THREE_SAMPLED.with_y(["x", 1, 1]), ModelValidationError,
+     "y values must be numbers that fit in a float64"),
+    (lambda: PopulationFrame(_IDS3, _ONES3, _ONES3, _TWO_OF_3, [1, -(10**400), None]),
+     ModelValidationError, "y values must be numbers that fit in a float64"),
+    (lambda: build_model(["a", "b"], ModelSpec("ratio"), sampled=[True, False],
+                         y_sampled=[1.0], x=[1, 10**400]),
+     ModelValidationError, "x must be finite and > 0 for every unit"),
+    (lambda: FrameTemplate(_IDS3, _ONES3, [1, "x", 1], _TWO_OF_3), ModelValidationError,
+     "sigma2 must be finite and > 0 for every unit"),
+    (lambda: GaussianSpec([10**400], [[1.0]]), DivergenceUndefinedError,
+     "mu or cov has nonfinite entries"),
+    (lambda: GaussianSpec([0.0], [[object()]]), DivergenceUndefinedError,
+     "mu or cov has nonfinite entries"),
+], ids=["build_model_y", "with_y_huge", "with_y_str", "frame_y", "build_model_x", "template_str",
+        "gaussian_mu", "gaussian_cov"])
+def test_an_array_entry_with_no_float_gets_the_typed_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

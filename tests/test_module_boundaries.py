@@ -8,6 +8,10 @@ here as a new importer.
 The population MSE ``[sum_u sigma2 + (sum_u a)^2 E(theta_hat - theta)^2] / N^2``
 is composed in one function of ``risk``, so the unsampled sums it reads are
 read there and in ``frame``, which computes them, and nowhere else.
+
+Every number a caller passes is read by one rule in ``frame``, which turns the
+``OverflowError`` of an int too large for a float into a typed error; no other
+module catches it.
 """
 
 import ast
@@ -75,3 +79,32 @@ def test_the_read_scan_sees_attributes_names_and_their_function(tmp_path):
     src.write_text("def f(t):\n    return t.sum_u_a * 2\nx = sum_u_sigma2\nsum_u_a = 1\n"
                    "class C:\n    def g(self):\n        h = lambda: self.sum_u_a\n")
     assert _functions_reading(src, _UNSAMPLED_SUMS) == ["f", "<module>", "<lambda>"]
+
+
+_OVERFLOW = {"OverflowError", "ArithmeticError"}
+
+
+def _caught_overflow(path: pathlib.Path) -> list[int]:
+    """The line of each ``except`` clause in ``path`` that names ``OverflowError`` or its base."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.type)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if names & _OVERFLOW:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_frame_catches_overflow_error():
+    caught = {p.stem: _caught_overflow(p) for p in sorted(PACKAGE.glob("*.py"))}
+    assert caught.pop("frame")
+    assert {stem: lines for stem, lines in caught.items() if lines} == {}
+
+
+def test_the_overflow_scan_sees_every_form_of_except(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("try:\n    pass\nexcept OverflowError:\n    pass\n"
+                   "except (ValueError, builtins.ArithmeticError) as e:\n    pass\n"
+                   "except ValueError:\n    pass\nexcept:\n    pass\n")
+    assert _caught_overflow(src) == [3, 5]
