@@ -22,7 +22,7 @@ import sys
 from . import dataio
 from .divergence import GaussianSpec, divergence, influence, symmetrized_divergence
 from .errors import DegenerateFrameError, EstimationError
-from .estimators import RobustConfig, robust_estimate
+from .estimators import FORMS, RobustConfig, robust_estimate
 from .frame import classical_estimate
 from .risk import calibrate_c, mse_closed_form
 
@@ -33,6 +33,8 @@ EXIT_FLAG_CONFLICT = 4
 
 #: ``--model`` names of the model families of ``frame.FAMILIES``.
 MODEL_NAMES = {"ratio": "ratio", "royall": "royall", "ht": "horvitz_thompson", "custom": "custom"}
+#: ``--scaling`` names of the estimator forms of ``estimators.FORMS``.
+SCALING_NAMES = {"paper": "paper_v", "chambers": "chambers_sigma"}
 
 
 def _add_frame_flags(parser: argparse.ArgumentParser):
@@ -60,14 +62,13 @@ def cmd_estimate(args) -> int:
     if (args.c is None) == (args.max_excess is None):
         print("error: exactly one of --c and --max-excess is required", file=sys.stderr)
         return EXIT_FLAG_CONFLICT
-    scaling = "paper_v" if args.scaling == "paper" else "chambers_sigma"
-    config = RobustConfig(c=args.c, max_excess=args.max_excess, scaling=scaling)
+    config = RobustConfig(c=args.c, max_excess=args.max_excess, scaling=SCALING_NAMES[args.scaling])
     frame, model = _load_frame(args)
     robust = robust_estimate(frame, config)
     c = robust.c_used
     classical = classical_estimate(frame)
     try:
-        risk = mse_closed_form(frame, c) if scaling == "paper_v" else None
+        risk = mse_closed_form(frame, c) if FORMS[config.scaling][1] else None
         diagnostics = influence(frame, args.lam)
     except DegenerateFrameError:
         risk, diagnostics = None, []
@@ -134,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_frame_flags(p_est)
     p_est.add_argument("--c", type=float, default=None, help="clipping constant")
     p_est.add_argument("--max-excess", type=float, default=None, help="excess-risk budget")
-    p_est.add_argument("--scaling", choices=["paper", "chambers"], default="paper")
+    p_est.add_argument("--scaling", choices=list(SCALING_NAMES), default="paper")
     p_est.add_argument("--lambda", dest="lam", type=float, default=-0.5, help="divergence order")
     p_est.add_argument("--out", required=True, help="report JSON path")
     p_est.set_defaults(func=cmd_estimate)

@@ -21,19 +21,29 @@ A comparison variant rescales by sigma_i / a_i instead of v_i (the scaling
 used in earlier outlier-robust ratio estimation work).  Its weighted
 residuals ``sum_i w_i (y_i/a_i - ybar_w)`` sum to zero as well, so it
 subtracts the weighted overflow too; it has no associated risk formula.
+Each form is one row of ``FORMS``, the one place a form is chosen.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 
 from .errors import ModelValidationError
 from .frame import PopulationFrame, _scalar
-from .risk import calibrate_c
+from .risk import _clipping_excess, calibrate_c
+
+#: The one-step estimator forms, keyed by ``RobustConfig.scaling``; the first,
+#: the paper's, is the default.  A row is ``(scale, excess)``: ``scale(layout)``
+#: is the sampled units' residual scale, and ``excess(layout, g)`` the location
+#: excess at the c with ``g_clip(c) = g``, for ``risk._population_mse``, or
+#: None where the form has no risk formula.
+FORMS = {
+    "paper_v": (lambda t: t.v, _clipping_excess),
+    "chambers_sigma": (lambda t: np.sqrt(t.sigma2[t.sampled]) / t.a[t.sampled], None),
+}
 
 
 class DegenerateFrameWarning(UserWarning):
@@ -46,7 +56,7 @@ class RobustConfig:
 
     c: float | None = None
     max_excess: float | None = None
-    scaling: Literal["paper_v", "chambers_sigma"] = "paper_v"
+    scaling: str = next(iter(FORMS))
 
     def __post_init__(self):
         if (self.c is None) == (self.max_excess is None):
@@ -57,11 +67,13 @@ class RobustConfig:
         if self.max_excess is not None:
             object.__setattr__(self, "max_excess", _scalar(
                 self.max_excess, "max_excess must be finite and > 0", lambda m: m > 0))
-        if self.scaling not in ("paper_v", "chambers_sigma"):
+        # A list is not hashable, so it is refused before the table is searched.
+        if not isinstance(self.scaling, str) or self.scaling not in FORMS:
             raise ModelValidationError(f"unknown scaling {self.scaling!r}")
-        if self.max_excess is not None and self.scaling != "paper_v":
+        if self.max_excess is not None and not FORMS[self.scaling][1]:
+            with_risk = " and ".join(name for name, (_, excess) in FORMS.items() if excess)
             raise ModelValidationError(
-                "excess-budget calibration is defined for the paper_v scaling only"
+                f"excess-budget calibration is defined for the {with_risk} scaling only"
             )
 
 
@@ -73,7 +85,7 @@ class RobustEstimate:
     ybar_P_R: float
     clipped_units: tuple
     c_used: float
-    scaling: str = "paper_v"
+    scaling: str = next(iter(FORMS))
     degenerate: bool = field(default=False)
 
 
@@ -104,11 +116,12 @@ def robust_estimate(frame: PopulationFrame, config: RobustConfig) -> RobustEstim
 
     Resolves the clipping constant from the excess budget when needed, then
     applies the clipped location estimate to the unsampled part of the frame.
-    The residuals are standardized by ``v_i`` (``paper_v``) or by
-    ``sigma_i / a_i`` (``chambers_sigma``); theta is ``ybar_w`` minus their
-    overflow weighted by ``w_i`` times that scale.  A census frame returns
-    the exact mean.  With a single sampled unit there is nothing to clip:
-    theta is ``ybar_w`` and a DegenerateFrameWarning is issued.
+    The residuals ``(y_i/a_i - ybar_w) / scale_i`` take the scale of the
+    form's ``FORMS`` row, ``v_i`` or ``sigma_i / a_i``; theta is ``ybar_w``
+    minus their overflow weighted by ``w_i`` times that scale.  A census
+    frame returns the exact mean.  With a single sampled unit there is
+    nothing to clip: theta is ``ybar_w`` and a DegenerateFrameWarning is
+    issued.
     """
     if config.c is None:
         config = RobustConfig(c=calibrate_c(frame, config.max_excess), scaling=config.scaling)
@@ -117,12 +130,10 @@ def robust_estimate(frame: PopulationFrame, config: RobustConfig) -> RobustEstim
     if resid is None:
         warnings.warn("single-unit sample, returning ybar_w", DegenerateFrameWarning)
     else:
-        scale = frame.v
-        if config.scaling == "chambers_sigma":
-            s = frame.sampled
-            scale = np.sqrt(frame.sigma2[s]) / frame.a[s]
-            resid = (frame.y[s] / frame.a[s] - ybar_w) / scale
-        T, overflow = weighted_overflow(resid, config.c, frame.w * scale)
+        s, scale = frame.sampled, FORMS[config.scaling][0](frame)
+        # For the paper row, the divide and subtract of fit()'s r, bit for bit.
+        r = (frame.y[s] / frame.a[s] - ybar_w) / scale
+        T, overflow = weighted_overflow(r, config.c, frame.w * scale)
         theta -= float(T)
         ids = frame.sampled_ids
         clipped_units = tuple([ids[i] for i in np.flatnonzero(overflow).tolist()])

@@ -24,9 +24,12 @@ It is not exact.  Of ``E[T^2]``, with ``T = sum_s w_i v_i psi_tilde(r_i)``
 the weighted overflow, it keeps only the diagonal ``sum_s w_i^2 v_i^2 g(c)``
 and drops the pairwise cross term between the overflows of distinct units,
 which the simulation harness measures as ``SimRow.cross_term``; it is a
-large-c approximation.  Dropping the g(c) term gives the MSE of the
-unclipped baseline estimator, so the clipping penalty is the closed form's
-price for robustness when the model is true.  ``calibrate_c`` inverts the
+large-c approximation.  The dropped term is negative, so the diagonal
+overstates ``E[T^2]``: on the clean simulate golden (N = 12, n = 8, 1000
+replications) ``E[T^2]`` is 0.018 +- 0.017, 0.372 +- 0.035 and
+0.827 +- 0.064 of it at c = 0, 1 and 2.  Dropping the g(c) term gives the
+MSE of the unclipped baseline estimator, so the clipping penalty is the
+closed form's price for robustness when the model is true.  ``calibrate_c`` inverts the
 composition's penalty: given a budget on the excess MSE it returns the
 smallest clipping constant whose closed-form excess stays inside the
 budget.  That c is not the most robust one.  The one-step estimate is
@@ -132,6 +135,16 @@ def _population_mse(layout: FrameTemplate, excess_theta: float) -> tuple[float, 
     return layout.sum_u_sigma2 / N2, au2 / layout.S_aa / N2, excess_theta * au2 / N2
 
 
+def _clipping_excess(layout: FrameTemplate, g: float) -> float:
+    """The paper form's location excess ``sum_s w^2 v^2 g`` at the c where ``g = g_clip(c)``.
+
+    The diagonal of ``E[T^2]``, with the pairwise overflow cross term dropped
+    (see the module docstring).  It takes ``g`` rather than c, so a caller
+    that also reports ``g`` evaluates ``g_clip`` once.
+    """
+    return layout.sum_w2v2 * g
+
+
 def mse_closed_form(layout: FrameTemplate, c: float) -> RiskReport:
     """Closed-form model MSE of the robust estimate, split into its three parts.
 
@@ -146,7 +159,7 @@ def mse_closed_form(layout: FrameTemplate, c: float) -> RiskReport:
     """
     layout.require_prediction("the model risk")
     g = g_clip(c)
-    unseen, estimation, penalty = _population_mse(layout, layout.sum_w2v2 * g)
+    unseen, estimation, penalty = _population_mse(layout, _clipping_excess(layout, g))
     baseline = unseen + estimation
     if not math.isfinite(baseline + penalty):
         raise ModelValidationError("the model MSE of this layout overflows float64")
@@ -194,7 +207,7 @@ def calibrate_c(layout: FrameTemplate, max_excess: float) -> float:
     # smallest normal float, it keeps too few digits to be compared.  The
     # penalty at excess 1.0 is (sum_u a)^2 / N^2 exactly.
     tiny = sys.float_info.min * max(1.0, _population_mse(layout, 1.0)[2])
-    floor = max(_population_mse(layout, layout.sum_w2v2 * g_clip(C_NORMAL))[2], tiny)
+    floor = max(_population_mse(layout, _clipping_excess(layout, g_clip(C_NORMAL)))[2], tiny)
     if floor > max_excess:
         raise ModelValidationError(
             f"max_excess {max_excess!r} is below the smallest attainable excess "
@@ -206,7 +219,7 @@ def calibrate_c(layout: FrameTemplate, max_excess: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if _population_mse(layout, layout.sum_w2v2 * g_clip(mid))[2] > max_excess:
+        if _population_mse(layout, _clipping_excess(layout, g_clip(mid)))[2] > max_excess:
             lo = mid
         else:
             hi = mid

@@ -48,7 +48,7 @@ from .dataio import write_result_csv, write_result_json  # noqa: F401
 from .errors import ModelValidationError
 from .estimators import weighted_overflow
 from .frame import FrameTemplate, _scalar
-from .risk import mse_closed_form
+from .risk import _clipping_excess, mse_closed_form
 from .streams import SEEDS, _blocks, batch_rep_uniforms
 
 DEFAULT_REPS = 100_000
@@ -346,7 +346,7 @@ def empirical_risk(config: SimConfig) -> SimResult:
         rows = []
         for j, c in enumerate(config.c_grid):
             report = mse_closed_form(t, c)
-            theo_theta = 1.0 / t.S_aa + t.sum_w2v2 * report.g_of_c
+            theo_theta = 1.0 / t.S_aa + _clipping_excess(t, report.g_of_c)
             row = SimRow(
                 c=float(c),
                 emp_mse_theta=float(emp_theta[j]),

@@ -131,6 +131,21 @@ class TestEstimate:
         assert doc["risk"] is None
         assert doc["robust"]["scaling"] == "chambers_sigma"
 
+    def test_flagged_reads_the_paper_residual_under_the_chambers_scaling(self, tmp_path):
+        # flagged is |r_k| > c_used with the paper residual r_k (scale v_k) under either
+        # scaling.  The chambers form clips sqrt(1 - w_k) |r_k|, which is smaller, so at
+        # c = 1.65 unit u02 is flagged and not clipped.
+        out = tmp_path / "ch.json"
+        assert main([
+            "estimate", "--frame", str(GOLDEN / "ratio.csv"), "--model", "ratio",
+            "--c", "1.65", "--scaling", "chambers", "--out", str(out),
+        ]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["robust"]["clipped_units"] == ["u06", "u17", "u18", "u29"]
+        records = doc["diagnostics"]
+        assert [d["unit_id"] for d in records if d["flagged"]] == ["u02", "u06", "u17", "u18", "u29"]
+        assert all(d["flagged"] == (abs(d["r_k"]) > 1.65) for d in records)
+
     @pytest.mark.parametrize("text, message", [
         ("unit_id,x,y\nu1,abc,1\n", "row 2, column 'x': cannot parse 'abc' as a number"),
         ("unit_id,x,y\n,1,1\n", "row 2, column 'unit_id': empty"),

@@ -434,7 +434,7 @@ _HUGE = 10**400  # no float holds it; json.dumps writes its 401 digits
     (_sim_doc(contamination={"kind": "shift", "units": ["u0"], "delta": -_HUGE}),
      "shift contamination needs a finite delta"),
 ], ids=["theta_true", "negative_theta_true", "frame_a", "c_grid", "contamination_delta"])
-def test_an_integer_too_large_for_a_float_reads_as_inf_and_exits_3(doc, message, tmp_path, capsys):
+def test_an_integer_too_large_for_a_float_is_rejected_with_exit_3(doc, message, tmp_path, capsys):
     with pytest.raises(ModelValidationError) as info:
         sim_config_from_dict(doc)
     assert str(info.value) == message

@@ -361,7 +361,7 @@ class TestRobustConfig:
             RobustConfig(max_excess=0.0)
 
 
-@pytest.mark.parametrize("scaling", ["paper", "chambers", "PAPER_V", ""])
+@pytest.mark.parametrize("scaling", ["paper", "chambers", "PAPER_V", "", ["paper_v"]])
 def test_unknown_scaling_rejected_by_name(scaling):
     # The CLI maps its --scaling choices to these names, so only the library can pass another.
     with pytest.raises(ModelValidationError) as info:

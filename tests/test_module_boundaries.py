@@ -12,6 +12,10 @@ read there and in ``frame``, which computes them, and nowhere else.
 Every number a caller passes is read by one rule in ``frame``, which turns the
 ``OverflowError`` of an int too large for a float into a typed error; no other
 module catches it.
+
+The estimator form is chosen in one table, ``estimators.FORMS``, so the form
+names are written there and in the CLI's ``--scaling`` name map, and in no
+other code of the package.
 """
 
 import ast
@@ -108,3 +112,48 @@ def test_the_overflow_scan_sees_every_form_of_except(tmp_path):
                    "except (ValueError, builtins.ArithmeticError) as e:\n    pass\n"
                    "except ValueError:\n    pass\nexcept:\n    pass\n")
     assert _caught_overflow(src) == [3, 5]
+
+
+_FORM_NAMES = ("paper_v", "chambers_sigma")
+
+
+def _form_name_sites(path: pathlib.Path) -> list:
+    """Each string constant outside a docstring that holds a form name, by where it is written.
+
+    A constant in a module-level assignment to one name is given as that name,
+    any other by its line.  The parts of an f-string are constants too.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docstrings = {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    sites = []
+    for statement in tree.body:
+        owner = None
+        if (isinstance(statement, ast.Assign) and len(statement.targets) == 1
+                and isinstance(statement.targets[0], ast.Name)):
+            owner = statement.targets[0].id
+        for node in ast.walk(statement):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in docstrings
+                    and any(name in node.value for name in _FORM_NAMES)):
+                sites.append(owner or node.lineno)
+    return sites
+
+
+def test_the_form_names_are_written_only_in_the_table_and_the_cli_map():
+    sites = {p.stem: _form_name_sites(p) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {stem: found for stem, found in sites.items() if found} == {
+        "cli": ["SCALING_NAMES", "SCALING_NAMES"], "estimators": ["FORMS", "FORMS"]}
+
+
+def test_the_form_name_scan_skips_docstrings_and_sees_every_constant(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text('"""The paper_v form."""\nFORMS = {"paper_v": 1}\nA = B = "paper_v"\n'
+                   'def f(s="chambers_sigma"):\n    """Not chambers_sigma."""\n'
+                   '    return f"the {s} paper_v form" if s != "paper_v" else "x"\n'
+                   'class C:\n    "chambers_sigma"\n    k: str = "paper_v_old"\n')
+    assert _form_name_sites(src) == ["FORMS", 3, 4, 6, 6, 9]
