@@ -274,15 +274,15 @@ _SCALARS = {
 
 def _contamination_fields(doc: dict, pointer: str) -> dict:
     """A contamination object's fields: ``kind``, then for any kind but ``none``
-    ``units`` and the parameter ``CONTAMINATION_PARAMS`` names for the kind."""
-    from .simulate import CONTAMINATION_PARAMS
+    ``units`` and the parameter field of the kind's ``CONTAMINATION_KINDS`` row."""
+    from .simulate import CONTAMINATION_KINDS
 
     kind = _field(doc, "kind", str, pointer)
     if kind == "none":
         return {"kind": str}
-    if kind not in CONTAMINATION_PARAMS:
+    if kind not in CONTAMINATION_KINDS:
         raise ConfigSchemaError(f"{pointer}/kind", f"unknown kind {kind!r}")
-    return {"kind": str, "units": ["id"], CONTAMINATION_PARAMS[kind]: float}
+    return {"kind": str, "units": ["id"], CONTAMINATION_KINDS[kind][0]: float}
 
 
 #: The sim config schema: each object's fields, in the order they are checked, and

@@ -320,7 +320,7 @@ class ModelSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if not isinstance(self.family, str) or self.family not in FAMILIES:
             raise ModelValidationError(f"unknown family {self.family!r}")
         # sigma is held as a float, so an int such as 10**200 meets the check as 1e200.
         # sigma**2 raises OverflowError above about 1.34e154, where sigma * sigma gives

@@ -58,13 +58,17 @@ _BLOCK_BYTES = 2**20
 #: Replications per chunk, reduced to moments at once; part of the output's definition.
 _CHUNK_REPS = 1024
 
-#: The parameter field each contamination kind reads, besides its target units.
-CONTAMINATION_PARAMS = {"shift": "delta", "variance_inflation": "factor", "substitution": "value"}
-#: Each kind's message for a parameter that is missing or out of range, and its range.
-_PARAM_RULES = {
-    "shift": ("shift contamination needs a finite delta", math.isfinite),
-    "variance_inflation": ("variance inflation needs factor > 1", lambda factor: factor > 1),
-    "substitution": ("substitution needs a finite value", math.isfinite),
+#: Each contamination kind but "none": the parameter field it reads besides its
+#: target units, the message and range ``frame._scalar`` checks that field with, and
+#: ``perturb(y, mean, sd, value)``, the target units' new values from their drawn
+#: values, their model means and sds, and the parameter.
+CONTAMINATION_KINDS = {
+    "shift": ("delta", "shift contamination needs a finite delta", math.isfinite,
+              lambda y, mean, sd, delta: y + delta * sd),
+    "variance_inflation": ("factor", "variance inflation needs factor > 1", lambda factor: factor > 1,
+                           lambda y, mean, sd, factor: mean + math.sqrt(factor) * (y - mean)),
+    "substitution": ("value", "substitution needs a finite value", math.isfinite,
+                     lambda y, mean, sd, value: value),
 }
 
 
@@ -72,7 +76,7 @@ _PARAM_RULES = {
 class Contamination:
     """Departure applied to designated sampled units after generation."""
 
-    kind: str = "none"    # "none" or a key of CONTAMINATION_PARAMS
+    kind: str = "none"    # "none" or a key of CONTAMINATION_KINDS
     units: tuple = ()
     delta: float | None = None    # shift, in multiples of each unit's sigma
     factor: float | None = None   # variance inflation, > 1
@@ -84,15 +88,15 @@ class Contamination:
             if self.units:
                 raise ModelValidationError("contamination 'none' takes no units")
             return
-        if self.kind not in CONTAMINATION_PARAMS:
+        if not isinstance(self.kind, str) or self.kind not in CONTAMINATION_KINDS:
             raise ModelValidationError(f"unknown contamination kind {self.kind!r}")
         if not self.units:
             raise ModelValidationError(f"contamination {self.kind!r} needs target units")
         repeated = [u for u, count in Counter(self.units).items() if count > 1]
         if repeated:
             raise ModelValidationError(f"contamination names units {repeated} more than once")
-        name = CONTAMINATION_PARAMS[self.kind]
-        object.__setattr__(self, name, _scalar(getattr(self, name), *_PARAM_RULES[self.kind]))
+        name, message, ok, _ = CONTAMINATION_KINDS[self.kind]
+        object.__setattr__(self, name, _scalar(getattr(self, name), message, ok))
 
 
 @dataclass(frozen=True)
@@ -144,18 +148,13 @@ class SimConfig:
 
 
 def _apply_contamination(config: SimConfig, y: np.ndarray) -> np.ndarray:
-    """Perturb designated sampled units in-place on a (reps, N) or (N,) array."""
+    """Perturb designated sampled units in-place on a (reps, N) or (N,) array by the kind's row."""
     cont = config.contamination
     if cont.kind == "none":
         return y
     idx = config.contaminated_index
-    if cont.kind == "shift":
-        y[..., idx] += cont.delta * config._model_sd[idx]
-    elif cont.kind == "variance_inflation":
-        center = config._model_mean[idx]
-        y[..., idx] = center + math.sqrt(cont.factor) * (y[..., idx] - center)
-    else:
-        y[..., idx] = cont.value
+    name, _, _, perturb = CONTAMINATION_KINDS[cont.kind]
+    y[..., idx] = perturb(y[..., idx], config._model_mean[idx], config._model_sd[idx], getattr(cont, name))
     return y
 
 

@@ -26,7 +26,7 @@ from robust_fps import DegenerateFrameError, GaussianSpec, ModelValidationError,
 from robust_fps.dataio import CsvFormatError, _parse_cell
 from robust_fps.divergence import _check_dims
 from robust_fps.frame import FAMILIES, ModelSpec, build_model
-from robust_fps.simulate import SimConfig, _apply_contamination, _generate_batch
+from robust_fps.simulate import SimConfig, _generate_batch
 from robust_fps.streams import _blocks
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -230,10 +230,26 @@ def simulate_once(config: SimConfig, rep_index: int) -> SimulatedPopulation:
 
 
 def populations(config: SimConfig, first_rep: int, n_reps: int) -> np.ndarray:
-    """(n_reps, N) populations as one whole-block expression: model draw, then contamination."""
+    """(n_reps, N) populations as one whole-block expression: model draw, then contamination.
+
+    Each kind is written out here, not read from the library: a target unit
+    with model mean ``m``, sd ``s`` and drawn value ``y`` becomes ``y + delta*s``
+    (shift), ``m + sqrt(factor)*(y - m)`` (variance inflation) or ``value``
+    (substitution).
+    """
     u = batch_uniforms(config.seed, n_reps, config.template.n_units, first_rep)
+    cont, ids = config.contamination, list(config.template.unit_id)
+    idx = [ids.index(unit) for unit in cont.units]
     with np.errstate(over="ignore", invalid="ignore"):
-        return _apply_contamination(config, config._model_mean + config._model_sd * ndtri(u))
+        y = config._model_mean + config._model_sd * ndtri(u)
+        m, s = config._model_mean[idx], config._model_sd[idx]
+        if cont.kind == "shift":
+            y[:, idx] = y[:, idx] + cont.delta * s
+        elif cont.kind == "variance_inflation":
+            y[:, idx] = m + math.sqrt(cont.factor) * (y[:, idx] - m)
+        elif cont.kind == "substitution":
+            y[:, idx] = cont.value
+    return y
 
 
 def mean_se(values: np.ndarray) -> tuple[float, float]:

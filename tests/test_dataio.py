@@ -32,7 +32,7 @@ from robust_fps.divergence import influence
 from robust_fps.estimators import RobustEstimate
 from robust_fps.frame import FAMILIES
 from robust_fps.risk import RiskReport
-from robust_fps.simulate import CONTAMINATION_PARAMS, DEFAULT_REPS, Contamination, SimConfig
+from robust_fps.simulate import CONTAMINATION_KINDS, DEFAULT_REPS, Contamination, SimConfig
 
 from conftest import random_frame
 from oracles import read_frame_csv_dictreader
@@ -468,7 +468,7 @@ def test_schema_keys_are_the_dataclass_fields():
     frame, top = _SIM_CONFIG["frame"], {k: v for k, v in _SIM_CONFIG.items() if k != "frame"}
     assert list(frame) == list(init_fields(FrameTemplate))
     assert set(top) | {"template"} == set(init_fields(SimConfig))
-    contamination = {key for kind in ("none", *CONTAMINATION_PARAMS)
+    contamination = {key for kind in ("none", *CONTAMINATION_KINDS)
                      for key in _contamination_fields({"kind": kind}, "/contamination")}
     assert contamination == set(init_fields(Contamination))
     assert set(_OPTIONAL) <= set(top)

@@ -505,13 +505,14 @@ _THREE_SAMPLED = FrameTemplate(("u1", "u2", "u3", "u4"), np.ones(4), np.ones(4),
     (lambda: PopulationFrame(_IDS3, _ONES3, _ONES3, _TWO_OF_3, np.array([1.0, 2.0, 3.0])),
      "y given for unsampled unit(s) ['u3']"),
     (lambda: ModelSpec("linear"), "unknown family 'linear'"),
+    (lambda: ModelSpec(["ratio"]), "unknown family ['ratio']"),
     (lambda: build_model(_IDS3, ModelSpec("royall"), x=_ONES3, sampled=[True, False],
                          y_sampled=[1.0]), "sampled flags must align with unit_id"),
     (lambda: _THREE_SAMPLED.with_y([5.0]), "expected 3 sampled y values, got (1,)"),
     (lambda: _THREE_SAMPLED.with_y([1.0, 2.0]), "expected 3 sampled y values, got (2,)"),
     (lambda: _THREE_SAMPLED.with_y(np.ones((3, 1))), "expected 3 sampled y values, got (3, 1)"),
 ], ids=["aux_shape", "sampled_shape", "y_shape", "y_on_unsampled", "unknown_family",
-        "flags_misaligned", "with_y_one_value", "with_y_too_few", "with_y_column"])
+        "list_family", "flags_misaligned", "with_y_one_value", "with_y_too_few", "with_y_column"])
 def test_model_validation_errors_name_their_cause(build, message):
     with pytest.raises(ModelValidationError) as info:
         build()

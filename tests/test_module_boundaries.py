@@ -15,7 +15,8 @@ module catches it.
 
 The estimator form is chosen in one table, ``estimators.FORMS``, so the form
 names are written there and in the CLI's ``--scaling`` name map, and in no
-other code of the package.
+other code of the package.  Likewise each contamination kind is one row of
+``simulate.CONTAMINATION_KINDS``, so the kind names are written only there.
 """
 
 import ast
@@ -117,8 +118,8 @@ def test_the_overflow_scan_sees_every_form_of_except(tmp_path):
 _FORM_NAMES = ("paper_v", "chambers_sigma")
 
 
-def _form_name_sites(path: pathlib.Path) -> list:
-    """Each string constant outside a docstring that holds a form name, by where it is written.
+def _form_name_sites(path: pathlib.Path, names: tuple) -> list:
+    """Each string constant outside a docstring that holds one of ``names``, by where it is written.
 
     A constant in a module-level assignment to one name is given as that name,
     any other by its line.  The parts of an f-string are constants too.
@@ -139,13 +140,13 @@ def _form_name_sites(path: pathlib.Path) -> list:
         for node in ast.walk(statement):
             if (isinstance(node, ast.Constant) and isinstance(node.value, str)
                     and id(node) not in docstrings
-                    and any(name in node.value for name in _FORM_NAMES)):
+                    and any(name in node.value for name in names)):
                 sites.append(owner or node.lineno)
     return sites
 
 
 def test_the_form_names_are_written_only_in_the_table_and_the_cli_map():
-    sites = {p.stem: _form_name_sites(p) for p in sorted(PACKAGE.glob("*.py"))}
+    sites = {p.stem: _form_name_sites(p, _FORM_NAMES) for p in sorted(PACKAGE.glob("*.py"))}
     assert {stem: found for stem, found in sites.items() if found} == {
         "cli": ["SCALING_NAMES", "SCALING_NAMES"], "estimators": ["FORMS", "FORMS"]}
 
@@ -156,4 +157,13 @@ def test_the_form_name_scan_skips_docstrings_and_sees_every_constant(tmp_path):
                    'def f(s="chambers_sigma"):\n    """Not chambers_sigma."""\n'
                    '    return f"the {s} paper_v form" if s != "paper_v" else "x"\n'
                    'class C:\n    "chambers_sigma"\n    k: str = "paper_v_old"\n')
-    assert _form_name_sites(src) == ["FORMS", 3, 4, 6, 6, 9]
+    assert _form_name_sites(src, _FORM_NAMES) == ["FORMS", 3, 4, 6, 6, 9]
+
+
+_KIND_NAMES = ("shift", "variance_inflation", "substitution")
+
+
+def test_the_kind_names_are_written_only_in_the_table():
+    sites = {p.stem: set(_form_name_sites(p, _KIND_NAMES)) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {stem: found for stem, found in sites.items() if found} == {
+        "simulate": {"CONTAMINATION_KINDS"}}

@@ -735,6 +735,9 @@ _CLI_CONFIG = {
      None),
     (lambda: Contamination(kind="drift", units=("u0",)), "unknown contamination kind 'drift'",
      None),
+    (lambda: Contamination(kind=["shift"], units=("u0",), delta=1.0),
+     "unknown contamination kind ['shift']", None),
+    (lambda: Contamination(kind={}), "unknown contamination kind {}", None),
     (lambda: Contamination(kind="shift", delta=1.0), "contamination 'shift' needs target units",
      {"contamination": {"kind": "shift", "units": [], "delta": 1.0}}),
     (lambda: Contamination(kind="shift", units=("u0",)), "shift contamination needs a finite delta",
@@ -762,10 +765,10 @@ _CLI_CONFIG = {
     (lambda: make_config(reps=2048.0), "reps must be an integer >= 2", None),
     (lambda: make_config(seed=1.5), _SEED_RANGE, None),
     (lambda: make_config(seed=1.0), _SEED_RANGE, None),
-], ids=["units_on_none", "unknown_kind", "no_units", "no_delta", "nan_delta", "factor_one",
-        "infinite_value", "nan_theta", "empty_grid", "negative_c", "seed_too_large",
-        "seed_too_small", "seed_2_63", "seed_2_64_minus_1", "float_reps", "fractional_seed",
-        "float_seed"])
+], ids=["units_on_none", "unknown_kind", "list_kind", "dict_kind", "no_units", "no_delta",
+        "nan_delta", "factor_one", "infinite_value", "nan_theta", "empty_grid", "negative_c",
+        "seed_too_large", "seed_too_small", "seed_2_63", "seed_2_64_minus_1", "float_reps",
+        "fractional_seed", "float_seed"])
 def test_invalid_simulation_inputs_exit_3(build, message, overrides, tmp_path, capsys):
     # The config schema rejects a units field on "none" and an unknown kind first, with exit 2.
     with pytest.raises(ModelValidationError) as info:
