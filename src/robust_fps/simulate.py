@@ -17,7 +17,10 @@ thread draws a chunk's populations in blocks of about 1 MiB into a block
 buffer, all in place (see ``streams`` for the uniform identity that needs no
 array of raw words), and reduces each block at once, while it is still in
 cache, into its chunk's buffer of per-replication finite flags, squared
-errors and cross moments.  Each row is reduced as ``robust_estimate``
+errors and cross moments.  The sampled values are copied into a second
+buffer, and the spent block buffer is then the reduction's scratch; the two
+dot products of each c go into the chunk's rows, where the rest of the grid's
+statistics is formed in place.  Each row is reduced as ``robust_estimate``
 reduces one frame (C-ordered row sums and one dot product per row), so a
 replication's values are bit for bit those of its own frame.  The thread
 then reduces the chunk to a count, a mean and a sum of squared deviations
@@ -72,6 +75,19 @@ CONTAMINATION_KINDS = {
 }
 
 
+def _sequence(values, message: str) -> tuple:
+    """``tuple(values)`` of an iterable that is not a str or bytes; else ``ModelValidationError(message)``.
+
+    A string would be read as its characters, so ``"12"`` is refused, not read as 1 and 2.
+    """
+    if isinstance(values, (str, bytes)):
+        raise ModelValidationError(message)
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ModelValidationError(message) from None
+
+
 @dataclass(frozen=True)
 class Contamination:
     """Departure applied to designated sampled units after generation."""
@@ -83,7 +99,8 @@ class Contamination:
     value: float | None = None    # substituted observation
 
     def __post_init__(self):
-        object.__setattr__(self, "units", tuple(self.units))
+        message = f"contamination units must be a list of unit ids, not {self.units!r}"
+        object.__setattr__(self, "units", _sequence(self.units, message))
         if self.kind == "none":
             if self.units:
                 raise ModelValidationError("contamination 'none' takes no units")
@@ -92,7 +109,10 @@ class Contamination:
             raise ModelValidationError(f"unknown contamination kind {self.kind!r}")
         if not self.units:
             raise ModelValidationError(f"contamination {self.kind!r} needs target units")
-        repeated = [u for u, count in Counter(self.units).items() if count > 1]
+        try:
+            repeated = [u for u, count in Counter(self.units).items() if count > 1]
+        except TypeError:  # an unhashable id, which no FrameTemplate can hold
+            raise ModelValidationError(message) from None
         if repeated:
             raise ModelValidationError(f"contamination names units {repeated} more than once")
         name, message, ok, _ = CONTAMINATION_KINDS[self.kind]
@@ -113,7 +133,7 @@ class SimConfig:
         theta_true = _scalar(self.theta_true, "theta_true must be finite")
         object.__setattr__(self, "theta_true", theta_true)
         message = "c_grid must be nonempty with finite c >= 0"
-        c_grid = tuple(_scalar(c, message, lambda c: c >= 0) for c in self.c_grid)
+        c_grid = tuple(_scalar(c, message, lambda c: c >= 0) for c in _sequence(self.c_grid, message))
         if not c_grid:
             raise ModelValidationError(message)
         object.__setattr__(self, "c_grid", c_grid)
@@ -279,7 +299,7 @@ def empirical_risk(config: SimConfig) -> SimResult:
     population is not finite counts as a failure.  The chunks are merged in
     order (``_merge_moments``), so with ``reps <= _CHUNK_REPS`` (one chunk,
     one thread) every mean and standard error is numpy's two-pass one.
-    Memory is O(threads * (block * N + _CHUNK_REPS * len(c_grid)) + chunks * len(c_grid)).
+    Memory is O(threads * (block * (N + n) + _CHUNK_REPS * len(c_grid)) + chunks * len(c_grid)).
     """
     t = config.template
     wv = t.w * t.v
@@ -296,8 +316,7 @@ def empirical_risk(config: SimConfig) -> SimResult:
         first = k * _CHUNK_REPS
         last = min(first + _CHUNK_REPS, config.reps)
         if not hasattr(local, "buffer"):
-            local.buffer = np.empty((widest, 4 * _blocks(t.n_units)))
-            local.ys, local.scratch = np.empty((widest, n)), np.empty((widest, n))
+            local.buffer, local.ys = np.empty((widest, 4 * _blocks(t.n_units))), np.empty((widest, n))
             local.values, local.finite = np.empty(n_values * _CHUNK_REPS), np.empty(_CHUNK_REPS, dtype=bool)
         values = local.values[: n_values * (last - first)].reshape(n_values, last - first)
         finite = local.finite[: last - first]
@@ -318,18 +337,26 @@ def empirical_risk(config: SimConfig) -> SimResult:
                 for row in np.flatnonzero(~finite[at]).tolist():
                     finite[at.start + row] = np.isfinite(Y[row]).all()
                 # No (m, n) array is allocated per block: freed block-sized arrays
-                # move glibc's mmap and trim thresholds and cost page faults.
-                Ys, scratch = local.ys[:m], local.scratch[:m]
+                # move glibc's mmap and trim thresholds and cost page faults.  Once
+                # the sample is taken the block is spent, so its first m * n floats
+                # are the scratch (n <= N <= its row width).
+                Ys = local.ys[:m]
                 np.take(local.buffer[:m], sampled_idx, axis=1, out=Ys, mode="clip")
+                scratch = local.buffer.reshape(-1)[: m * n].reshape(m, n)
                 sum_ys = Ys.sum(axis=1)
                 ybar_w, r = t.residuals(Ys, out=Ys, scratch=scratch)
                 sq_classical[at] = (t.fill_in(sum_ys, ybar_w) - ybar_pop) ** 2
+                # Only the two dot products depend on c: T goes into the sq_theta
+                # rows and sum wv^2 overflow^2 into the cross rows, and the rest is
+                # formed once for the whole grid, in place in the chunk's rows.
+                T, Q, pop = sq_theta[:, at], cross[:, at], sq_pop[:, at]
                 for j, c in enumerate(config.c_grid):
-                    T = weighted_overflow(r, c, wv, out=scratch)[0]
-                    theta_R = ybar_w - T
-                    sq_theta[j, at] = (theta_R - config.theta_true) ** 2
-                    sq_pop[j, at] = (t.fill_in(sum_ys, theta_R) - ybar_pop) ** 2
-                    cross[j, at] = T**2 - np.vecdot(np.square(scratch, out=scratch), wv2)
+                    T[j] = weighted_overflow(r, c, wv, out=scratch)[0]
+                    np.vecdot(np.square(scratch, out=scratch), wv2, out=Q[j])
+                np.subtract(np.square(T, out=pop), Q, out=Q)  # cross = T^2 - Q
+                theta_R = np.subtract(ybar_w, T, out=T)
+                np.square(np.subtract(t.fill_in(sum_ys, theta_R, out=pop), ybar_pop, out=pop), out=pop)
+                np.square(np.subtract(theta_R, config.theta_true, out=theta_R), out=theta_R)
             moments[k] = _chunk_moments(values, finite)
 
     with ThreadPoolExecutor(_workers(len(moments))) as pool:

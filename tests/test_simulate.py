@@ -32,7 +32,7 @@ import robust_fps.simulate as sim
 from robust_fps.dataio import read_sim_config, result_to_dict, write_result_csv, write_result_json
 from robust_fps.risk import mse_closed_form
 from robust_fps.simulate import _generate_batch
-from robust_fps.streams import SEEDS, batch_rep_uniforms
+from robust_fps.streams import SEEDS, _blocks, batch_rep_uniforms
 
 from oracles import (
     batch_uniforms,
@@ -401,15 +401,17 @@ class TestBlocks:
         for res in results[1:]:
             assert (res.rows, res.failures) == (results[0].rows, results[0].failures)
 
+    @pytest.mark.parametrize("c_grid", [(0.5, 1.0, 2.0), (1.0,)], ids=["three_c", "one_c"])
     @pytest.mark.parametrize("rows", [1, 7, 13])
-    def test_each_replication_is_reduced_as_robust_estimate_reduces_its_frame(self, monkeypatch, rows):
+    def test_each_replication_is_reduced_as_robust_estimate_reduces_its_frame(self, monkeypatch, rows, c_grid):
         # 300 reps leave a last block of 6 rows at 7 and of 1 row at 13.
         # n = 150 takes numpy's pairwise sums past their 128-element leaf.
+        # The grid's statistics are formed over (len(c_grid), rows) at once.
         rng = np.random.default_rng(21)
         N = 200
         template = make_template(N=N, n=150, a=rng.uniform(0.5, 2.0, N), sigma2=rng.uniform(0.5, 2.0, N))
         config = make_config(template=template, contamination=Contamination("shift", units=("u1", "u9"), delta=8.0),
-                             c_grid=(0.5, 1.0, 2.0), reps=300)
+                             c_grid=c_grid, reps=300)
         Y = _generate_batch(config)
         frames = [template.with_y(y[template.sampled]) for y in Y]
         ybar_pop = Y.mean(axis=1)
@@ -608,28 +610,38 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         # one (reps, N) float64 matrix alone is 153 MiB; each thread holds one
-        # block buffer of 1 MiB, two (block, n) buffers, its reduction's
-        # temporaries and one chunk's values
+        # block buffer of 1 MiB, which is also the reduction's scratch, one
+        # (block, n) buffer of the sample, its reduction's temporaries and one
+        # chunk's values
         assert peak <= 4 * 2**20
 
-    def test_peak_memory_does_not_grow_with_reps(self, monkeypatch):
-        # only the moments of each 1024-replication chunk outlive it: 4 times
-        # the reps add a few hundred bytes per chunk, where one value per
-        # replication and c would add 22 MiB
-        _cpus(monkeypatch, 2)
+    @pytest.mark.parametrize("n_c", [16, 200])
+    def test_peak_memory_does_not_grow_with_reps(self, monkeypatch, n_c):
+        # Each thread holds its block buffer, the block's sample and one chunk's
+        # values and finite flags; past those, only the moments of each
+        # 1024-replication chunk outlive it.  4 times the reps add a few hundred
+        # bytes per chunk and c, where keeping 3 values per replication and c
+        # would add 1.37 MiB per c.
+        threads, N, n = 2, 200, 150
+        _cpus(monkeypatch, threads)
         rng = np.random.default_rng(4)
-        N = 200
-        template = make_template(N=N, n=150, a=rng.uniform(0.5, 2.0, N), sigma2=rng.uniform(0.5, 2.0, N))
-        peaks = []
+        template = make_template(N=N, n=n, a=rng.uniform(0.5, 2.0, N), sigma2=rng.uniform(0.5, 2.0, N))
+        rows, n_values = min(sim._block_rows(N), sim._CHUNK_REPS), 1 + 3 * n_c
+        held = threads * (8 * rows * (4 * _blocks(N) + n) + (8 * n_values + 1) * sim._CHUNK_REPS)
+        # each block's per-row statistics, numpy's ufunc buffers and the pool
+        slack = threads * 2**19
+        peaks, moments = [], []
         for reps in (20_000, 80_000):
-            config = make_config(template=template, c_grid=tuple(np.linspace(0.0, 3.0, 16)), reps=reps)
+            config = make_config(template=template, c_grid=tuple(np.linspace(0.0, 3.0, n_c)), reps=reps)
+            moments.append(-(-reps // sim._CHUNK_REPS) * 2 * 8 * n_values)  # a mean and an M2 per chunk
             tracemalloc.start()
             try:
                 empirical_risk(config)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] - peaks[0] < 0.5 * 2**20
+            assert peaks[-1] <= held + moments[-1] + slack
+        assert peaks[1] - peaks[0] < moments[1] - moments[0] + 0.5 * 2**20
 
 
 class TestCovarianceProbe:
@@ -757,6 +769,17 @@ _CLI_CONFIG = {
      {"c_grid": []}),
     (lambda: make_config(c_grid=(1.0, -0.5)), "c_grid must be nonempty with finite c >= 0",
      {"c_grid": [1.0, -0.5]}),
+    # The config schema takes only arrays for units and c_grid, and string or integer
+    # ids, so these have no CLI form.
+    (lambda: Contamination(units=5), "contamination units must be a list of unit ids, not 5", None),
+    (lambda: Contamination("shift", units=(["a"],), delta=1.0),
+     "contamination units must be a list of unit ids, not (['a'],)", None),
+    (lambda: Contamination("shift", units="ab", delta=1.0),
+     "contamination units must be a list of unit ids, not 'ab'", None),
+    (lambda: Contamination("shift", units=b"u0", delta=1.0),
+     "contamination units must be a list of unit ids, not b'u0'", None),
+    (lambda: make_config(c_grid=5), "c_grid must be nonempty with finite c >= 0", None),
+    (lambda: make_config(c_grid="12"), "c_grid must be nonempty with finite c >= 0", None),
     (lambda: make_config(seed=2**64), _SEED_RANGE, {"seed": 2**64}),
     (lambda: make_config(seed=-(2**63) - 1), _SEED_RANGE, {"seed": -(2**63) - 1}),
     (lambda: make_config(seed=2**63), _SEED_RANGE, {"seed": 2**63}),
@@ -767,6 +790,7 @@ _CLI_CONFIG = {
     (lambda: make_config(seed=1.0), _SEED_RANGE, None),
 ], ids=["units_on_none", "unknown_kind", "list_kind", "dict_kind", "no_units", "no_delta",
         "nan_delta", "factor_one", "infinite_value", "nan_theta", "empty_grid", "negative_c",
+        "int_units", "unhashable_unit", "str_units", "bytes_units", "int_grid", "str_grid",
         "seed_too_large", "seed_too_small", "seed_2_63", "seed_2_64_minus_1", "float_reps",
         "fractional_seed", "float_seed"])
 def test_invalid_simulation_inputs_exit_3(build, message, overrides, tmp_path, capsys):
