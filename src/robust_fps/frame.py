@@ -245,15 +245,12 @@ class FrameTemplate:
         t /= self.v
         return ybar_w, t
 
-    def fill_in(self, sum_s_y, theta, out: np.ndarray | None = None):
+    def fill_in(self, sum_s_y, theta):
         """Population mean from the sampled total and ``theta * a_j`` for each unsampled unit.
 
-        Takes scalars or arrays that broadcast to ``theta``'s shape.  ``out``,
-        an array of that shape, receives the result when given; it may be
-        ``theta`` itself.
+        Takes scalars or arrays of one shape.
         """
-        return np.divide(np.add(sum_s_y, np.multiply(theta, self.sum_u_a, out=out), out=out),
-                         self.n_units, out=out)
+        return (sum_s_y + theta * self.sum_u_a) / self.n_units
 
     def with_y(self, y_sampled: Sequence[float]) -> "PopulationFrame":
         """A frame on this layout with observed values on the sampled units (unit order).

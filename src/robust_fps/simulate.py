@@ -18,11 +18,10 @@ buffer, all in place (see ``streams`` for the uniform identity that needs no
 array of raw words), and reduces each block at once, while it is still in
 cache, into its chunk's buffer of per-replication finite flags, squared
 errors and cross moments.  The sampled values are copied into a second
-buffer, and the spent block buffer is then the reduction's scratch; the two
-dot products of each c go into the chunk's rows, where the rest of the grid's
-statistics is formed in place.  Each row is reduced as ``robust_estimate``
-reduces one frame (C-ordered row sums and one dot product per row), so a
-replication's values are bit for bit those of its own frame.  The thread
+buffer, and the spent block buffer is then the reduction's scratch.  Each
+row is reduced as ``robust_estimate`` reduces one frame (C-ordered row sums
+and one dot product per row), so a replication's values are bit for bit
+those of its own frame.  The thread
 then reduces the chunk to a count, a mean and a sum of squared deviations
 (M2), numpy's two-pass statistics over its finite replications.  Its
 buffers are allocated once per ``empirical_risk`` call and reused for every
@@ -346,17 +345,12 @@ def empirical_risk(config: SimConfig) -> SimResult:
                 sum_ys = Ys.sum(axis=1)
                 ybar_w, r = t.residuals(Ys, out=Ys, scratch=scratch)
                 sq_classical[at] = (t.fill_in(sum_ys, ybar_w) - ybar_pop) ** 2
-                # Only the two dot products depend on c: T goes into the sq_theta
-                # rows and sum wv^2 overflow^2 into the cross rows, and the rest is
-                # formed once for the whole grid, in place in the chunk's rows.
-                T, Q, pop = sq_theta[:, at], cross[:, at], sq_pop[:, at]
                 for j, c in enumerate(config.c_grid):
-                    T[j] = weighted_overflow(r, c, wv, out=scratch)[0]
-                    np.vecdot(np.square(scratch, out=scratch), wv2, out=Q[j])
-                np.subtract(np.square(T, out=pop), Q, out=Q)  # cross = T^2 - Q
-                theta_R = np.subtract(ybar_w, T, out=T)
-                np.square(np.subtract(t.fill_in(sum_ys, theta_R, out=pop), ybar_pop, out=pop), out=pop)
-                np.square(np.subtract(theta_R, config.theta_true, out=theta_R), out=theta_R)
+                    T = weighted_overflow(r, c, wv, out=scratch)[0]
+                    theta_R = ybar_w - T
+                    sq_theta[j, at] = (theta_R - config.theta_true) ** 2
+                    sq_pop[j, at] = (t.fill_in(sum_ys, theta_R) - ybar_pop) ** 2
+                    cross[j, at] = T**2 - np.vecdot(np.square(scratch, out=scratch), wv2)
             moments[k] = _chunk_moments(values, finite)
 
     with ThreadPoolExecutor(_workers(len(moments))) as pool:

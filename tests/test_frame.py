@@ -327,23 +327,6 @@ class TestFrameTemplate:
                 assert ybar_w[k] == ybar_k
                 assert np.array_equal(r[k], r_k)
 
-    def test_fill_in_with_out_gives_the_bits_of_fill_in(self):
-        # On a scalar, a (rows,) and a (k, rows) theta, the sampled total broadcast
-        # against it; out may be theta itself, as the harness passes it.
-        rng = np.random.default_rng(8)
-        t = FrameTemplate(tuple(range(9)), rng.uniform(0.2, 5, 9), rng.uniform(0.1, 4, 9),
-                          np.array([True] * 4 + [False] * 5))
-        sums, thetas = rng.normal(0, 30, 50), rng.normal(0, 3, (7, 50))
-        for sum_s_y, theta in [(sums[0], thetas[0, 0]), (sums, thetas[0]), (sums, thetas)]:
-            expected = (sum_s_y + theta * t.sum_u_a) / t.n_units
-            assert np.array_equal(t.fill_in(sum_s_y, theta), expected)
-            out = np.empty(np.shape(theta))
-            assert t.fill_in(sum_s_y, theta, out=out) is out
-            assert np.array_equal(out, expected)
-            theta = np.array(theta)
-            assert np.array_equal(t.fill_in(sum_s_y, theta, out=theta), expected)
-            assert np.array_equal(theta, expected)
-
     @pytest.mark.parametrize("a, sigma2", [
         ([1e-170, 1e-170, 1.0], [1.0, 1.0, 1.0]),   # every a^2 underflows: S_aa = 0
         ([1e160, 1.0, 1.0], [1.0, 1.0, 1.0]),       # a^2 overflows: h = inf
