@@ -23,7 +23,7 @@ from . import dataio
 from .divergence import GaussianSpec, divergence, influence, symmetrized_divergence
 from .errors import DegenerateFrameError, EstimationError
 from .estimators import FORMS, RobustConfig, robust_estimate
-from .frame import classical_estimate
+from .frame import FAMILIES, classical_estimate
 from .risk import calibrate_c, mse_closed_form
 
 EXIT_OK = 0
@@ -50,11 +50,11 @@ def _add_frame_flags(parser: argparse.ArgumentParser):
 def _load_frame(args):
     """The frame of ``--frame`` under ``--model``, and the report's ``model`` block.
 
-    The block records ``sigma`` for the ratio family and for any family whose
-    ``sigma`` is not 1.
+    The block records ``sigma`` where it is not 1, and at 1 for a family whose
+    ``FAMILIES`` row says so (ratio).
     """
     family, sigma = MODEL_NAMES[args.model], args.sigma
-    model = {"family": family} | ({"sigma": sigma} if family == "ratio" or sigma != 1 else {})
+    model = {"family": family} | ({"sigma": sigma} if FAMILIES[family][2] or sigma != 1 else {})
     return dataio.read_frame_csv(args.frame, family, sigma=sigma), model
 
 

@@ -273,16 +273,16 @@ _SCALARS = {
 
 
 def _contamination_fields(doc: dict, pointer: str) -> dict:
-    """A contamination object's fields: ``kind``, then for any kind but ``none``
-    ``units`` and the parameter field of the kind's ``CONTAMINATION_KINDS`` row."""
+    """A contamination object's fields: ``kind``, then, where the kind's
+    ``CONTAMINATION_KINDS`` row has parameters, ``units`` and each parameter field."""
     from .simulate import CONTAMINATION_KINDS
 
     kind = _field(doc, "kind", str, pointer)
-    if kind == "none":
-        return {"kind": str}
     if kind not in CONTAMINATION_KINDS:
         raise ConfigSchemaError(f"{pointer}/kind", f"unknown kind {kind!r}")
-    return {"kind": str, "units": ["id"], CONTAMINATION_KINDS[kind][0]: float}
+    params = CONTAMINATION_KINDS[kind][0]
+    units = {"units": ["id"]} if params else {}
+    return {"kind": str, **units, **{name: float for name, _, _ in params}}
 
 
 #: The sim config schema: each object's fields, in the order they are checked, and

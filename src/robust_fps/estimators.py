@@ -13,9 +13,9 @@ written as ybar_w minus the weighted overflow beyond the band,
 which is the form computed: it returns ybar_w exactly once no residual is
 clipped.  ``weighted_overflow`` computes that overflow and its weighted sum
 for one frame's residuals or a stack of them; the estimator here and the
-Monte Carlo harness both call it, and ``psi_clip`` inside it is the one place
-the band is applied.  The population-mean version plugs theta_R into the
-unsampled part of the frame.
+Monte Carlo harness both call it, and ``psi_clip`` inside it clips at the
+band; ``dataio.build_report`` applies the band once more, to flag units.  The
+population-mean version plugs theta_R into the unsampled part of the frame.
 
 A comparison variant rescales by sigma_i / a_i instead of v_i (the scaling
 used in earlier outlier-robust ratio estimation work).  Its weighted
@@ -92,7 +92,8 @@ class RobustEstimate:
 def psi_clip(r, c: float, out=None):
     """Winsorize at the closed band [-c, c]; odd and nondecreasing in r.
 
-    The one place the band is applied.  ``out``, an array of ``r``'s shape,
+    It clips for the estimators and the harness; ``dataio.build_report``
+    flags ``|r_k| > c`` on its own.  ``out``, an array of ``r``'s shape,
     receives the result when given.
     """
     c = _scalar(c, "clipping constant must be finite and >= 0", lambda c: c >= 0)

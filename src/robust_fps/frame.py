@@ -10,7 +10,9 @@ gives the baseline (non-robust) estimate of the finite population mean.
 The model families are the rows of one table, ``FAMILIES``: each names its
 auxiliary columns and maps them to ``a`` and a base variance, and every
 family's ``sigma2_i = sigma^2 * base_i`` for one scale ``sigma`` (default 1).
-``build_model`` takes a family's columns by those names and rejects others.
+``build_model`` takes a family's columns by those names and rejects others,
+and a family's rule for its own columns is in its map: the Horvitz-Thompson
+map rejects a ``pi`` outside (0, 1) or a total other than the sample size.
 With ``a_i = x_i`` and ``base_i = x_i`` the baseline estimate is the classical
 ratio estimator; with ``a_i = x_i`` and ``base_i = x_i^2`` it averages the
 unit ratios ``y_i / x_i``; with ``a_i = pi_i`` and
@@ -42,14 +44,27 @@ from .errors import DegenerateFrameError, ModelValidationError
 HT_PI_SUM_TOL = 1e-9
 _Y_VALUES = "y values must be numbers that fit in a float64"
 
-#: Each model family: its auxiliary columns in frame CSV order, and the map
-#: ``*aux -> (a, base)``.  These are the only names of the columns: ``build_model``
-#: takes them as keywords, and sets ``sigma2 = sigma**2 * base``.
+
+def _horvitz_thompson(n: int, pi: np.ndarray):
+    """``(pi, pi**2 / (1 - pi))`` for pi strictly in (0, 1) that sums to the sample size ``n``."""
+    if np.any(pi >= 1):
+        raise ModelValidationError("pi must lie strictly in (0, 1)")
+    if abs(pi.sum() - n) > HT_PI_SUM_TOL:
+        raise ModelValidationError(f"sum of pi over all units is {pi.sum()!r}, expected sample size {n}")
+    return pi, pi**2 / (1.0 - pi)
+
+
+#: Each model family: its auxiliary columns in frame CSV order; the map
+#: ``(n, *aux) -> (a, base)`` from the sample size and those columns, which raises
+#: ``ModelValidationError`` where the family cannot map them; and whether the
+#: report's ``model`` block records ``sigma`` when it is 1.  These are the only
+#: names of the columns: ``build_model`` takes them as keywords, and sets
+#: ``sigma2 = sigma**2 * base``.
 FAMILIES = {
-    "ratio": (("x",), lambda x: (x, x)),
-    "royall": (("x",), lambda x: (x, x**2)),
-    "horvitz_thompson": (("pi",), lambda pi: (pi, pi**2 / (1.0 - pi))),
-    "custom": (("a", "sigma2"), lambda a, sigma2: (a, sigma2)),
+    "ratio": (("x",), lambda n, x: (x, x), True),
+    "royall": (("x",), lambda n, x: (x, x**2), False),
+    "horvitz_thompson": (("pi",), _horvitz_thompson, False),
+    "custom": (("a", "sigma2"), lambda n, a, sigma2: (a, sigma2), False),
 }
 
 
@@ -343,7 +358,8 @@ def build_model(
     ``columns`` holds the family's columns by their ``FAMILIES`` names, for
     example ``x=...`` for ``ratio`` or ``a=..., sigma2=...`` for ``custom``.
     A column the family does not read raises ``ModelValidationError`` unless
-    it is None, and a missing one fails its shape check.  Every family's
+    it is None, and a missing one fails its shape check; the family's map
+    may reject the columns it is given.  Every family's
     ``sigma2_i`` is ``spec.sigma**2`` times its base variance; at
     ``sigma = 1`` that product is exact.  ``y_sampled`` lists observed values
     for the sampled units, in unit order.
@@ -355,22 +371,14 @@ def build_model(
         raise ModelValidationError("sampled flags must align with unit_id")
     n = int(sampled_arr.sum())
 
-    names, to_model = FAMILIES[spec.family]
+    names, to_model, _ = FAMILIES[spec.family]
     unread = [c for c, values in columns.items() if c not in names and values is not None]
     if unread:
         raise ModelValidationError(f"{spec.family} family does not read column(s) {unread}")
     aux = [_positive_array(c, columns.get(c), N) for c in names]
-    if spec.family == "horvitz_thompson":
-        pv = aux[0]
-        if np.any(pv >= 1):
-            raise ModelValidationError("pi must lie strictly in (0, 1)")
-        if abs(pv.sum() - n) > HT_PI_SUM_TOL:
-            raise ModelValidationError(
-                f"sum of pi over all units is {pv.sum()!r}, expected sample size {n}"
-            )
     # An a or sigma2 that overflows is left inf, for FrameTemplate to reject.
     with np.errstate(over="ignore"):
-        a_arr, base = to_model(*aux)
+        a_arr, base = to_model(n, *aux)
         s2_arr = spec.sigma**2 * base
 
     return PopulationFrame(unit_id, a_arr, s2_arr, sampled_arr, _place_y(y_sampled, sampled_arr, n))

@@ -39,7 +39,7 @@ import os
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -60,16 +60,20 @@ _BLOCK_BYTES = 2**20
 #: Replications per chunk, reduced to moments at once; part of the output's definition.
 _CHUNK_REPS = 1024
 
-#: Each contamination kind but "none": the parameter field it reads besides its
-#: target units, the message and range ``frame._scalar`` checks that field with, and
-#: ``perturb(y, mean, sd, value)``, the target units' new values from their drawn
-#: values, their model means and sds, and the parameter.
+#: Each contamination kind; the first, no contamination, is the default.  A row is
+#: ``(params, perturb)``.  ``params`` holds a ``(field, message, ok)`` for each
+#: parameter field the kind reads besides its target units: the ``Contamination``
+#: field, and the message and range ``frame._scalar`` checks it with.
+#: ``perturb(y, mean, sd, *values)`` gives the target units' new values from their
+#: drawn values, their model means and sds, and the parameters in ``params`` order.
+#: A kind with no parameters takes no units and perturbs nothing.
 CONTAMINATION_KINDS = {
-    "shift": ("delta", "shift contamination needs a finite delta", math.isfinite,
+    "none": ((), None),
+    "shift": ((("delta", "shift contamination needs a finite delta", math.isfinite),),
               lambda y, mean, sd, delta: y + delta * sd),
-    "variance_inflation": ("factor", "variance inflation needs factor > 1", lambda factor: factor > 1,
+    "variance_inflation": ((("factor", "variance inflation needs factor > 1", lambda f: f > 1),),
                            lambda y, mean, sd, factor: mean + math.sqrt(factor) * (y - mean)),
-    "substitution": ("value", "substitution needs a finite value", math.isfinite,
+    "substitution": ((("value", "substitution needs a finite value", math.isfinite),),
                      lambda y, mean, sd, value: value),
 }
 
@@ -89,9 +93,16 @@ def _sequence(values, message: str) -> tuple:
 
 @dataclass(frozen=True)
 class Contamination:
-    """Departure applied to designated sampled units after generation."""
+    """Departure applied to designated sampled units after generation.
 
-    kind: str = "none"    # "none" or a key of CONTAMINATION_KINDS
+    ``kind`` names a row of ``CONTAMINATION_KINDS``, by default the first, no
+    contamination.  A kind with parameter fields needs target units and reads
+    those fields; a kind with none takes no units.  A parameter field the kind
+    does not read must be None, as ``build_model`` refuses a column its family
+    does not read.
+    """
+
+    kind: str = next(iter(CONTAMINATION_KINDS))
     units: tuple = ()
     delta: float | None = None    # shift, in multiples of each unit's sigma
     factor: float | None = None   # variance inflation, > 1
@@ -100,13 +111,12 @@ class Contamination:
     def __post_init__(self):
         message = f"contamination units must be a list of unit ids, not {self.units!r}"
         object.__setattr__(self, "units", _sequence(self.units, message))
-        if self.kind == "none":
-            if self.units:
-                raise ModelValidationError("contamination 'none' takes no units")
-            return
         if not isinstance(self.kind, str) or self.kind not in CONTAMINATION_KINDS:
             raise ModelValidationError(f"unknown contamination kind {self.kind!r}")
-        if not self.units:
+        params = CONTAMINATION_KINDS[self.kind][0]
+        if self.units and not params:
+            raise ModelValidationError(f"contamination {self.kind!r} takes no units")
+        if params and not self.units:
             raise ModelValidationError(f"contamination {self.kind!r} needs target units")
         try:
             repeated = [u for u, count in Counter(self.units).items() if count > 1]
@@ -114,8 +124,14 @@ class Contamination:
             raise ModelValidationError(message) from None
         if repeated:
             raise ModelValidationError(f"contamination names units {repeated} more than once")
-        name, message, ok, _ = CONTAMINATION_KINDS[self.kind]
-        object.__setattr__(self, name, _scalar(getattr(self, name), message, ok))
+        for name, message, ok in params:
+            object.__setattr__(self, name, _scalar(getattr(self, name), message, ok))
+        # Every field after kind and units is a parameter field of some kind.
+        read = [name for name, _, _ in params]
+        unread = [f.name for f in fields(self)[2:]
+                  if f.name not in read and getattr(self, f.name) is not None]
+        if unread:
+            raise ModelValidationError(f"contamination {self.kind!r} does not read field(s) {unread}")
 
 
 @dataclass(frozen=True)
@@ -137,10 +153,12 @@ class SimConfig:
             raise ModelValidationError(message)
         object.__setattr__(self, "c_grid", c_grid)
         # reps and seed are held as Python ints, as ModelSpec holds sigma as a float;
-        # a float such as 2048.0 or 1.5 is rejected, not truncated.
-        if not isinstance(self.reps, (int, np.integer)) or self.reps < 2:
+        # a float such as 2048.0 or 1.5 is rejected, not truncated, and a bool is no
+        # integer here, as in the config schema.
+        integer = (int, np.integer)
+        if isinstance(self.reps, bool) or not isinstance(self.reps, integer) or self.reps < 2:
             raise ModelValidationError("reps must be an integer >= 2")
-        if not isinstance(self.seed, (int, np.integer)) or int(self.seed) not in SEEDS:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, integer) or int(self.seed) not in SEEDS:
             raise ModelValidationError("seed must fit in a signed 64-bit integer")
         object.__setattr__(self, "reps", int(self.reps))
         object.__setattr__(self, "seed", int(self.seed))
@@ -167,13 +185,17 @@ class SimConfig:
 
 
 def _apply_contamination(config: SimConfig, y: np.ndarray) -> np.ndarray:
-    """Perturb designated sampled units in-place on a (reps, N) or (N,) array by the kind's row."""
+    """Perturb designated sampled units in-place on a (reps, N) or (N,) array by the kind's row.
+
+    A kind with no parameters leaves ``y`` as it is; any other takes one indexed assignment.
+    """
     cont = config.contamination
-    if cont.kind == "none":
+    params, perturb = CONTAMINATION_KINDS[cont.kind]
+    if not params:
         return y
     idx = config.contaminated_index
-    name, _, _, perturb = CONTAMINATION_KINDS[cont.kind]
-    y[..., idx] = perturb(y[..., idx], config._model_mean[idx], config._model_sd[idx], getattr(cont, name))
+    values = [getattr(cont, name) for name, _, _ in params]
+    y[..., idx] = perturb(y[..., idx], config._model_mean[idx], config._model_sd[idx], *values)
     return y
 
 

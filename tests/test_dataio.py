@@ -29,9 +29,9 @@ from robust_fps.dataio import (
     write_report,
 )
 from robust_fps.divergence import influence
-from robust_fps.estimators import RobustEstimate
+from robust_fps.estimators import RobustConfig, RobustEstimate, robust_estimate
 from robust_fps.frame import FAMILIES
-from robust_fps.risk import RiskReport
+from robust_fps.risk import RiskReport, max_excess_risk
 from robust_fps.simulate import CONTAMINATION_KINDS, DEFAULT_REPS, Contamination, SimConfig
 
 from conftest import random_frame
@@ -309,6 +309,26 @@ def test_influence_records_are_the_report_diagnostics():
         assert all(type(rec["flagged"]) is bool for rec in report["diagnostics"])
 
 
+def test_flagged_units_are_the_clipped_units_under_the_paper_form():
+    """The band is applied in two places: ``psi_clip`` clips, and ``build_report`` flags
+    ``|r_k| > c``.  Under the paper form both read ``fit()``'s residuals at ``c_used``."""
+    rng = np.random.default_rng(35)
+    sizes = set()
+    for _ in range(40):
+        frame = random_frame(rng, n_min=3, n_max=12)
+        records = influence(frame)
+        tie = abs(records[int(rng.integers(len(records)))]["r_k"])  # a c on a residual
+        for config in (RobustConfig(c=tie), RobustConfig(c=0.5), RobustConfig(c=2.0),
+                       RobustConfig(max_excess=0.3 * max_excess_risk(frame))):
+            robust = robust_estimate(frame, config)
+            report = build_report(model={"family": "custom"}, frame=frame, robust=robust,
+                                  diagnostics=records, flag_c=robust.c_used)
+            flagged = tuple(rec["unit_id"] for rec in report["diagnostics"] if rec["flagged"])
+            assert flagged == robust.clipped_units
+            sizes.add((len(flagged) > 0, len(flagged) < frame.n_sampled))
+    assert sizes >= {(True, True), (False, True)}
+
+
 # --- sim config schema and inline matrices -----------------------------------
 
 _SIM_DOC = {
@@ -468,7 +488,7 @@ def test_schema_keys_are_the_dataclass_fields():
     frame, top = _SIM_CONFIG["frame"], {k: v for k, v in _SIM_CONFIG.items() if k != "frame"}
     assert list(frame) == list(init_fields(FrameTemplate))
     assert set(top) | {"template"} == set(init_fields(SimConfig))
-    contamination = {key for kind in ("none", *CONTAMINATION_KINDS)
+    contamination = {key for kind in CONTAMINATION_KINDS
                      for key in _contamination_fields({"kind": kind}, "/contamination")}
     assert contamination == set(init_fields(Contamination))
     assert set(_OPTIONAL) <= set(top)

@@ -167,7 +167,7 @@ class TestBuildModel:
 
     def test_the_signature_names_no_column(self):
         params = inspect.signature(build_model).parameters
-        assert not {c for columns, _ in FAMILIES.values() for c in columns} & set(params)
+        assert not {c for columns, *_ in FAMILIES.values() for c in columns} & set(params)
 
     def test_custom_passthrough(self):
         fr = build_model(

@@ -16,11 +16,18 @@ module catches it.
 The estimator form is chosen in one table, ``estimators.FORMS``, so the form
 names are written there and in the CLI's ``--scaling`` name map, and in no
 other code of the package.  Likewise each contamination kind is one row of
-``simulate.CONTAMINATION_KINDS``, so the kind names are written only there.
+``simulate.CONTAMINATION_KINDS``, so the kind names are written only there,
+and each model family one row of ``frame.FAMILIES``, so the family names are
+written only there and in the CLI's ``--model`` name map.  Shared code reads
+a row and never compares a family or kind name, ``none`` included.
 """
 
 import ast
 import pathlib
+
+from robust_fps.cli import MODEL_NAMES
+from robust_fps.frame import FAMILIES
+from robust_fps.simulate import CONTAMINATION_KINDS
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "robust_fps"
 
@@ -118,8 +125,14 @@ def test_the_overflow_scan_sees_every_form_of_except(tmp_path):
 _FORM_NAMES = ("paper_v", "chambers_sigma")
 
 
-def _form_name_sites(path: pathlib.Path, names: tuple) -> list:
-    """Each string constant outside a docstring that holds one of ``names``, by where it is written.
+def _quoted(value: str, name: str) -> bool:
+    """Whether ``value`` is ``name``, or holds it in quotes: ``ratio`` is not in ``calibration``."""
+    return value == name or f"'{name}'" in value or f'"{name}"' in value
+
+
+def _form_name_sites(path: pathlib.Path, names: tuple, match=str.__contains__) -> list:
+    """Each string constant outside a docstring where ``match(constant, name)`` holds for one of
+    ``names`` (by default, that it holds the name), by where it is written.
 
     A constant in a module-level assignment to one name is given as that name,
     any other by its line.  The parts of an f-string are constants too.
@@ -140,7 +153,7 @@ def _form_name_sites(path: pathlib.Path, names: tuple) -> list:
         for node in ast.walk(statement):
             if (isinstance(node, ast.Constant) and isinstance(node.value, str)
                     and id(node) not in docstrings
-                    and any(name in node.value for name in names)):
+                    and any(match(node.value, name) for name in names)):
                 sites.append(owner or node.lineno)
     return sites
 
@@ -167,3 +180,31 @@ def test_the_kind_names_are_written_only_in_the_table():
     sites = {p.stem: set(_form_name_sites(p, _KIND_NAMES)) for p in sorted(PACKAGE.glob("*.py"))}
     assert {stem: found for stem, found in sites.items() if found} == {
         "simulate": {"CONTAMINATION_KINDS"}}
+
+
+_FAMILY_NAMES = ("ratio", "royall", "horvitz_thompson", "custom", "ht")
+
+
+def test_a_family_is_decided_only_in_its_row():
+    assert set(FAMILIES) | set(MODEL_NAMES) == set(_FAMILY_NAMES)
+    sites = {p.stem: set(_form_name_sites(p, _FAMILY_NAMES, _quoted)) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {stem: found for stem, found in sites.items() if found} == {
+        "cli": {"MODEL_NAMES"}, "frame": {"FAMILIES"}}
+
+
+def test_a_kind_none_included_is_decided_only_in_its_row():
+    kinds = ("none", *_KIND_NAMES)
+    sites = {p.stem: set(_form_name_sites(p, kinds, _quoted)) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {stem: found for stem, found in sites.items() if found} == {
+        "simulate": {"CONTAMINATION_KINDS"}}
+    assert list(CONTAMINATION_KINDS) == list(kinds)
+
+
+def test_the_quoted_scan_matches_whole_or_quoted_names_only(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text('"""The none kind and the ratio family."""\nKINDS = {"none": 0}\n'
+                   'def f(kind="none", c="calibration"):\n    """Not \'none\'."""\n'
+                   '    x = "c_grid must be nonempty" + "(0 if it has none)"\n'
+                   '    y = f"contamination \'none\' takes no units, {kind}"\n'
+                   '    return kind == "ratio" or \'a "ratio" family\' or "ratios"\n')
+    assert _form_name_sites(src, ("none", "ratio"), _quoted) == ["KINDS", 3, 6, 7, 7]

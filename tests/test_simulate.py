@@ -788,11 +788,21 @@ _CLI_CONFIG = {
     (lambda: make_config(reps=2048.0), "reps must be an integer >= 2", None),
     (lambda: make_config(seed=1.5), _SEED_RANGE, None),
     (lambda: make_config(seed=1.0), _SEED_RANGE, None),
+    # A bool is no integer, as in the config schema: seed=True would run seed 1.
+    (lambda: make_config(seed=True), _SEED_RANGE, None),
+    (lambda: make_config(seed=False), _SEED_RANGE, None),
+    (lambda: make_config(reps=True), "reps must be an integer >= 2", None),
+    # A parameter field the kind does not read; the config schema refuses it with exit 2.
+    (lambda: Contamination("none", delta=5.0, value="x"),
+     "contamination 'none' does not read field(s) ['delta', 'value']", None),
+    (lambda: Contamination("shift", units=("u0",), delta=1.0, factor=2.0),
+     "contamination 'shift' does not read field(s) ['factor']", None),
 ], ids=["units_on_none", "unknown_kind", "list_kind", "dict_kind", "no_units", "no_delta",
         "nan_delta", "factor_one", "infinite_value", "nan_theta", "empty_grid", "negative_c",
         "int_units", "unhashable_unit", "str_units", "bytes_units", "int_grid", "str_grid",
         "seed_too_large", "seed_too_small", "seed_2_63", "seed_2_64_minus_1", "float_reps",
-        "fractional_seed", "float_seed"])
+        "fractional_seed", "float_seed", "true_seed", "false_seed", "true_reps",
+        "param_on_none", "other_kinds_param"])
 def test_invalid_simulation_inputs_exit_3(build, message, overrides, tmp_path, capsys):
     # The config schema rejects a units field on "none" and an unknown kind first, with exit 2.
     with pytest.raises(ModelValidationError) as info:
